@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,16 @@ from .errors import (
     ConfigurationError,
     DegenerateNormalizationError,
     ResourceBudgetError,
-    UnsupportedKernelError,
 )
-from .kernels import DEFAULT_M_INNER, KernelSpec, centered_view
-from .moments import MomentSet, moments_closed_form, moments_mc
-from .sampling import DistributionSpec, SeedPolicy, dilution_regime, sample_row
+from .kernels import KernelSpec, _require_closed_forms, centered_view
+from .moments import moments_closed_form
+from .sampling import (
+    DistributionSpec,
+    SeedPolicy,
+    dilution_regime,
+    sample_dilution,
+    sample_row,
+)
 
 __all__ = [
     "Estimate",
@@ -132,8 +137,10 @@ def _seq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _theta2_of(moments: MomentSet) -> float:
-    t2 = moments.theta2
+def _theta2(kernel: KernelSpec, dist: DistributionSpec, n: int, p: float) -> float:
+    """Closed-form theta^2, after checking the kernel carries g, H and H~."""
+    _require_closed_forms(kernel)
+    t2 = moments_closed_form(kernel, dist, n, p).theta2
     if not t2 > 0.0:
         raise DegenerateNormalizationError(
             "condition estimators need theta^2 > 0; got %r" % t2
@@ -141,48 +148,14 @@ def _theta2_of(moments: MomentSet) -> float:
     return t2
 
 
-def _gvals(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
-    if kernel.conditional_mean is not None:
-        return np.asarray(kernel.conditional_mean(x), dtype=np.float64)
-    view = centered_view(kernel)
-    hxx = kernel.pair_values(x, x)
-    return 0.5 * (hxx - np.asarray(view.evaluate_tilde(x, x)))
+def _pair_H(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """H(a, b) = E[h(Y, a) h(Y, b)]."""
+    return np.asarray(kernel.pair_conditional(xa, xb), dtype=np.float64)
 
 
-def _tilde_pair(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    hv = kernel.pair_values(xa, xb)
-    if kernel.conditional_mean is not None:
-        g = kernel.conditional_mean
-        return hv - np.asarray(g(xa)) - np.asarray(g(xb))
-    view = centered_view(kernel)
-    return np.asarray(view.evaluate_tilde(xa, xb))
-
-
-def _pair_H(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray, dist, seed) -> np.ndarray:
-    """H(a, b) = E[h(Y, a) h(Y, b)]: closed form, or inner MC fallback."""
-    if kernel.pair_conditional is not None:
-        return np.asarray(kernel.pair_conditional(xa, xb), dtype=np.float64)
-    draws = sample_row(DEFAULT_M_INNER, dist, seed)
-    out = np.empty(xa.size)
-    for k in range(xa.size):
-        va = kernel.pair_values(draws, np.full(draws.size, xa[k]))
-        vb = kernel.pair_values(draws, np.full(draws.size, xb[k]))
-        out[k] = float((va * vb).mean())
-    return out
-
-
-def _pair_Ht(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray, dist, seed) -> np.ndarray:
-    """H~(a, b) = E[h~(Y, a) h~(Y, b)]: closed form, or inner MC fallback."""
-    if kernel.centered_pair_conditional is not None:
-        return np.asarray(kernel.centered_pair_conditional(xa, xb), dtype=np.float64)
-    view = centered_view(kernel)
-    draws = sample_row(DEFAULT_M_INNER, dist, seed)
-    out = np.empty(xa.size)
-    for k in range(xa.size):
-        va = np.asarray(view.evaluate_tilde(draws, np.full(draws.size, xa[k])))
-        vb = np.asarray(view.evaluate_tilde(draws, np.full(draws.size, xb[k])))
-        out[k] = float((va * vb).mean())
-    return out
+def _pair_Ht(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """H~(a, b) = E[h~(Y, a) h~(Y, b)]."""
+    return np.asarray(kernel.centered_pair_conditional(xa, xb), dtype=np.float64)
 
 
 def _mean_se(vals: np.ndarray, factor: float = 1.0) -> Estimate:
@@ -190,13 +163,6 @@ def _mean_se(vals: np.ndarray, factor: float = 1.0) -> Estimate:
     mean = float(vals.mean()) * factor
     se = float(vals.std(ddof=1)) / math.sqrt(m) * factor if m > 1 else 0.0
     return Estimate(value=mean, se=se)
-
-
-def _resolve_moments(kernel, dist, n, p, seed=None) -> MomentSet:
-    try:
-        return moments_closed_form(kernel, dist, n, p)
-    except UnsupportedKernelError:
-        return moments_mc(kernel, dist, n, p, m=100_000, seed=_seq(seed).spawn(1)[0] if seed is not None else 20_000_000)
 
 
 def _check_m(m: int) -> int:
@@ -208,14 +174,15 @@ def _check_m(m: int) -> int:
 
 def sample_pair_conditional(kernel: KernelSpec, dist: DistributionSpec, p: float, seed) -> PairConditionalSample:
     """One G_1(2,3) / G~_1(2,3) draw: two rows, two bits, the conditionals."""
+    _require_closed_forms(kernel)
     seq = _seq(seed)
-    sx, sz, sh = seq.spawn(3)
+    sx, sz = seq.spawn(2)
     x = sample_row(2, dist, sx)
     rng = np.random.Generator(np.random.PCG64(sz))
     bits = (rng.random(2) < p).astype(np.float64)
     s = 1.0 if kernel.scale is None else kernel.scale_at(3)
-    hv = float(_pair_H(kernel, x[:1], x[1:], dist, sh)[0]) * s * s
-    htv = float(_pair_Ht(kernel, x[:1], x[1:], dist, sh)[0]) * s * s
+    hv = float(_pair_H(kernel, x[:1], x[1:])[0]) * s * s
+    htv = float(_pair_Ht(kernel, x[:1], x[1:])[0]) * s * s
     both = float(bits[0] * bits[1])
     return PairConditionalSample(g_k_value=both * hv, g_tilde_value=both * htv)
 
@@ -227,8 +194,7 @@ def sample_pair_conditional(kernel: KernelSpec, dist: DistributionSpec, p: float
 def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
     """Truncated second moment of the summed projection column."""
     m = _check_m(m)
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
+    t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
     seq = _seq(seed)
     sx, sz = seq.spawn(2)
@@ -236,7 +202,7 @@ def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
     rng = np.random.Generator(np.random.PCG64(sz))
     counts = rng.binomial(n - 1, p, size=m).astype(np.float64)
     s = kernel.scale_at(n)
-    big_s = _gvals(kernel, x) * s * counts
+    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * s * counts
     keep = np.abs(big_s) >= eps * theta * n
     vals = big_s * big_s * keep
     return _mean_se(vals, factor=1.0 / (n * t2))
@@ -245,8 +211,7 @@ def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
 def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
     """Truncated second moment of a single centered pair."""
     m = _check_m(m)
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
+    t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
     seq = _seq(seed)
     sx, sy, sz = seq.spawn(3)
@@ -255,7 +220,7 @@ def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
     rng = np.random.Generator(np.random.PCG64(sz))
     bits = (rng.random(m) < p).astype(np.float64)
     s = kernel.scale_at(n)
-    phit = bits * _tilde_pair(kernel, xa, xb) * s
+    phit = bits * centered_view(kernel).evaluate_tilde(xa, xb) * s
     keep = np.abs(phit) >= eps * theta * n
     vals = phit * phit * keep
     return _mean_se(vals, factor=1.0 / t2)
@@ -264,13 +229,11 @@ def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
 def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
     """Truncated first moment of the centered diagonal conditional."""
     m = _check_m(m)
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
-    seq = _seq(seed)
-    sx, sh = seq.spawn(2)
+    t2 = _theta2(kernel, dist, n, p)
+    (sx,) = _seq(seed).spawn(1)
     x = sample_row(m, dist, sx)
     s2 = kernel.scale_at(n) ** 2
-    diag = _pair_Ht(kernel, x, x, dist, sh) * s2
+    diag = _pair_Ht(kernel, x, x) * s2
     keep = np.abs(diag) >= eps * t2 * n / p
     vals = diag * keep
     return _mean_se(vals, factor=p / t2)
@@ -278,17 +241,16 @@ def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
 
 def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
     m = _check_m(m)
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
+    t2 = _theta2(kernel, dist, n, p)
     seq = _seq(seed)
-    sx, sy, sz, sh = seq.spawn(4)
+    sx, sy, sz = seq.spawn(3)
     xa = sample_row(m, dist, sx)
     xb = sample_row(m, dist, sy)
     rng = np.random.Generator(np.random.PCG64(sz))
     both = (rng.random(m) < p) & (rng.random(m) < p)
     s2 = kernel.scale_at(n) ** 2
     fn = _pair_Ht if centered else _pair_H
-    cond = fn(kernel, xa, xb, dist, sh) * s2
+    cond = fn(kernel, xa, xb) * s2
     g = both.astype(np.float64) * cond
     return _mean_se(g * g, factor=1.0 / (t2 * t2))
 
@@ -306,8 +268,7 @@ def estimate_C4prime(kernel, dist, n, p, m, seed) -> Estimate:
 def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estimate:
     """The un-tilded single-object conditions C1'', C2'', C3''."""
     m = _check_m(m)
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
+    t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
     seq = _seq(seed)
     s = kernel.scale_at(n)
@@ -316,7 +277,7 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estima
         x = sample_row(m, dist, sx)
         rng = np.random.Generator(np.random.PCG64(sz))
         bits = (rng.random(m) < p).astype(np.float64)
-        psi = bits * _gvals(kernel, x) * s
+        psi = bits * np.asarray(kernel.conditional_mean(x), np.float64) * s
         keep = np.abs(psi) >= eps * theta
         return _mean_se(psi * psi * keep, factor=n * n / t2)
     if condition == "C2''":
@@ -329,9 +290,9 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estima
         keep = np.abs(phi) >= eps * theta * n
         return _mean_se(phi * phi * keep, factor=1.0 / t2)
     if condition == "C3''":
-        sx, sh = seq.spawn(2)
+        (sx,) = seq.spawn(1)
         x = sample_row(m, dist, sx)
-        diag = _pair_H(kernel, x, x, dist, sh) * s * s
+        diag = _pair_H(kernel, x, x) * s * s
         keep = np.abs(diag) >= eps * t2 * n / p
         return _mean_se(diag * keep, factor=p / t2)
     raise ConfigurationError(
@@ -341,25 +302,6 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estima
 
 # --------------------------------------------------------------------------
 # eta quantities of the martingale CLT
-
-
-def _require_closed_forms(kernel: KernelSpec) -> None:
-    missing = [
-        nm
-        for nm, v in (
-            ("g", kernel.conditional_mean),
-            ("H", kernel.pair_conditional),
-            ("H~", kernel.centered_pair_conditional),
-            ("E[g^2]", kernel.g_second_moment),
-        )
-        if v is None
-    ]
-    if missing:
-        raise UnsupportedKernelError(
-            "eta estimators need closed-form conditional structure; kernel %r "
-            "lacks %s (nested Monte Carlo conditioning is out of scope)"
-            % (kernel.name, ", ".join(missing))
-        )
 
 
 def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
@@ -391,14 +333,10 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
             "eta2 replicates cost O(n^3); n = %d exceeds the %d cap"
             % (n, ETA2_MAX_N)
         )
-    _require_closed_forms(kernel)
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
+    t2 = _theta2(kernel, dist, n, p)
     s = kernel.scale_at(n)
     s2 = s * s
     eg2 = float(kernel.g_second_moment) * s2
-    from .sampling import sample_dilution
-
     seq = _seq(seed)
     children = seq.spawn(m)
     out = np.empty(m)
@@ -441,8 +379,7 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
     m = int(m)
     if m < 2:
         raise ConfigurationError("estimate_eta1_mean needs m >= 2 replicates")
-    moments = _resolve_moments(kernel, dist, n, p)
-    t2 = _theta2_of(moments)
+    t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
     seq = _seq(seed)
     s_seed, t_seed = seq.spawn(2)
@@ -454,13 +391,12 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
     rng = np.random.Generator(np.random.PCG64(sz))
     counts = rng.binomial(n - 1, p, size=ms).astype(np.float64)
     s = kernel.scale_at(n)
-    big_s = _gvals(kernel, x) * s * counts
+    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * s * counts
     keep = np.abs(big_s) >= 0.5 * eps * theta * n
     s1 = _mean_se(big_s * big_s * keep, factor=4.0 / (n * t2))
 
     # T1 part: per-replicate realizations
-    from .sampling import sample_dilution
-
+    view = centered_view(kernel)
     children = _seq(t_seed).spawn(m)
     t_vals = np.empty(m)
     cut = 0.5 * eps * theta * n
@@ -471,7 +407,7 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
         ii, jj = graph.edges()
         rows = np.zeros(n)
         if ii.size:
-            np.add.at(rows, jj, _tilde_pair(kernel, x[ii], x[jj]) * s)
+            np.add.at(rows, jj, view.evaluate_tilde(x[ii], x[jj]) * s)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
     t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))
@@ -657,17 +593,8 @@ def sweep_condition(
     est = np.zeros((len(n_grid), ncol))
     ses = np.zeros((len(n_grid), ncol))
     spread = np.zeros(len(n_grid)) if condition_id == "ETA2" else None
-    def p_at(n: int) -> float:
-        return float(p_fixed) if p_fixed is not None else dilution_regime(n, a)
-
-    provenance = "closed_form"
-    try:
-        moments_closed_form(kernel, dist, n_grid[0], p_at(n_grid[0]))
-    except UnsupportedKernelError:
-        provenance = "mc"
-
     for r, n in enumerate(n_grid):
-        p = p_at(n)
+        p = float(p_fixed) if p_fixed is not None else dilution_regime(n, a)
         for c in range(ncol):
             eps = None if eps_free else eps_cols[c]
             label = "cond/%s/n%d/eps%r" % (condition_id, n, eps)
@@ -706,5 +633,4 @@ def sweep_condition(
         verdicts=verdicts,
         upper_bound=(condition_id == "ETA1"),
         spread=spread,
-        theta_provenance=provenance,
     )

@@ -62,17 +62,6 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     return total / math.comb(n, 2)
 
 
-def _tilde_values(x, ii, jj, kernel: KernelSpec):
-    """h~ on the given pairs, preferring the closed-form conditional mean."""
-    hv = kernel.pair_values(x[ii], x[jj])
-    g = kernel.conditional_mean
-    if g is not None:
-        return hv - np.asarray(g(x[ii])) - np.asarray(g(x[jj]))
-    view = centered_view(kernel)
-    # evaluate_tilde would re-evaluate h; reuse hv and only fetch g twice
-    return np.asarray(view.evaluate_tilde(x[ii], x[jj]))
-
-
 def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     """Per-index (psi_part, phi_tilde_part) whose total is binom(n,2)*U.
 
@@ -84,18 +73,13 @@ def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     x = _check_row_graph(x, graph)
     n = graph.n
     s = kernel.scale_at(n)
+    view = centered_view(kernel)
     ii, jj = graph.edges()
-    if kernel.conditional_mean is not None:
-        gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
-    else:
-        view = centered_view(kernel)
-        hv = kernel.pair_values(x, x)
-        tilde_diag = np.asarray(view.evaluate_tilde(x, x))
-        gvals = 0.5 * (hv - tilde_diag)
+    gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
     psi_part = s * gvals * graph.degrees()
     phi_tilde_part = np.zeros(n)
     if ii.size:
-        ht = _tilde_values(x, ii, jj, kernel) * s
+        ht = np.asarray(view.evaluate_tilde(x[ii], x[jj])) * s
         np.add.at(phi_tilde_part, jj, ht)
     return psi_part, phi_tilde_part
 

@@ -13,7 +13,8 @@ class ConfigurationError(ValueError):
 
 class UnsupportedKernelError(ConfigurationError):
     """The requested computation needs closed-form conditional structure
-    the kernel does not carry. Callers may fall back to Monte Carlo."""
+    (g, H, H~, E[g^2]) the kernel does not carry, or names a kernel that
+    does not exist."""
 
 
 class DegenerateNormalizationError(ConfigurationError):

@@ -94,7 +94,6 @@ class ExperimentConfig:
     out_path: Optional[str] = None
     out_format: str = "csv"
     expected_verdicts: Dict[str, str] = field(default_factory=dict)
-    dist_schedule: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dist is None:
@@ -140,11 +139,6 @@ class ExperimentConfig:
             return float(self.p)
         return dilution_regime(n, self.a)
 
-    def dist_at(self, n: int) -> DistributionSpec:
-        if self.dist_schedule is not None:
-            return self.dist_schedule(n)
-        return self.dist
-
     def policy(self) -> SeedPolicy:
         return SeedPolicy(master_seed=self.master_seed)
 
@@ -164,10 +158,6 @@ class ExperimentConfig:
             "ks_threshold": repr(float(self.ks_threshold)),
             "expected_verdicts": dict(sorted(self.expected_verdicts.items())),
         }
-        if self.dist_schedule is not None:
-            payload["dist_schedule"] = [
-                [n, self.dist_at(n).describe()] for n in self.n_grid
-            ]
         return json.dumps(payload, sort_keys=True)
 
     def config_hash(self) -> str:
@@ -365,32 +355,16 @@ def _run_replicates(
     return out, int(evals.sum())
 
 
-def replicate_standardized(config: ExperimentConfig, n: Optional[int] = None) -> np.ndarray:
-    """R draws of U / sqrt(Var U) at one grid point (default: the largest)."""
+def _standardized_replicates(config: ExperimentConfig, n: Optional[int]):
+    """R draws of U / sqrt(Var U) at n (default: the largest grid point).
+
+    Returns n, the samples, the summed kernel-eval count and the
+    standardization provenance.
+    """
     n = int(n) if n is not None else config.n_grid[-1]
     p = config.p_at(n)
-    dist = config.dist_at(n)
+    dist = config.dist
     kernel = kernel_by_name(config.kernel_name, dist)
-    denom, _ = _standardizer(config, kernel, dist, n, p)
-    samples, _ = _run_replicates(
-        config,
-        kernel,
-        dist,
-        n,
-        p,
-        "replicate/n%d" % n,
-        lambda x, graph: compute_ustat(x, graph, kernel) / denom,
-    )
-    return samples
-
-
-def run_clt_experiment(config: ExperimentConfig, n: Optional[int] = None) -> DistTestResult:
-    """Standardized samples at the chosen n, KS-tested against the normal."""
-    n = int(n) if n is not None else config.n_grid[-1]
-    p = config.p_at(n)
-    dist = config.dist_at(n)
-    kernel = kernel_by_name(config.kernel_name, dist)
-    t0 = time.perf_counter()
     denom, prov = _standardizer(config, kernel, dist, n, p)
     samples, evals = _run_replicates(
         config,
@@ -401,6 +375,18 @@ def run_clt_experiment(config: ExperimentConfig, n: Optional[int] = None) -> Dis
         "replicate/n%d" % n,
         lambda x, graph: compute_ustat(x, graph, kernel) / denom,
     )
+    return n, samples, evals, prov
+
+
+def replicate_standardized(config: ExperimentConfig, n: Optional[int] = None) -> np.ndarray:
+    """R draws of U / sqrt(Var U) at one grid point (default: the largest)."""
+    return _standardized_replicates(config, n)[1]
+
+
+def run_clt_experiment(config: ExperimentConfig, n: Optional[int] = None) -> DistTestResult:
+    """Standardized samples at the chosen n, KS-tested against the normal."""
+    t0 = time.perf_counter()
+    n, samples, evals, prov = _standardized_replicates(config, n)
     ks = ks_distance(samples, normal_cdf)
     return DistTestResult(
         samples=samples,

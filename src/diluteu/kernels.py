@@ -5,7 +5,8 @@ kernel h itself: the conditional mean g(x) = E[h(x, X)], the pair
 conditional H(x, y) = E[h(x, X) h(y, X)], and the centered pair
 conditional H~(x, y) built from h~(x, y) = h(x, y) - g(x) - g(y). A
 KernelSpec bundles h with closed forms for these against one fixed row
-law, so estimators never need nested Monte Carlo for the built-ins.
+law. Every estimator needs them: a kernel without them is rejected by
+one guard, and nothing falls back to nested Monte Carlo.
 
 Centering contract: every registered kernel satisfies E[h(X, Y)] = 0
 under independent draws from the paired law. For the product and additive
@@ -42,14 +43,12 @@ __all__ = [
     "sign_kernel",
     "zero_kernel",
     "centered_view",
-    "inner_mc_conditional",
     "kernel_from_table",
     "load_kernel_table",
 ]
 
 _EXACT_TOL = 1e-12
 _DEGENERACY_EPS = 1e-15
-DEFAULT_M_INNER = 2048
 
 
 class EvalCounter:
@@ -112,24 +111,38 @@ class KernelSpec:
     def cross_conditional(self, x) -> np.ndarray:
         """K(x) = E[g(X) h(X, x)], recovered from the registered structure.
 
-        Uses the identity H~(x, x) = H(x, x) - g(x)^2 - 2 K(x) + E[g^2],
-        so it needs g, H, H~, and E[g^2] all present.
+        Uses the identity H~(x, x) = H(x, x) - g(x)^2 - 2 K(x) + E[g^2].
         """
-        if (
-            self.conditional_mean is None
-            or self.pair_conditional is None
-            or self.centered_pair_conditional is None
-            or self.g_second_moment is None
-        ):
-            raise UnsupportedKernelError(
-                "kernel %r lacks the closed-form structure needed for K(x)"
-                % self.name
-            )
+        _require_closed_forms(self)
         x = np.asarray(x, dtype=np.float64)
         hxx = np.asarray(self.pair_conditional(x, x), dtype=np.float64)
         gx = np.asarray(self.conditional_mean(x), dtype=np.float64)
         htxx = np.asarray(self.centered_pair_conditional(x, x), dtype=np.float64)
         return 0.5 * (hxx - gx * gx - htxx + self.g_second_moment)
+
+
+def _require_closed_forms(kernel: KernelSpec) -> None:
+    """Raise UnsupportedKernelError naming the closed forms kernel lacks.
+
+    g, H, H~ and E[g^2] are what every centering, condition and eta
+    computation reads; nothing approximates them another way.
+    """
+    missing = [
+        nm
+        for nm, v in (
+            ("g", kernel.conditional_mean),
+            ("H", kernel.pair_conditional),
+            ("H~", kernel.centered_pair_conditional),
+            ("E[g^2]", kernel.g_second_moment),
+        )
+        if v is None
+    ]
+    if missing:
+        raise UnsupportedKernelError(
+            "kernel %r lacks the closed form(s) %s; bind a table kernel to a "
+            "discrete row law or use a built-in kernel"
+            % (kernel.name, ", ".join(missing))
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,66 +415,23 @@ def _verify_registration(spec: KernelSpec) -> None:
 
 
 # --------------------------------------------------------------------------
-# centered view and inner Monte Carlo
+# centered view
 
 
-def centered_view(
-    kernel: KernelSpec,
-    m_inner: int = DEFAULT_M_INNER,
-    seed=0,
-) -> CenteredKernelView:
-    """Build h~ from h, using closed-form g when the kernel carries one.
+def centered_view(kernel: KernelSpec) -> CenteredKernelView:
+    """h~(x, y) = h(x, y) - g(x) - g(y) from the kernel's closed-form g.
 
-    Without a closed form, g is approximated against the kernel's bound
-    law: exactly (by enumeration) for discrete laws, otherwise by inner
-    Monte Carlo with m_inner shared draws. A kernel with neither a
-    conditional mean nor a bound law cannot be centered.
+    Raises UnsupportedKernelError when the kernel lacks its closed forms.
     """
-    g_fun = kernel.conditional_mean
-    if g_fun is None:
-        dist = kernel.dist
-        if dist is None:
-            raise ConfigurationError(
-                "kernel %r has no conditional mean and no row law to "
-                "approximate one against" % kernel.name
-            )
-        if dist.is_discrete:
-            support = np.asarray(dist.support)
-            qs = np.asarray(dist.probs)
-
-            def g_fun(x, _s=support, _q=qs):
-                x = np.atleast_1d(np.asarray(x, np.float64))
-                out = kernel.pair_values(
-                    np.repeat(x, _s.size), np.tile(_s, x.size)
-                ).reshape(x.size, _s.size)
-                return out @ _q
-        else:
-            draws = sample_row(int(m_inner), dist, seed)
-
-            def g_fun(x, _d=draws):
-                x = np.atleast_1d(np.asarray(x, np.float64))
-                out = np.empty(x.size)
-                for k in range(x.size):
-                    out[k] = kernel.pair_values(
-                        np.full(_d.size, x[k]), _d
-                    ).mean()
-                return out
+    _require_closed_forms(kernel)
+    g = kernel.conditional_mean
 
     def evaluate_tilde(x, y):
         x = np.asarray(x, np.float64)
         y = np.asarray(y, np.float64)
-        return kernel.pair_values(x, y) - np.asarray(g_fun(x)) - np.asarray(g_fun(y))
+        return kernel.pair_values(x, y) - np.asarray(g(x)) - np.asarray(g(y))
 
     return CenteredKernelView(base=kernel, evaluate_tilde=evaluate_tilde)
-
-
-def inner_mc_conditional(kernel: KernelSpec, x: float, dist: DistributionSpec, m: int, seed) -> float:
-    """(1/m) sum of h(x, X_k) over m i.i.d. draws; deterministic per seed."""
-    if m < 1:
-        raise ConfigurationError("inner_mc_conditional needs m >= 1")
-    draws = sample_row(int(m), dist, seed)
-    vals = kernel.pair_values(np.full(int(m), float(x)), draws)
-    return float(vals.mean())
 
 
 # --------------------------------------------------------------------------
@@ -473,11 +443,18 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
 
     Symmetry is validated: a pair given in both orders must agree exactly.
     Evaluation goes through the sorted pair, so the kernel is symmetric
-    structurally even if only one orientation was supplied. When a discrete
-    row law is given, exact conditional structure (g, H, H~) and second
-    moments are attached by enumeration, which requires the law's support
-    to be covered by the table.
+    structurally even if only one orientation was supplied.
+
+    The row law, when given, must be discrete and its support covered by
+    the table; exact conditional structure (g, H, H~) and second moments
+    are then attached by enumeration. Without a law the kernel carries no
+    closed forms, so it can be evaluated but not centered or estimated.
     """
+    if dist is not None and not dist.is_discrete:
+        raise ConfigurationError(
+            "table kernel %r needs a discrete row law; got %s"
+            % (name, dist.describe())
+        )
     entries: dict[tuple[float, float], float] = {}
     for row in rows:
         x, y, v = float(row[0]), float(row[1]), float(row[2])
@@ -504,16 +481,14 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
         ya = np.asarray(ya, np.float64)
         ia = np.searchsorted(_s, xa)
         ja = np.searchsorted(_s, ya)
-        ok = (
-            (ia < _s.size)
-            & (ja < _s.size)
-            & (_s[np.minimum(ia, _s.size - 1)] == xa)
-            & (_s[np.minimum(ja, _s.size - 1)] == ya)
-        )
+        in_a = (ia < _s.size) & (_s[np.minimum(ia, _s.size - 1)] == xa)
+        in_b = (ja < _s.size) & (_s[np.minimum(ja, _s.size - 1)] == ya)
+        ok = in_a & in_b
         if not np.all(ok):
-            bad = np.asarray(xa)[~ok] if np.any(~ok) else None
+            bad = np.where(in_a, ya, xa)[~ok]
             raise ConfigurationError(
-                "value outside the kernel table support: %r" % bad
+                "%d pair(s) with a value outside the kernel table support; "
+                "first %r" % (bad.size, float(bad[0]))
             )
         vals = _m[ia, ja]
         if np.any(np.isnan(vals)):
@@ -526,7 +501,7 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
         dist=dist,
         symmetric_by_construction=False,
     )
-    if dist is not None and dist.is_discrete:
+    if dist is not None:
         missing = set(dist.support) - {float(s) for s in support}
         if missing:
             raise ConfigurationError(

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     EnumerationSizeError,
     UnsupportedKernelError,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _require_closed_forms
 from .sampling import DistributionSpec, sample_row
 
 __all__ = [
@@ -158,8 +158,13 @@ def moments_mc(
     m: int,
     seed,
 ) -> MomentSet:
-    """Monte Carlo moments from m independent pairs, with standard errors."""
+    """Monte Carlo moments from m independent pairs, with standard errors.
+
+    E[h^2] is sampled; E[g^2] is sampled through the kernel's closed-form
+    g, so the kernel must carry its closed forms.
+    """
     n, p = _check_np(n, p)
+    _require_closed_forms(kernel)
     m = int(m)
     if m < 100:
         raise ConfigurationError("moments_mc needs m >= 100; got %d" % m)
@@ -169,14 +174,7 @@ def moments_mc(
     y = sample_row(m, dist, sy)
     s = kernel.scale_at(n)
     h2 = (kernel.pair_values(x, y) * s) ** 2
-    if kernel.conditional_mean is not None:
-        gv = np.asarray(kernel.conditional_mean(x), dtype=np.float64) * s
-    else:
-        from .kernels import centered_view
-
-        view = centered_view(kernel)
-        hxx = kernel.pair_values(x, x)
-        gv = 0.5 * (hxx - np.asarray(view.evaluate_tilde(x, x))) * s
+    gv = np.asarray(kernel.conditional_mean(x), dtype=np.float64) * s
     g2 = gv * gv
     beta2 = p * float(h2.mean())
     gamma2 = p * float(g2.mean())

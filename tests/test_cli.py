@@ -189,9 +189,12 @@ def test_clt_test_fails_for_degenerate_case(capsys):
 
 
 def test_counterexample_small_n_exits_1(capsys):
-    # at n=100 the square-law fit is still too loose for the KS gate, and
-    # the command says so on stderr while still emitting both reports
-    code = run_main(["counterexample", "--n", "100", "--R", "400"])
+    # a gate tighter than the sample's distance to the exact n=100 law
+    # (about 0.03 for R=400) fails; the command says so on stderr while
+    # still emitting both reports
+    code = run_main(
+        ["counterexample", "--n", "100", "--R", "400", "--ks-threshold", "0.01"]
+    )
     captured = capsys.readouterr()
     assert code == 1
     assert "counterexample expectations not met" in captured.err
@@ -200,6 +203,16 @@ def test_counterexample_small_n_exits_1(capsys):
     # far from normal even at this size
     ks_normal = float(captured.out.strip().splitlines()[2].split(",")[3])
     assert ks_normal > 0.15
+
+
+def test_counterexample_passes_against_the_exact_law(capsys):
+    # the square-law gate compares with the exact finite-n law, not the
+    # limit Z^2 - 1, so a correct sampler clears it at the default 0.05
+    code = run_main(["counterexample", "--n", "100", "--R", "2000"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "chi1_shifted," in captured.out
 
 
 # --------------------------------------------------------------- conditions

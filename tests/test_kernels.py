@@ -1,12 +1,12 @@
 """Built-in kernels, registration checks, table kernels, centering."""
 
-import math
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
 import diluteu as d
-from diluteu.kernels import inner_mc_conditional
 
 
 def enum_pairs(dist):
@@ -204,15 +204,6 @@ def test_centered_view_without_law_fails():
         d.centered_view(k)
 
 
-def test_inner_mc_conditional_close_to_closed_form(skewed):
-    k = d.sign_kernel(skewed)
-    m = 20000
-    est = inner_mc_conditional(k, 5.0, skewed, m, 3)
-    exact = float(k.conditional_mean(np.array([5.0]))[0])
-    # sd of one h(5, Y) draw is bounded by sup|h| = 1 + (2/3)^2
-    assert abs(est - exact) < 4 * 1.5 / math.sqrt(m)
-
-
 def test_registration_verify_catches_bad_second_moment(rad):
     from dataclasses import replace
     from diluteu.kernels import _verify_registration
@@ -220,3 +211,61 @@ def test_registration_verify_catches_bad_second_moment(rad):
     k = replace(d.product_kernel(rad), second_moment=2.5)
     with pytest.raises(d.ConfigurationError):
         _verify_registration(k)
+
+
+_NO_G_CALLS = {
+    "centered_view": lambda k, law: d.centered_view(k),
+    "hoeffding_parts": lambda k, law: d.hoeffding_parts(
+        np.array([-1.0, 5.0, -1.0]), d.sample_dilution(3, 1.0, 0), k
+    ),
+    "moments_mc": lambda k, law: d.moments_mc(k, law, 10, 0.5, m=200, seed=0),
+    "estimate_C1": lambda k, law: d.estimate_C1(k, law, 10, 0.5, 0.1, 200, 0),
+    "sweep_condition": lambda k, law: d.sweep_condition(
+        "C2", k, law, d.SeedPolicy(6), n_grid=(10,), eps_grid=(0.1,), m=200
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NO_G_CALLS))
+def test_kernel_with_law_but_no_g_is_rejected(call, skewed):
+    # bound to a law and carrying its second moments, but no g, H or H~
+    sign = d.sign_kernel(skewed)
+    k = d.KernelSpec(
+        name="no-g",
+        evaluate=sign.evaluate,
+        dist=skewed,
+        second_moment=sign.second_moment,
+        g_second_moment=sign.g_second_moment,
+    )
+    with pytest.raises(d.UnsupportedKernelError, match=r"closed form\(s\) g, H, H~;"):
+        _NO_G_CALLS[call](k, skewed)
+
+
+def test_table_kernel_rejects_continuous_law_at_bind_time():
+    rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
+    with pytest.raises(d.ConfigurationError, match="discrete row law"):
+        d.kernel_from_table("tbl", rows, dist=d.uniform(-1, 1))
+
+
+def test_table_kernel_error_names_the_offending_value(rad):
+    rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
+    k = d.kernel_from_table("tbl", rows, dist=rad)
+    # 1.0 is in the support; 2.0, the other argument, is not
+    with pytest.raises(d.ConfigurationError, match=r"^1 pair\(s\).*first 2\.0$"):
+        k.pair_values([1.0], [2.0])
+    with pytest.raises(d.ConfigurationError, match=r"^2 pair\(s\).*first 0\.5$"):
+        k.pair_values([1.0, 0.5, -1.0, 3.0], [1.0, 1.0, 1.0, -1.0])
+
+
+def test_every_exported_name_resolves():
+    modules = [d] + [
+        importlib.import_module("diluteu." + info.name)
+        for info in pkgutil.iter_modules(d.__path__)
+    ]
+    missing = [
+        (mod.__name__, name)
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
