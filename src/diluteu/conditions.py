@@ -1,7 +1,6 @@
 """Estimators for the normal-approximation condition quantities.
 
-Notation (all with the kernel's scale folded in and theta2 from the
-moment set):
+Notation (theta2 from the moment set):
 
     Phi(i,j)  = Z_ij h(X_i, X_j)      Psi_j(i) = Z_ij g(X_i)
     PhiT(i,j) = Z_ij h~(X_i, X_j)
@@ -43,11 +42,13 @@ from .errors import (
     DegenerateNormalizationError,
     ResourceBudgetError,
 )
-from .kernels import KernelSpec, _require_closed_forms, centered_view
+from .kernels import KernelSpec, _require_closed_forms
 from .moments import moments_closed_form
 from .sampling import (
     DistributionSpec,
     SeedPolicy,
+    as_generator,
+    as_seed_sequence,
     dilution_regime,
     sample_dilution,
     sample_row,
@@ -131,12 +132,6 @@ class PairConditionalSample:
     g_tilde_value: float
 
 
-def _seq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _theta2(kernel: KernelSpec, dist: DistributionSpec, n: int, p: float) -> float:
     """Closed-form theta^2, after checking the kernel carries g, H and H~."""
     _require_closed_forms(kernel)
@@ -146,16 +141,6 @@ def _theta2(kernel: KernelSpec, dist: DistributionSpec, n: int, p: float) -> flo
             "condition estimators need theta^2 > 0; got %r" % t2
         )
     return t2
-
-
-def _pair_H(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """H(a, b) = E[h(Y, a) h(Y, b)]."""
-    return np.asarray(kernel.pair_conditional(xa, xb), dtype=np.float64)
-
-
-def _pair_Ht(kernel: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """H~(a, b) = E[h~(Y, a) h~(Y, b)]."""
-    return np.asarray(kernel.centered_pair_conditional(xa, xb), dtype=np.float64)
 
 
 def _mean_se(vals: np.ndarray, factor: float = 1.0) -> Estimate:
@@ -175,14 +160,11 @@ def _check_m(m: int) -> int:
 def sample_pair_conditional(kernel: KernelSpec, dist: DistributionSpec, p: float, seed) -> PairConditionalSample:
     """One G_1(2,3) / G~_1(2,3) draw: two rows, two bits, the conditionals."""
     _require_closed_forms(kernel)
-    seq = _seq(seed)
-    sx, sz = seq.spawn(2)
+    sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(2, dist, sx)
-    rng = np.random.Generator(np.random.PCG64(sz))
-    bits = (rng.random(2) < p).astype(np.float64)
-    s = 1.0 if kernel.scale is None else kernel.scale_at(3)
-    hv = float(_pair_H(kernel, x[:1], x[1:])[0]) * s * s
-    htv = float(_pair_Ht(kernel, x[:1], x[1:])[0]) * s * s
+    bits = (as_generator(sz).random(2) < p).astype(np.float64)
+    hv = float(kernel.pair_conditional(x[:1], x[1:])[0])
+    htv = float(kernel.centered_pair_conditional(x[:1], x[1:])[0])
     both = float(bits[0] * bits[1])
     return PairConditionalSample(g_k_value=both * hv, g_tilde_value=both * htv)
 
@@ -196,13 +178,10 @@ def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
     m = _check_m(m)
     t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
-    seq = _seq(seed)
-    sx, sz = seq.spawn(2)
+    sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(m, dist, sx)
-    rng = np.random.Generator(np.random.PCG64(sz))
-    counts = rng.binomial(n - 1, p, size=m).astype(np.float64)
-    s = kernel.scale_at(n)
-    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * s * counts
+    counts = as_generator(sz).binomial(n - 1, p, size=m).astype(np.float64)
+    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * counts
     keep = np.abs(big_s) >= eps * theta * n
     vals = big_s * big_s * keep
     return _mean_se(vals, factor=1.0 / (n * t2))
@@ -213,14 +192,11 @@ def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
     m = _check_m(m)
     t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
-    seq = _seq(seed)
-    sx, sy, sz = seq.spawn(3)
+    sx, sy, sz = as_seed_sequence(seed).spawn(3)
     xa = sample_row(m, dist, sx)
     xb = sample_row(m, dist, sy)
-    rng = np.random.Generator(np.random.PCG64(sz))
-    bits = (rng.random(m) < p).astype(np.float64)
-    s = kernel.scale_at(n)
-    phit = bits * centered_view(kernel).evaluate_tilde(xa, xb) * s
+    bits = (as_generator(sz).random(m) < p).astype(np.float64)
+    phit = bits * kernel.centered_values(xa, xb)
     keep = np.abs(phit) >= eps * theta * n
     vals = phit * phit * keep
     return _mean_se(vals, factor=1.0 / t2)
@@ -230,10 +206,9 @@ def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
     """Truncated first moment of the centered diagonal conditional."""
     m = _check_m(m)
     t2 = _theta2(kernel, dist, n, p)
-    (sx,) = _seq(seed).spawn(1)
+    (sx,) = as_seed_sequence(seed).spawn(1)
     x = sample_row(m, dist, sx)
-    s2 = kernel.scale_at(n) ** 2
-    diag = _pair_Ht(kernel, x, x) * s2
+    diag = np.asarray(kernel.centered_pair_conditional(x, x), np.float64)
     keep = np.abs(diag) >= eps * t2 * n / p
     vals = diag * keep
     return _mean_se(vals, factor=p / t2)
@@ -242,15 +217,13 @@ def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
 def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
     m = _check_m(m)
     t2 = _theta2(kernel, dist, n, p)
-    seq = _seq(seed)
-    sx, sy, sz = seq.spawn(3)
+    sx, sy, sz = as_seed_sequence(seed).spawn(3)
     xa = sample_row(m, dist, sx)
     xb = sample_row(m, dist, sy)
-    rng = np.random.Generator(np.random.PCG64(sz))
+    rng = as_generator(sz)
     both = (rng.random(m) < p) & (rng.random(m) < p)
-    s2 = kernel.scale_at(n) ** 2
-    fn = _pair_Ht if centered else _pair_H
-    cond = fn(kernel, xa, xb) * s2
+    fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
+    cond = np.asarray(fn(xa, xb), np.float64)
     g = both.astype(np.float64) * cond
     return _mean_se(g * g, factor=1.0 / (t2 * t2))
 
@@ -270,29 +243,26 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estima
     m = _check_m(m)
     t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
-    seq = _seq(seed)
-    s = kernel.scale_at(n)
+    seq = as_seed_sequence(seed)
     if condition == "C1''":
         sx, sz = seq.spawn(2)
         x = sample_row(m, dist, sx)
-        rng = np.random.Generator(np.random.PCG64(sz))
-        bits = (rng.random(m) < p).astype(np.float64)
-        psi = bits * np.asarray(kernel.conditional_mean(x), np.float64) * s
+        bits = (as_generator(sz).random(m) < p).astype(np.float64)
+        psi = bits * np.asarray(kernel.conditional_mean(x), np.float64)
         keep = np.abs(psi) >= eps * theta
         return _mean_se(psi * psi * keep, factor=n * n / t2)
     if condition == "C2''":
         sx, sy, sz = seq.spawn(3)
         xa = sample_row(m, dist, sx)
         xb = sample_row(m, dist, sy)
-        rng = np.random.Generator(np.random.PCG64(sz))
-        bits = (rng.random(m) < p).astype(np.float64)
-        phi = bits * kernel.pair_values(xa, xb) * s
+        bits = (as_generator(sz).random(m) < p).astype(np.float64)
+        phi = bits * kernel.pair_values(xa, xb)
         keep = np.abs(phi) >= eps * theta * n
         return _mean_se(phi * phi * keep, factor=1.0 / t2)
     if condition == "C3''":
         (sx,) = seq.spawn(1)
         x = sample_row(m, dist, sx)
-        diag = _pair_H(kernel, x, x) * s * s
+        diag = np.asarray(kernel.pair_conditional(x, x), np.float64)
         keep = np.abs(diag) >= eps * t2 * n / p
         return _mean_se(diag * keep, factor=p / t2)
     raise ConfigurationError(
@@ -334,11 +304,8 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
             % (n, ETA2_MAX_N)
         )
     t2 = _theta2(kernel, dist, n, p)
-    s = kernel.scale_at(n)
-    s2 = s * s
-    eg2 = float(kernel.g_second_moment) * s2
-    seq = _seq(seed)
-    children = seq.spawn(m)
+    eg2 = float(kernel.g_second_moment)
+    children = as_seed_sequence(seed).spawn(m)
     out = np.empty(m)
     fut = (n - 1) - np.arange(n, dtype=np.float64)  # vertices after i
     for r, child in enumerate(children):
@@ -354,7 +321,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
         # terms 2 and 3: pair-conditional sums over known bits
         htm = np.asarray(
             kernel.centered_pair_conditional(x[:, None], x[None, :]), np.float64
-        ) * s2
+        )
         gram = low.T @ low
         diag_ht = np.diagonal(htm)
         eta22 = float(diag_ht @ colc) / (n * n * t2)
@@ -362,7 +329,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
             n * n * t2
         )
         # term 4: cross term between projection and pair parts
-        kx = np.asarray(kernel.cross_conditional(x), np.float64) * s2
+        kx = np.asarray(kernel.cross_conditional(x), np.float64)
         eta24 = 2.0 * float((c + fut * p) @ (low @ (kx - eg2))) / (n * n * t2)
         out[r] = eta21 + eta22 + eta23 + eta24
     return out
@@ -381,23 +348,19 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
         raise ConfigurationError("estimate_eta1_mean needs m >= 2 replicates")
     t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
-    seq = _seq(seed)
-    s_seed, t_seed = seq.spawn(2)
+    s_seed, t_seed = as_seed_sequence(seed).spawn(2)
 
     # S1 part: vectorized, cheap, so use a larger replicate count
     ms = max(m, 4096)
-    sx, sz = _seq(s_seed).spawn(2)
+    sx, sz = s_seed.spawn(2)
     x = sample_row(ms, dist, sx)
-    rng = np.random.Generator(np.random.PCG64(sz))
-    counts = rng.binomial(n - 1, p, size=ms).astype(np.float64)
-    s = kernel.scale_at(n)
-    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * s * counts
+    counts = as_generator(sz).binomial(n - 1, p, size=ms).astype(np.float64)
+    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * counts
     keep = np.abs(big_s) >= 0.5 * eps * theta * n
     s1 = _mean_se(big_s * big_s * keep, factor=4.0 / (n * t2))
 
     # T1 part: per-replicate realizations
-    view = centered_view(kernel)
-    children = _seq(t_seed).spawn(m)
+    children = t_seed.spawn(m)
     t_vals = np.empty(m)
     cut = 0.5 * eps * theta * n
     for r, child in enumerate(children):
@@ -405,9 +368,11 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
         x = sample_row(n, dist, cx)
         graph = sample_dilution(n, p, cz)
         ii, jj = graph.edges()
+        gvals = np.asarray(kernel.conditional_mean(x), np.float64)
         rows = np.zeros(n)
         if ii.size:
-            np.add.at(rows, jj, view.evaluate_tilde(x[ii], x[jj]) * s)
+            ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
+            np.add.at(rows, jj, ht)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
     t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))

@@ -24,8 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateNormalizationError
-from .kernels import KernelSpec, centered_view
-from .sampling import DilutionGraph, DistributionSpec, sample_dilution, sample_row
+from .kernels import KernelSpec, _require_closed_forms
+from .sampling import (
+    DilutionGraph,
+    DistributionSpec,
+    as_seed_sequence,
+    sample_dilution,
+    sample_row,
+)
 
 __all__ = [
     "compute_ustat",
@@ -58,28 +64,26 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     if ii.size == 0:
         return 0.0
     vals = kernel.pair_values(x[ii], x[jj])
-    total = float(vals.sum()) * kernel.scale_at(n)
-    return total / math.comb(n, 2)
+    return float(vals.sum()) / math.comb(n, 2)
 
 
 def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     """Per-index (psi_part, phi_tilde_part) whose total is binom(n,2)*U.
 
-    psi_part[i] = s(n) g(x_i) deg_i collects the linear projections; the
+    psi_part[i] = g(x_i) deg_i collects the linear projections; the
     centered remainder h~(x_i, x_j) of each retained pair is charged to
     its larger index, so phi_tilde_part[i] sums over j < i. The identity
-    holds for every realization, not just in expectation.
+    holds for every realization, not just in expectation. g is evaluated
+    once, on the row, and indexed per edge.
     """
     x = _check_row_graph(x, graph)
-    n = graph.n
-    s = kernel.scale_at(n)
-    view = centered_view(kernel)
+    _require_closed_forms(kernel)
     ii, jj = graph.edges()
     gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
-    psi_part = s * gvals * graph.degrees()
-    phi_tilde_part = np.zeros(n)
+    psi_part = gvals * graph.degrees()
+    phi_tilde_part = np.zeros(graph.n)
     if ii.size:
-        ht = np.asarray(view.evaluate_tilde(x[ii], x[jj])) * s
+        ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
         np.add.at(phi_tilde_part, jj, ht)
     return psi_part, phi_tilde_part
 
@@ -180,7 +184,7 @@ def sample_realization(
     The seed is split into independent child streams for the row and the
     graph, so the two sources cannot alias even for equal n.
     """
-    seq = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
+    seq = as_seed_sequence(seed)
     if graph is None:
         row_seed, graph_seed = seq.spawn(2)
         graph = sample_dilution(n, p, graph_seed)

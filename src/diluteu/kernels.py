@@ -24,7 +24,7 @@ enumeration for discrete laws or a fixed-seed Monte Carlo check otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,37 +33,19 @@ from .errors import ConfigurationError, UnsupportedKernelError
 from .sampling import DistributionSpec, sample_row
 
 __all__ = [
-    "EvalCounter",
     "KernelSpec",
-    "CenteredKernelView",
     "register_builtin_kernels",
     "kernel_by_name",
     "product_kernel",
     "additive_kernel",
     "sign_kernel",
     "zero_kernel",
-    "centered_view",
     "kernel_from_table",
     "load_kernel_table",
 ]
 
 _EXACT_TOL = 1e-12
 _DEGENERACY_EPS = 1e-15
-
-
-class EvalCounter:
-    """Counts kernel evaluations; used to assert cost contracts."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, k: int) -> None:
-        self.count += int(k)
-
-    def reset(self) -> None:
-        self.count = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +56,6 @@ class KernelSpec:
     arguments. conditional_mean / pair_conditional / centered_pair_conditional
     are the closed forms g, H, H~ for the bound law (None when unknown).
     second_moment and g_second_moment carry E[h^2] and E[g^2].
-
-    An optional scale s(n) multiplies the kernel when it is used inside a
-    size-n statistic (default 1); the stored closed forms are for the
-    unscaled kernel, and users of the spec apply s(n) themselves via
-    scale_at. Kernels not symmetric by construction (lookup tables) are
-    evaluated on the sorted pair, which enforces symmetry structurally.
     """
 
     name: str
@@ -89,24 +65,25 @@ class KernelSpec:
     centered_pair_conditional: Optional[Callable] = None
     degenerate_flag: bool = False
     dist: Optional[DistributionSpec] = None
-    scale: Optional[Callable] = None
     second_moment: Optional[float] = None
     g_second_moment: Optional[float] = None
-    symmetric_by_construction: bool = True
-    eval_counter: EvalCounter = field(default_factory=EvalCounter, repr=False)
-
-    def scale_at(self, n: int) -> float:
-        return 1.0 if self.scale is None else float(self.scale(int(n)))
 
     def pair_values(self, xa, xb) -> np.ndarray:
-        """Evaluate h elementwise on two equal-shape arrays, counting evals."""
+        """Evaluate h elementwise on two equal-shape arrays."""
         xa = np.asarray(xa, dtype=np.float64)
         xb = np.asarray(xb, dtype=np.float64)
-        if not self.symmetric_by_construction:
-            xa, xb = np.minimum(xa, xb), np.maximum(xa, xb)
-        out = np.asarray(self.evaluate(xa, xb), dtype=np.float64)
-        self.eval_counter.add(out.size)
-        return out
+        return np.asarray(self.evaluate(xa, xb), dtype=np.float64)
+
+    def centered_values(self, xa, xb) -> np.ndarray:
+        """h~(x, y) = h(x, y) - g(x) - g(y) from the closed-form g.
+
+        Raises UnsupportedKernelError when the kernel lacks its closed forms.
+        """
+        _require_closed_forms(self)
+        g = self.conditional_mean
+        xa = np.asarray(xa, np.float64)
+        xb = np.asarray(xb, np.float64)
+        return self.pair_values(xa, xb) - np.asarray(g(xa)) - np.asarray(g(xb))
 
     def cross_conditional(self, x) -> np.ndarray:
         """K(x) = E[g(X) h(X, x)], recovered from the registered structure.
@@ -145,14 +122,6 @@ def _require_closed_forms(kernel: KernelSpec) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredKernelView:
-    """h~(x, y) = h(x, y) - g(x) - g(y), centered in each argument."""
-
-    base: KernelSpec
-    evaluate_tilde: Callable
-
-
 def _require_mean_zero(dist: DistributionSpec, kernel_name: str) -> None:
     if abs(dist.mean) > _EXACT_TOL:
         raise ConfigurationError(
@@ -161,7 +130,7 @@ def _require_mean_zero(dist: DistributionSpec, kernel_name: str) -> None:
         )
 
 
-def product_kernel(dist: DistributionSpec, verify: bool = True) -> KernelSpec:
+def product_kernel(dist: DistributionSpec) -> KernelSpec:
     """h(x, y) = x*y. Degenerate for every mean-zero law (g = x*E[X] = 0)."""
     _require_mean_zero(dist, "product")
     var = float(dist.variance)
@@ -186,12 +155,11 @@ def product_kernel(dist: DistributionSpec, verify: bool = True) -> KernelSpec:
         second_moment=var * var,
         g_second_moment=0.0,
     )
-    if verify:
-        _verify_registration(spec)
+    _verify_registration(spec)
     return spec
 
 
-def additive_kernel(dist: DistributionSpec, verify: bool = True) -> KernelSpec:
+def additive_kernel(dist: DistributionSpec) -> KernelSpec:
     """h(x, y) = x + y. Purely linear: h~ vanishes identically."""
     _require_mean_zero(dist, "additive")
     var = float(dist.variance)
@@ -219,12 +187,11 @@ def additive_kernel(dist: DistributionSpec, verify: bool = True) -> KernelSpec:
         second_moment=2.0 * var,
         g_second_moment=var,
     )
-    if verify:
-        _verify_registration(spec)
+    _verify_registration(spec)
     return spec
 
 
-def sign_kernel(dist: DistributionSpec, verify: bool = True) -> KernelSpec:
+def sign_kernel(dist: DistributionSpec) -> KernelSpec:
     """Bounded sign kernel, mean-shifted to honor the centering contract.
 
     With sb = E[sign X] and q = P(X != 0):
@@ -270,8 +237,7 @@ def sign_kernel(dist: DistributionSpec, verify: bool = True) -> KernelSpec:
         second_moment=q * q - shift * shift,
         g_second_moment=shift * (q - shift),
     )
-    if verify:
-        _verify_registration(spec)
+    _verify_registration(spec)
     return spec
 
 
@@ -304,20 +270,16 @@ _BUILTIN_FACTORIES = {
 }
 
 
-def register_builtin_kernels(dist: DistributionSpec, verify: bool = True):
+def register_builtin_kernels(dist: DistributionSpec):
     """The built-in kernels bound to one row law, registration-checked.
 
     The conditional structure (and the degeneracy flag it implies) depends
     on the law, so binding happens here rather than at import time.
     """
-    return [
-        product_kernel(dist, verify=verify),
-        additive_kernel(dist, verify=verify),
-        sign_kernel(dist, verify=verify),
-    ]
+    return [product_kernel(dist), additive_kernel(dist), sign_kernel(dist)]
 
 
-def kernel_by_name(name: str, dist: DistributionSpec, verify: bool = True) -> KernelSpec:
+def kernel_by_name(name: str, dist: DistributionSpec) -> KernelSpec:
     if name == "zero":
         return zero_kernel(dist)
     try:
@@ -327,7 +289,7 @@ def kernel_by_name(name: str, dist: DistributionSpec, verify: bool = True) -> Ke
             "unknown kernel %r (built-ins: %s, zero)"
             % (name, ", ".join(sorted(_BUILTIN_FACTORIES)))
         ) from None
-    return factory(dist, verify=verify)
+    return factory(dist)
 
 
 # --------------------------------------------------------------------------
@@ -415,26 +377,6 @@ def _verify_registration(spec: KernelSpec) -> None:
 
 
 # --------------------------------------------------------------------------
-# centered view
-
-
-def centered_view(kernel: KernelSpec) -> CenteredKernelView:
-    """h~(x, y) = h(x, y) - g(x) - g(y) from the kernel's closed-form g.
-
-    Raises UnsupportedKernelError when the kernel lacks its closed forms.
-    """
-    _require_closed_forms(kernel)
-    g = kernel.conditional_mean
-
-    def evaluate_tilde(x, y):
-        x = np.asarray(x, np.float64)
-        y = np.asarray(y, np.float64)
-        return kernel.pair_values(x, y) - np.asarray(g(x)) - np.asarray(g(y))
-
-    return CenteredKernelView(base=kernel, evaluate_tilde=evaluate_tilde)
-
-
-# --------------------------------------------------------------------------
 # custom table kernels
 
 
@@ -442,8 +384,8 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
     """Discrete kernel from (x, y, value) triples.
 
     Symmetry is validated: a pair given in both orders must agree exactly.
-    Evaluation goes through the sorted pair, so the kernel is symmetric
-    structurally even if only one orientation was supplied.
+    The lookup matrix is filled in both orientations, so the kernel is
+    symmetric even if only one orientation was supplied.
 
     The row law, when given, must be discrete and its support covered by
     the table; exact conditional structure (g, H, H~) and second moments
@@ -495,12 +437,7 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
             raise ConfigurationError("kernel table has no entry for a requested pair")
         return vals
 
-    spec = KernelSpec(
-        name=name,
-        evaluate=ev,
-        dist=dist,
-        symmetric_by_construction=False,
-    )
+    spec = KernelSpec(name=name, evaluate=ev, dist=dist)
     if dist is not None:
         missing = set(dist.support) - {float(s) for s in support}
         if missing:

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .kernels import KernelSpec, _require_closed_forms
-from .sampling import DistributionSpec, sample_row
+from .sampling import DistributionSpec, as_seed_sequence, sample_row
 
 __all__ = [
     "MomentSet",
@@ -130,14 +130,19 @@ def moments_closed_form(
     """Exact moments from the kernel's registered second moments."""
     n, p = _check_np(n, p)
     _same_law(kernel, dist)
-    if kernel.second_moment is None or kernel.g_second_moment is None:
+    missing = [
+        nm
+        for nm, v in (("E[h^2]", kernel.second_moment), ("E[g^2]", kernel.g_second_moment))
+        if v is None
+    ]
+    if missing:
         raise UnsupportedKernelError(
-            "kernel %r carries no closed-form second moments; use moments_mc"
-            % kernel.name
+            "kernel %r lacks the closed-form moment(s) %s; bind a table kernel "
+            "to a discrete row law or use a built-in kernel"
+            % (kernel.name, ", ".join(missing))
         )
-    s2 = kernel.scale_at(n) ** 2
-    beta2 = p * s2 * float(kernel.second_moment)
-    gamma2 = p * s2 * float(kernel.g_second_moment)
+    beta2 = p * float(kernel.second_moment)
+    gamma2 = p * float(kernel.g_second_moment)
     theta2 = n * p * gamma2 + beta2 / 2.0
     return MomentSet(
         beta2=beta2,
@@ -168,13 +173,11 @@ def moments_mc(
     m = int(m)
     if m < 100:
         raise ConfigurationError("moments_mc needs m >= 100; got %d" % m)
-    seq = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    sx, sy = seq.spawn(2)
+    sx, sy = as_seed_sequence(seed).spawn(2)
     x = sample_row(m, dist, sx)
     y = sample_row(m, dist, sy)
-    s = kernel.scale_at(n)
-    h2 = (kernel.pair_values(x, y) * s) ** 2
-    gv = np.asarray(kernel.conditional_mean(x), dtype=np.float64) * s
+    h2 = kernel.pair_values(x, y) ** 2
+    gv = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
     g2 = gv * gv
     beta2 = p * float(h2.mean())
     gamma2 = p * float(g2.mean())
@@ -288,10 +291,7 @@ def enumerate_exact(
             % (states, MAX_ENUM_STATES)
         )
 
-    s = kernel.scale_at(n)
-    hmat = (
-        kernel.pair_values(np.repeat(supp, k), np.tile(supp, k)).reshape(k, k) * s
-    )
+    hmat = kernel.pair_values(np.repeat(supp, k), np.tile(supp, k)).reshape(k, k)
     g_enum = hmat @ qs
     ht = hmat - g_enum[:, None] - g_enum[None, :]
     e_h2 = float(qs @ (hmat * hmat) @ qs)

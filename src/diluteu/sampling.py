@@ -30,6 +30,7 @@ __all__ = [
     "DilutionGraph",
     "SeedPolicy",
     "as_generator",
+    "as_seed_sequence",
     "sample_row",
     "sample_dilution",
     "dilution_regime",
@@ -46,6 +47,13 @@ def as_generator(seed) -> Generator:
     if isinstance(seed, SeedSequence):
         return Generator(PCG64(seed))
     return Generator(PCG64(SeedSequence(int(seed))))
+
+
+def as_seed_sequence(seed) -> SeedSequence:
+    """Turn an int (Python or numpy) or SeedSequence into a SeedSequence."""
+    if isinstance(seed, SeedSequence):
+        return seed
+    return SeedSequence(seed)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Pair statistic, projection split, martingale differences."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,13 +41,24 @@ def test_undiluted_product_reduces_to_square_identity(norm):
     assert u == pytest.approx(direct, rel=1e-12)
 
 
+def counting(fn, calls):
+    """fn wrapped to record the size of every argument it is called with."""
+
+    def wrapped(*args):
+        calls.append(np.asarray(args[0]).size)
+        return fn(*args)
+
+    return wrapped
+
+
 def test_eval_count_equals_edge_count(skewed):
-    k = d.sign_kernel(skewed)
+    evals = []
+    sign = d.sign_kernel(skewed)
+    k = replace(sign, evaluate=counting(sign.evaluate, evals))
     x = d.sample_row(25, skewed, 1)
     g = d.sample_dilution(25, 0.3, 2)
-    k.eval_counter.reset()
     d.compute_ustat(x, g, k)
-    assert k.eval_counter.count == g.edge_count()
+    assert sum(evals) == g.edge_count()
 
 
 def test_identity_on_empty_graph(skewed):
@@ -76,6 +88,19 @@ def test_projection_split_reconstructs_statistic(name, law, n, p, seed):
     # identity_gap is |binom(n,2) U - (sum psi + sum phi)| on the raw scale
     tol = 1e-10 * max(1.0, abs(r.u_value))
     assert r.identity_gap() <= tol
+
+
+def test_hoeffding_parts_evaluates_g_once_on_the_row(skewed):
+    g_calls = []
+    sign = d.sign_kernel(skewed)
+    k = replace(sign, conditional_mean=counting(sign.conditional_mean, g_calls))
+    n = 20
+    x = d.sample_row(n, skewed, 5)
+    graph = d.sample_dilution(n, 0.5, 6)
+    psi, phi = d.hoeffding_parts(x, graph, k)
+    assert g_calls == [n]
+    psi0, phi0 = d.hoeffding_parts(x, graph, sign)
+    assert np.array_equal(psi, psi0) and np.array_equal(phi, phi0)
 
 
 def test_hoeffding_parts_manual_small_case(skewed):
@@ -156,6 +181,13 @@ def test_realization_json_round_trip(skewed):
     assert np.array_equal(r2.psi_part, r.psi_part)
     assert np.array_equal(r2.phi_tilde_part, r.phi_tilde_part)
     assert r2.identity_gap() == r.identity_gap()
+
+
+def test_sample_realization_accepts_numpy_integer_seeds(skewed):
+    k = d.sign_kernel(skewed)
+    r = d.sample_realization(14, skewed, k, 0.35, 77)
+    r64 = d.sample_realization(14, skewed, k, 0.35, np.int64(77))
+    assert r64.to_json() == r.to_json()
 
 
 def test_sample_realization_reuses_given_graph(skewed):

@@ -113,16 +113,6 @@ def test_cross_conditional_needs_structure(rad):
         bare.cross_conditional(np.array([1.0]))
 
 
-def test_eval_counter_tracks_pair_evaluations(rad):
-    k = d.product_kernel(rad)
-    k.eval_counter.reset()
-    k.pair_values(np.ones(7), np.ones(7))
-    k.pair_values(np.ones(5), np.ones(5))
-    assert k.eval_counter.count == 12
-    k.eval_counter.reset()
-    assert k.eval_counter.count == 0
-
-
 # ------------------------------------------------------------- table kernels
 
 
@@ -180,28 +170,26 @@ def test_empty_kernel_table():
 # ---------------------------------------------------------------- centering
 
 
-def test_centered_view_closed_form(skewed):
+def test_centered_values_closed_form(skewed):
     k = d.sign_kernel(skewed)
-    view = d.centered_view(k)
     x = np.array([-1.0, 5.0])
     y = np.array([5.0, 5.0])
     expect = k.pair_values(x, y) - k.conditional_mean(x) - k.conditional_mean(y)
-    assert np.allclose(view.evaluate_tilde(x, y), expect, atol=1e-12)
+    assert np.allclose(k.centered_values(x, y), expect, atol=1e-12)
 
 
-def test_centered_view_enumerates_table_kernels(rad):
+def test_centered_values_enumerates_table_kernels(rad):
     rows = [(-1, -1, 0.5), (-1, 1, -0.5), (1, 1, 0.5)]
     k = d.kernel_from_table("halfprod", rows, dist=rad)
-    view = d.centered_view(k)
     # g = 0 for this kernel, so tilde == h
     x = np.array([-1.0, 1.0])
-    assert np.allclose(view.evaluate_tilde(x, x), k.pair_values(x, x))
+    assert np.allclose(k.centered_values(x, x), k.pair_values(x, x))
 
 
-def test_centered_view_without_law_fails():
+def test_centered_values_without_law_fails():
     k = d.kernel_from_table("orphan", [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)])
     with pytest.raises(d.ConfigurationError):
-        d.centered_view(k)
+        k.centered_values(np.array([1.0]), np.array([-1.0]))
 
 
 def test_registration_verify_catches_bad_second_moment(rad):
@@ -214,7 +202,7 @@ def test_registration_verify_catches_bad_second_moment(rad):
 
 
 _NO_G_CALLS = {
-    "centered_view": lambda k, law: d.centered_view(k),
+    "centered_values": lambda k, law: k.centered_values(np.array([-1.0]), np.array([5.0])),
     "hoeffding_parts": lambda k, law: d.hoeffding_parts(
         np.array([-1.0, 5.0, -1.0]), d.sample_dilution(3, 1.0, 0), k
     ),

@@ -96,6 +96,19 @@ def test_mc_moments_rejects_tiny_m(rad):
         d.moments_mc(k, rad, 10, 0.5, m=99, seed=0)
 
 
+def test_missing_closed_forms_name_the_remedy_not_the_other_route(rad):
+    # a table kernel without a law has no closed forms for either route
+    k = d.kernel_from_table("orphan", [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)])
+    with pytest.raises(
+        d.UnsupportedKernelError, match=r"E\[h\^2\], E\[g\^2\]; bind a table kernel"
+    ) as closed:
+        d.moments_closed_form(k, rad, 10, 0.5)
+    with pytest.raises(d.UnsupportedKernelError, match="bind a table kernel") as mc:
+        d.moments_mc(k, rad, 10, 0.5, m=200, seed=0)
+    assert "moments_mc" not in str(closed.value)
+    assert "moments_closed_form" not in str(mc.value)
+
+
 def test_momentset_json_round_trip(skewed):
     k = d.sign_kernel(skewed)
     ms = d.moments_mc(k, skewed, 25, 0.4, m=500, seed=3)
