@@ -372,7 +372,7 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
         rows = np.zeros(n)
         if ii.size:
             ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
-            np.add.at(rows, jj, ht)
+            rows = np.bincount(jj, weights=ht, minlength=n)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
     t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))

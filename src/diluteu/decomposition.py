@@ -84,7 +84,7 @@ def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     phi_tilde_part = np.zeros(graph.n)
     if ii.size:
         ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
-        np.add.at(phi_tilde_part, jj, ht)
+        phi_tilde_part = np.bincount(jj, weights=ht, minlength=graph.n)
     return psi_part, phi_tilde_part
 
 
@@ -156,6 +156,11 @@ class Realization:
 
     @classmethod
     def from_json(cls, text: str) -> "Realization":
+        """Inverse of to_json.
+
+        A `packed` field of the wrong length for n, or with set padding
+        bits, raises ConfigurationError.
+        """
         d = json.loads(text)
         graph = DilutionGraph(
             n=int(d["n"]),

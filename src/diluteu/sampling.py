@@ -231,8 +231,15 @@ def sample_row(n: int, dist: DistributionSpec, seed) -> np.ndarray:
 # dilution graphs
 
 
-@lru_cache(maxsize=8)
-def _pair_indices(n: int):
+# Set bits per byte value; edge_count() relies on zero padding bits.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
+
+
+@lru_cache(maxsize=2)
+def _complete_edges(n: int):
+    """Read-only triu_indices(n, 1): the edge list of every complete graph."""
     iu, ju = np.triu_indices(n, k=1)
     iu.setflags(write=False)
     ju.setflags(write=False)
@@ -244,13 +251,30 @@ class DilutionGraph:
     """Symmetric 0/1 dilution matrix stored as a packed bitset.
 
     Bits cover the n(n-1)/2 unordered pairs {i, j}, i < j, in row-major
-    upper-triangle order. The diagonal does not exist. Memory is O(n^2/8)
-    bytes, so desk-scale n (a few thousand) stays cheap.
+    upper-triangle order, packed big-endian into ceil(C/8) bytes with zero
+    padding bits (checked at construction). The diagonal does not exist.
+    The packed bytes are the only stored form, O(n^2/8) bytes: the edge
+    list is derived on each call to edges() in O(C) byte work plus O(E)
+    index work, and no per-n index table is kept, except the read-only
+    triu_indices of the last two complete-graph sizes.
     """
 
     n: int
     p: float
     packed: np.ndarray
+
+    def __post_init__(self) -> None:
+        c = self.pair_count
+        nbytes = -(-c // 8)
+        if self.packed.dtype != np.uint8 or self.packed.shape != (nbytes,):
+            raise ConfigurationError(
+                "packed dilution bits for n=%d must be %d uint8 bytes, got %s %s"
+                % (self.n, nbytes, self.packed.dtype, self.packed.shape)
+            )
+        if c % 8 and int(self.packed[-1]) & (0xFF >> (c % 8)):
+            raise ConfigurationError(
+                "packed dilution bits for n=%d have nonzero padding bits" % self.n
+            )
 
     @property
     def pair_count(self) -> int:
@@ -258,48 +282,61 @@ class DilutionGraph:
 
     def bits(self) -> np.ndarray:
         """Unpacked boolean vector over pairs, in storage order."""
-        return np.unpackbits(self.packed, count=self.pair_count).astype(bool)
+        return np.unpackbits(self.packed, count=self.pair_count).view(bool)
 
     def edge_count(self) -> int:
-        return int(self.bits().sum())
+        return int(_POPCOUNT[self.packed].sum(dtype=np.int64))
 
     def bit(self, i: int, j: int) -> int:
+        n = self.n
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConfigurationError(
+                "pair (%r, %r) outside the %d vertices of the graph" % (i, j, n)
+            )
         if i == j:
             raise ConfigurationError("dilution matrix has no diagonal entries")
         if i > j:
             i, j = j, i
-        idx = i * (2 * self.n - i - 1) // 2 + (j - i - 1)
-        return int(self.bits()[idx])
+        idx = i * (2 * n - i - 1) // 2 + (j - i - 1)
+        return (int(self.packed[idx >> 3]) >> (7 - (idx & 7))) & 1
 
     def edges(self):
-        """(ii, jj) arrays over the pairs with Z=1, ii < jj elementwise."""
-        iu, ju = _pair_indices(self.n)
-        mask = self.bits()
-        return iu[mask], ju[mask]
+        """(ii, jj) arrays over the pairs with Z=1, ii < jj elementwise.
+
+        Pairs come in storage order. A sorted linear pair index k in row i
+        (row offset off_i = i(2n-i-1)/2) maps to j = k - off_i + i + 1.
+        """
+        n = self.n
+        bits = self.bits()
+        if bits.all():
+            return _complete_edges(n)
+        k = np.flatnonzero(bits)
+        rows = np.arange(n)
+        off = rows * (2 * n - rows - 1) // 2
+        counts = np.diff(np.searchsorted(k, off), append=k.size)
+        ii = np.repeat(rows, counts)
+        jj = k - np.repeat(off - rows - 1, counts)
+        return ii, jj
 
     def dense(self) -> np.ndarray:
         """Full symmetric boolean matrix (diagonal False)."""
         m = np.zeros((self.n, self.n), dtype=bool)
-        iu, ju = _pair_indices(self.n)
-        b = self.bits()
-        m[iu, ju] = b
-        m[ju, iu] = b
+        ii, jj = self.edges()
+        m[ii, jj] = True
+        m[jj, ii] = True
         return m
 
     def lower(self) -> np.ndarray:
         """Strict lower triangle as float64: L[i, j] = Z_ij for j < i."""
         m = np.zeros((self.n, self.n), dtype=np.float64)
-        iu, ju = _pair_indices(self.n)
-        m[ju, iu] = self.bits()
+        ii, jj = self.edges()
+        m[jj, ii] = 1.0
         return m
 
     def degrees(self) -> np.ndarray:
         """Number of Z=1 pairs touching each vertex."""
-        deg = np.zeros(self.n, dtype=np.int64)
         ii, jj = self.edges()
-        np.add.at(deg, ii, 1)
-        np.add.at(deg, jj, 1)
-        return deg
+        return np.bincount(ii, minlength=self.n) + np.bincount(jj, minlength=self.n)
 
 
 def sample_dilution(n: int, p: float, seed) -> DilutionGraph:

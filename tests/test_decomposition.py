@@ -1,5 +1,6 @@
 """Pair statistic, projection split, martingale differences."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -181,6 +182,18 @@ def test_realization_json_round_trip(skewed):
     assert np.array_equal(r2.psi_part, r.psi_part)
     assert np.array_equal(r2.phi_tilde_part, r.phi_tilde_part)
     assert r2.identity_gap() == r.identity_gap()
+
+
+def test_realization_json_rejects_truncated_or_padded_bits(skewed):
+    k = d.sign_kernel(skewed)
+    r = d.sample_realization(6, skewed, k, 1.0, 77)
+    text = r.to_json()
+    assert json.loads(text)["packed"] == "fffe"
+    assert d.Realization.from_json(text).z.edge_count() == 15
+    for packed in ("ff", "ffff", "fffe00"):
+        payload = dict(json.loads(text), packed=packed)
+        with pytest.raises(d.ConfigurationError):
+            d.Realization.from_json(json.dumps(payload))
 
 
 def test_sample_realization_accepts_numpy_integer_seeds(skewed):

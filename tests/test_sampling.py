@@ -1,6 +1,7 @@
 """Row laws, dilution graphs, seed policy."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,8 +130,10 @@ def test_dilution_determinism_and_symmetry():
 
 def test_dilution_no_diagonal_access():
     g = d.sample_dilution(5, 0.5, 1)
-    with pytest.raises(d.ConfigurationError):
-        g.bit(2, 2)
+    # out-of-range indices would alias another pair's bit
+    for i, j in [(2, 2), (0, 5), (0, 7), (-1, 2), (5, 0), (2, -3)]:
+        with pytest.raises(d.ConfigurationError):
+            g.bit(i, j)
 
 
 def test_dilution_degenerate_probabilities():
@@ -192,6 +195,68 @@ def test_dilution_bitset_roundtrip(n, p, seed):
     assert np.array_equal(rebuilt, m)
     assert g.edge_count() == int(m.sum()) // 2
     assert np.array_equal(g.degrees(), m.sum(axis=1).astype(int))
+
+
+def _reference_edges(g):
+    # the triu-mask gather over all C pairs that edges() once used
+    iu, ju = np.triu_indices(g.n, k=1)
+    mask = np.unpackbits(g.packed, count=g.pair_count).astype(bool)
+    return iu[mask], ju[mask]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 2900])  # 2900 crosses the 2**22 chunk
+def test_edges_match_triu_mask_reference(n, p):
+    g = d.sample_dilution(n, p, 40 + n)
+    ri, rj = _reference_edges(g)
+    ii, jj = g.edges()
+    assert ii.dtype == jj.dtype == np.intp
+    assert np.array_equal(ii, ri) and np.array_equal(jj, rj)
+    assert g.edge_count() == ri.size
+    deg = np.bincount(ri, minlength=n) + np.bincount(rj, minlength=n)
+    assert np.array_equal(g.degrees(), deg)
+    dense = np.zeros((n, n), dtype=bool)
+    dense[ri, rj] = dense[rj, ri] = True
+    assert np.array_equal(g.dense(), dense)
+    low = g.lower()
+    assert low.dtype == np.float64
+    assert np.array_equal(np.flatnonzero(low), np.sort(rj * n + ri))
+    assert np.all(low[rj, ri] == 1.0)
+
+
+def test_complete_graph_edges_are_read_only():
+    g = d.sample_dilution(7, 1.0, 0)
+    ii, jj = g.edges()
+    assert not ii.flags.writeable and not jj.flags.writeable
+    with pytest.raises(ValueError):
+        ii[0] = 3
+
+
+def test_graph_rejects_packed_bits_of_another_dtype():
+    # length and padding checks: test_realization_json_rejects_truncated_or_padded_bits
+    ok = np.packbits(np.ones(15, dtype=bool))  # n=6: 15 bits in 2 bytes
+    with pytest.raises(d.ConfigurationError):
+        d.DilutionGraph(n=6, p=1.0, packed=ok.astype(np.int64))
+
+
+def test_edges_keep_no_pair_sized_memory():
+    # an n^2/2 index cache (16*C bytes) must not come back
+    n = 3000
+    c = n * (n - 1) // 2
+    g = d.sample_dilution(n, 0.01, 8)
+    assert not hasattr(d.sampling, "_pair_indices")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ii, jj = g.edges()
+        peak = tracemalloc.get_traced_memory()[1] - base
+        del ii, jj
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * c
+    assert left < c // 8
 
 
 def test_dilution_regime_values():
