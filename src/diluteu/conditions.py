@@ -18,11 +18,15 @@ The estimated quantities, each Monte Carlo over m replicates:
     C3'' p theta^-2 E[ H(1,1) 1{|H(1,1)| >= eps theta^2 n / p} ]
 
 eta2 is the summed conditional second moment of the martingale
-differences given the past; for kernels with closed-form g, H, H~ it
-reduces to four explicit terms per realization (degree counts, diagonal
-and off-diagonal pair conditionals, and a mixed cross term). eta1's mean
-is bounded above by the S1 + T1 truncation split; the estimator reports
-that bound and flags it as one.
+differences given the past. Per realization it is an explicit sum of a
+projection term (degree counts times E[g^2]), a pair term (the centered
+pair conditional H~ over pairs of known bits in one row) and a mixed
+cross term. The kernel's finite-rank form h = phi^T A phi makes H~ and
+the cross conditional rank r, so the pair term is sum_i v_i^T B v_i with
+V = L (phi(x) - mu), L the strictly-lower dilution matrix: O(n^2 r) work
+per replicate, no n x n conditional matrix. eta1's mean is bounded above
+by the S1 + T1 truncation split; the estimator reports that bound and
+flags it as one.
 
 Dilution bits are always sampled, never folded into p analytically, so
 each estimator is a plain mean of the defining integrand.
@@ -81,7 +85,7 @@ __all__ = [
 
 DEFAULT_EPS_GRID = (0.01, 0.05, 0.1, 0.5)
 DEFAULT_N_GRID = (50, 100, 200, 400, 800)
-ETA2_MAX_N = 400
+ETA2_MAX_N = 2000  # dense n x n float64 dilution matrix: 32 MB
 ABSOLUTE_FLOOR = 1e-3
 
 CONDITION_IDS = (
@@ -274,37 +278,51 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estima
 # eta quantities of the martingale CLT
 
 
+def _check_eta2_n(n: int) -> None:
+    """Reject an eta2 size whose dense dilution matrix is over the cap."""
+    if n > ETA2_MAX_N:
+        raise ResourceBudgetError(
+            "eta2 holds the dense n x n dilution matrix, 8 n^2 bytes (%.0f MB "
+            "at n = %d); n is capped at %d (%.0f MB)"
+            % (8e-6 * n * n, n, ETA2_MAX_N, 8e-6 * ETA2_MAX_N**2)
+        )
+
+
 def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     """m draws of the summed conditional variance of the differences.
 
     Each replicate samples one (row, dilution) realization and evaluates
-    the conditional expectations in closed form:
+    the conditional expectations in closed form. With L the strictly-lower
+    dilution matrix (L[i, j] = Z_ij for j < i), c = L 1 the known bits of
+    row i and f_i = n - 1 - i its future vertices:
 
       term 1: projection part. Given the past, the row-i projection sum
-        has c_i known bits and Bin(f_i, p) unknown ones (f_i future
-        vertices), so its conditional second moment is E[g^2] times
+        has c_i known bits and Bin(f_i, p) unknown ones, so its
+        conditional second moment is E[g^2] times
         c_i^2 + 2 c_i f_i p + f_i p (1 - p + f_i p).
-      term 2: diagonal pair part, sum of H~(x_j, x_j) over known bits.
-      term 3: off-diagonal pair part, <H~ matrix, L^T L> minus its
-        diagonal, with L the strictly-lower dilution matrix.
+      terms 2 and 3: pair part, sum_i sum_{a, b} L_ia L_ib H~(x_a, x_b)
+        (the diagonal a = b is term 2). With the finite-rank form
+        H~(x, y) = (phi(x) - mu)^T B (phi(y) - mu) this is sum_i v_i^T B v_i,
+        where v_i is row i of V = L (phi(x) - mu), an n x r matrix.
       term 4: cross part, 2 (c + f p) . L (K(x) - E[g^2]) with
-        K(x) = E[g(Y) h(Y, x)] recovered from the registered structure.
+        K(x) = E[g(Y) h(Y, x)].
 
-    The index sums cost O(n^3) per replicate at worst, so n is capped at
-    ETA2_MAX_N; larger n raises a resource error rather than silently
+    One product of L with the n x (r + 2) matrix [phi(x) - mu, K(x) -
+    E[g^2], 1] gives V, L (K(x) - E[g^2]) and c, so a replicate costs
+    O(n^2 r) time. L is dense, 8 n^2 bytes, so n is capped at ETA2_MAX_N
+    (32 MB); larger n raises a resource error rather than silently
     thinning.
     """
     m = int(m)
     if m < 2:
         raise ConfigurationError("estimate_eta2 needs m >= 2 replicates")
     n = int(n)
-    if n > ETA2_MAX_N:
-        raise ResourceBudgetError(
-            "eta2 replicates cost O(n^3); n = %d exceeds the %d cap"
-            % (n, ETA2_MAX_N)
-        )
+    _check_eta2_n(n)
     t2 = _theta2(kernel, dist, n, p)
     eg2 = float(kernel.g_second_moment)
+    mu = np.asarray(kernel.feature_mean, np.float64)
+    b = kernel.centered_pair_matrix
+    rank = mu.size
     children = as_seed_sequence(seed).spawn(m)
     out = np.empty(m)
     fut = (n - 1) - np.arange(n, dtype=np.float64)  # vertices after i
@@ -312,26 +330,18 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
         sx, sz = child.spawn(2)
         x = sample_row(n, dist, sx)
         graph = sample_dilution(n, p, sz)
-        low = graph.lower()
-        c = low.sum(axis=1)
-        colc = low.sum(axis=0)
-        # term 1: conditional second moment of the projection sums
+        cols = np.empty((n, rank + 2))
+        cols[:, :rank] = np.asarray(kernel.features(x), np.float64) - mu
+        cols[:, rank] = np.asarray(kernel.cross_conditional(x), np.float64) - eg2
+        cols[:, rank + 1] = 1.0
+        prod = graph.lower() @ cols
+        v = prod[:, :rank]
+        c = prod[:, rank + 1]
         t1_counts = c * c + 2.0 * c * fut * p + fut * p * (1.0 - p + fut * p)
-        eta21 = eg2 * float(t1_counts.sum()) / (n * n * t2)
-        # terms 2 and 3: pair-conditional sums over known bits
-        htm = np.asarray(
-            kernel.centered_pair_conditional(x[:, None], x[None, :]), np.float64
-        )
-        gram = low.T @ low
-        diag_ht = np.diagonal(htm)
-        eta22 = float(diag_ht @ colc) / (n * n * t2)
-        eta23 = (float((htm * gram).sum()) - float(diag_ht @ np.diagonal(gram))) / (
-            n * n * t2
-        )
-        # term 4: cross term between projection and pair parts
-        kx = np.asarray(kernel.cross_conditional(x), np.float64)
-        eta24 = 2.0 * float((c + fut * p) @ (low @ (kx - eg2))) / (n * n * t2)
-        out[r] = eta21 + eta22 + eta23 + eta24
+        eta21 = eg2 * float(t1_counts.sum())
+        eta223 = float(np.sum((v @ b) * v))
+        eta24 = 2.0 * float((c + fut * p) @ prod[:, rank])
+        out[r] = (eta21 + eta223 + eta24) / (n * n * t2)
     return out
 
 
@@ -547,8 +557,10 @@ def sweep_condition(
             % (condition_id, ", ".join(CONDITION_IDS))
         )
     n_grid = tuple(int(v) for v in n_grid)
-    if any(b <= a_ for a_, b in zip(n_grid, n_grid[1:])):
-        raise ConfigurationError("n grid must be strictly increasing")
+    if not n_grid or any(b <= a_ for a_, b in zip(n_grid, n_grid[1:])):
+        raise ConfigurationError("n grid must be nonempty and strictly increasing")
+    if condition_id == "ETA2":
+        _check_eta2_n(n_grid[-1])
     eps_free = condition_id in ("C4", "C4'", "ETA2")
     eps_cols = () if eps_free else tuple(float(e) for e in eps_grid)
     if not eps_free and not eps_cols:

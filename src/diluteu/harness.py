@@ -28,6 +28,7 @@ from .conditions import (
     DEFAULT_EPS_GRID,
     DEFAULT_N_GRID,
     ConditionReport,
+    _check_eta2_n,
     sweep_condition,
 )
 from .decomposition import compute_ustat
@@ -116,6 +117,8 @@ class ExperimentConfig:
         for cid in self.conditions:
             if cid not in CONDITION_IDS:
                 raise ConfigurationError("unknown condition id %r" % cid)
+        if "ETA2" in self.conditions:
+            _check_eta2_n(grid[-1])
         for n in grid:
             p = self.p_at(n)
             if not 0.0 < p <= 1.0:

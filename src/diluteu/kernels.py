@@ -1,12 +1,34 @@
-"""Symmetric pair kernels with their conditional-moment structure.
+"""Symmetric pair kernels of finite rank, with their conditional moments.
 
-Everything downstream leans on three conditional objects besides the
-kernel h itself: the conditional mean g(x) = E[h(x, X)], the pair
-conditional H(x, y) = E[h(x, X) h(y, X)], and the centered pair
-conditional H~(x, y) built from h~(x, y) = h(x, y) - g(x) - g(y). A
-KernelSpec bundles h with closed forms for these against one fixed row
-law. Every estimator needs them: a kernel without them is rejected by
-one guard, and nothing falls back to nested Monte Carlo.
+Every kernel here has the form h(x, y) = phi(x)^T A phi(y), with a feature
+map phi into R^r and a symmetric r x r matrix A:
+
+    product    phi(x) = x              A = [1]
+    additive   phi(x) = (x, 1)         A = [[0, 1], [1, 0]]
+    sign       phi(x) = (sign x, 1)    A = diag(1, -sb^2)
+    table      phi(x) = one-hot over the row law's support, A = the table
+
+Everything downstream leans on conditional objects besides h itself: the
+conditional mean g(x) = E[h(x, X)], the pair conditional H(x, y) =
+E[h(x, X) h(y, X)], the centered pair conditional H~(x, y) built from
+h~(x, y) = h(x, y) - g(x) - g(y), the cross conditional K(x) =
+E[g(X) h(X, x)], and E[h^2], E[g^2]. With the row law's feature moments
+mu = E[phi(X)] and Sigma = E[phi(X) phi(X)^T] they all follow from the
+four objects (phi, A, mu, Sigma):
+
+    g(x)    = phi(x)^T A mu
+    H(x, y) = phi(x)^T A Sigma A phi(y)
+    H~(x, y) = (phi(x) - mu)^T A (Sigma - mu mu^T) A (phi(y) - mu)
+    K(x)    = phi(x)^T A Sigma A mu
+    E[h^2]  = tr(A Sigma A Sigma)
+    E[g^2]  = mu^T A Sigma A mu
+
+(H~ in this form uses the centering contract mu^T A mu = E[h] = 0.) A
+kernel without these objects is rejected by one guard, and nothing falls
+back to nested Monte Carlo. h itself stays a direct closure (evaluate):
+it is the per-pair inner loop of every statistic, and the generic
+phi^T A phi form is 4 to 7 times slower per pair. Registration checks
+that the two agree pointwise.
 
 Centering contract: every registered kernel satisfies E[h(X, Y)] = 0
 under independent draws from the paired law. For the product and additive
@@ -17,15 +39,17 @@ E[sign X]^2 instead. The shift is zero for symmetric laws, where the sign
 kernel is degenerate.
 
 Degeneracy (g identically zero) is a property of the (kernel, law) pair,
-not of h alone; it is declared at registration and verified there by
-enumeration for discrete laws or a fixed-seed Monte Carlo check otherwise.
+not of h alone; it is declared at registration and checked there against
+E[g^2], after mu and Sigma are checked against the law: exactly by
+enumeration for discrete laws, by a fixed-seed Monte Carlo check otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,25 +72,44 @@ _EXACT_TOL = 1e-12
 _DEGENERACY_EPS = 1e-15
 
 
+def _quadratic(fx: np.ndarray, m: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """fx^T m fy over the last axis, broadcasting the leading ones."""
+    return np.sum((fx @ m) * fy, axis=-1)
+
+
+class _MomentProducts(NamedTuple):
+    """The products of A with the feature moments that the closed forms read."""
+
+    mu: np.ndarray  # mu = E[phi(X)]
+    a_mu: np.ndarray  # A mu: g = phi^T A mu
+    a_sig: np.ndarray  # A Sigma: E[h^2] = tr((A Sigma)^2)
+    a_sig_a: np.ndarray  # A Sigma A: H
+    a_cov_a: np.ndarray  # A (Sigma - mu mu^T) A: H~
+    k_vec: np.ndarray  # A Sigma A mu: K = phi^T k_vec, E[g^2] = mu^T k_vec
+
+
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """A symmetric kernel bound to a row law.
+    """A symmetric finite-rank kernel h(x, y) = phi(x)^T A phi(y) bound to a row law.
 
-    evaluate is vectorized over numpy arrays and must be symmetric in its
-    arguments. conditional_mean / pair_conditional / centered_pair_conditional
-    are the closed forms g, H, H~ for the bound law (None when unknown).
-    second_moment and g_second_moment carry E[h^2] and E[g^2].
+    evaluate is h itself, vectorized over numpy arrays and symmetric in its
+    arguments. features is phi, mapping an array of shape s to shape
+    s + (r,); coef is the symmetric r x r matrix A. feature_mean and
+    feature_moment are mu = E[phi(X)] and Sigma = E[phi(X) phi(X)^T] under
+    the bound law. g, H, H~, K, E[h^2] and E[g^2] (the methods and
+    properties below) are derived from these four. The moments read as
+    None without A, mu and Sigma; the conditionals, which also need phi,
+    raise UnsupportedKernelError.
     """
 
     name: str
     evaluate: Callable
-    conditional_mean: Optional[Callable] = None
-    pair_conditional: Optional[Callable] = None
-    centered_pair_conditional: Optional[Callable] = None
+    features: Optional[Callable] = None
+    coef: Optional[np.ndarray] = None
+    feature_mean: Optional[np.ndarray] = None
+    feature_moment: Optional[np.ndarray] = None
     degenerate_flag: bool = False
     dist: Optional[DistributionSpec] = None
-    second_moment: Optional[float] = None
-    g_second_moment: Optional[float] = None
 
     def pair_values(self, xa, xb) -> np.ndarray:
         """Evaluate h elementwise on two equal-shape arrays."""
@@ -74,46 +117,91 @@ class KernelSpec:
         xb = np.asarray(xb, dtype=np.float64)
         return np.asarray(self.evaluate(xa, xb), dtype=np.float64)
 
+    @cached_property
+    def _products(self) -> Optional[_MomentProducts]:
+        if self.coef is None or self.feature_mean is None or self.feature_moment is None:
+            return None
+        a = np.asarray(self.coef, np.float64)
+        mu = np.asarray(self.feature_mean, np.float64)
+        a_sig = a @ np.asarray(self.feature_moment, np.float64)
+        a_mu = a @ mu
+        a_sig_a = a_sig @ a
+        return _MomentProducts(
+            mu=mu,
+            a_mu=a_mu,
+            a_sig=a_sig,
+            a_sig_a=a_sig_a,
+            a_cov_a=a_sig_a - np.outer(a_mu, a_mu),
+            k_vec=a_sig_a @ mu,
+        )
+
+    def _phi(self, x) -> np.ndarray:
+        """phi(x), after checking the kernel carries its closed forms."""
+        _require_closed_forms(self)
+        return np.asarray(self.features(np.asarray(x, np.float64)), np.float64)
+
+    @property
+    def second_moment(self) -> Optional[float]:
+        """E[h^2] = tr(A Sigma A Sigma)."""
+        if self._products is None:
+            return None
+        a_sig = self._products.a_sig
+        return float(np.sum(a_sig * a_sig.T))
+
+    @property
+    def g_second_moment(self) -> Optional[float]:
+        """E[g^2] = mu^T A Sigma A mu."""
+        if self._products is None:
+            return None
+        return float(self._products.mu @ self._products.k_vec)
+
+    @property
+    def centered_pair_matrix(self) -> np.ndarray:
+        """B = A (Sigma - mu mu^T) A: H~(x, y) = (phi(x) - mu)^T B (phi(y) - mu)."""
+        _require_closed_forms(self)
+        return self._products.a_cov_a
+
+    def conditional_mean(self, x) -> np.ndarray:
+        """g(x) = phi(x)^T A mu."""
+        return self._phi(x) @ self._products.a_mu
+
+    def pair_conditional(self, x, y) -> np.ndarray:
+        """H(x, y) = phi(x)^T A Sigma A phi(y), broadcasting x against y."""
+        return _quadratic(self._phi(x), self._products.a_sig_a, self._phi(y))
+
+    def centered_pair_conditional(self, x, y) -> np.ndarray:
+        """H~(x, y) = (phi(x) - mu)^T A Cov A (phi(y) - mu), broadcasting."""
+        b = self.centered_pair_matrix
+        mu = self._products.mu
+        return _quadratic(self._phi(x) - mu, b, self._phi(y) - mu)
+
+    def cross_conditional(self, x) -> np.ndarray:
+        """K(x) = E[g(X) h(X, x)] = phi(x)^T A Sigma A mu."""
+        return self._phi(x) @ self._products.k_vec
+
     def centered_values(self, xa, xb) -> np.ndarray:
-        """h~(x, y) = h(x, y) - g(x) - g(y) from the closed-form g.
+        """h~(x, y) = h(x, y) - g(x) - g(y), with h from evaluate.
 
         Raises UnsupportedKernelError when the kernel lacks its closed forms.
         """
         _require_closed_forms(self)
-        g = self.conditional_mean
         xa = np.asarray(xa, np.float64)
         xb = np.asarray(xb, np.float64)
-        return self.pair_values(xa, xb) - np.asarray(g(xa)) - np.asarray(g(xb))
-
-    def cross_conditional(self, x) -> np.ndarray:
-        """K(x) = E[g(X) h(X, x)], recovered from the registered structure.
-
-        Uses the identity H~(x, x) = H(x, x) - g(x)^2 - 2 K(x) + E[g^2].
-        """
-        _require_closed_forms(self)
-        x = np.asarray(x, dtype=np.float64)
-        hxx = np.asarray(self.pair_conditional(x, x), dtype=np.float64)
-        gx = np.asarray(self.conditional_mean(x), dtype=np.float64)
-        htxx = np.asarray(self.centered_pair_conditional(x, x), dtype=np.float64)
-        return 0.5 * (hxx - gx * gx - htxx + self.g_second_moment)
+        return self.pair_values(xa, xb) - self.conditional_mean(xa) - self.conditional_mean(xb)
 
 
 def _require_closed_forms(kernel: KernelSpec) -> None:
     """Raise UnsupportedKernelError naming the closed forms kernel lacks.
 
-    g, H, H~ and E[g^2] are what every centering, condition and eta
-    computation reads; nothing approximates them another way.
+    g, H, H~ need phi, A, mu and Sigma; E[g^2] needs A, mu and Sigma.
+    They are what every centering, condition and eta computation reads;
+    nothing approximates them another way.
     """
-    missing = [
-        nm
-        for nm, v in (
-            ("g", kernel.conditional_mean),
-            ("H", kernel.pair_conditional),
-            ("H~", kernel.centered_pair_conditional),
-            ("E[g^2]", kernel.g_second_moment),
-        )
-        if v is None
-    ]
+    missing = []
+    if kernel.features is None or kernel._products is None:
+        missing = ["g", "H", "H~"]
+    if kernel._products is None:
+        missing.append("E[g^2]")
     if missing:
         raise UnsupportedKernelError(
             "kernel %r lacks the closed form(s) %s; bind a table kernel to a "
@@ -130,62 +218,52 @@ def _require_mean_zero(dist: DistributionSpec, kernel_name: str) -> None:
         )
 
 
+def _with_ones(v: np.ndarray) -> np.ndarray:
+    """Features (v, 1) along a new last axis."""
+    return np.stack((v, np.ones_like(v)), axis=-1)
+
+
 def product_kernel(dist: DistributionSpec) -> KernelSpec:
-    """h(x, y) = x*y. Degenerate for every mean-zero law (g = x*E[X] = 0)."""
+    """h(x, y) = x*y: phi(x) = x, A = 1. Degenerate for every mean-zero law."""
     _require_mean_zero(dist, "product")
-    var = float(dist.variance)
 
     def ev(x, y):
         return np.asarray(x, np.float64) * np.asarray(y, np.float64)
 
-    def g(x):
-        return np.zeros_like(np.asarray(x, np.float64))
-
-    def H(x, y):
-        return var * np.asarray(x, np.float64) * np.asarray(y, np.float64)
-
     spec = KernelSpec(
         name="product",
         evaluate=ev,
-        conditional_mean=g,
-        pair_conditional=H,
-        centered_pair_conditional=H,
+        features=lambda x: x[..., None],
+        coef=np.array([[1.0]]),
+        feature_mean=np.array([0.0]),
+        feature_moment=np.array([[float(dist.variance)]]),
         degenerate_flag=True,
         dist=dist,
-        second_moment=var * var,
-        g_second_moment=0.0,
     )
     _verify_registration(spec)
     return spec
 
 
 def additive_kernel(dist: DistributionSpec) -> KernelSpec:
-    """h(x, y) = x + y. Purely linear: h~ vanishes identically."""
+    """h(x, y) = x + y: phi(x) = (x, 1), A = [[0, 1], [1, 0]].
+
+    Purely linear: g(x) = x and H~ vanishes identically.
+    """
     _require_mean_zero(dist, "additive")
     var = float(dist.variance)
 
     def ev(x, y):
         return np.asarray(x, np.float64) + np.asarray(y, np.float64)
 
-    def g(x):
-        return np.asarray(x, np.float64).copy()
-
-    def H(x, y):
-        return np.asarray(x, np.float64) * np.asarray(y, np.float64) + var
-
-    def Ht(x, y):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
     spec = KernelSpec(
         name="additive",
         evaluate=ev,
-        conditional_mean=g,
-        pair_conditional=H,
-        centered_pair_conditional=Ht,
+        features=_with_ones,
+        coef=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        feature_mean=np.array([0.0, 1.0]),
+        feature_moment=np.array([[var, 0.0], [0.0, 1.0]]),
         degenerate_flag=var == 0.0,
         dist=dist,
-        second_moment=2.0 * var,
-        g_second_moment=var,
     )
     _verify_registration(spec)
     return spec
@@ -196,13 +274,12 @@ def sign_kernel(dist: DistributionSpec) -> KernelSpec:
 
     With sb = E[sign X] and q = P(X != 0):
 
-        h(x, y)  = sign(x) sign(y) - sb^2
-        g(x)     = sb (sign(x) - sb)
-        H(x, y)  = q sign(x) sign(y) - sb^3 (sign(x) + sign(y)) + sb^4
-        H~(x, y) = (q - sb^2)(sign(x) - sb)(sign(y) - sb)
+        h(x, y) = sign(x) sign(y) - sb^2
+        phi(x)  = (sign x, 1),  A = diag(1, -sb^2)
+        mu      = (sb, 1),      Sigma = [[q, sb], [sb, 1]]
 
-    For symmetric laws sb = 0, the shift disappears and the kernel is
-    degenerate with H~ = H.
+    so g(x) = sb (sign(x) - sb). For symmetric laws sb = 0, the shift
+    disappears and the kernel is degenerate with H~ = H.
     """
     sb = float(dist.sign_mean)
     q = float(dist.nonzero_prob)
@@ -213,29 +290,15 @@ def sign_kernel(dist: DistributionSpec) -> KernelSpec:
             np.asarray(y, np.float64)
         ) - shift
 
-    def g(x):
-        return sb * (np.sign(np.asarray(x, np.float64)) - sb)
-
-    def H(x, y):
-        sx = np.sign(np.asarray(x, np.float64))
-        sy = np.sign(np.asarray(y, np.float64))
-        return q * sx * sy - sb**3 * (sx + sy) + sb**4
-
-    def Ht(x, y):
-        sx = np.sign(np.asarray(x, np.float64))
-        sy = np.sign(np.asarray(y, np.float64))
-        return (q - sb * sb) * (sx - sb) * (sy - sb)
-
     spec = KernelSpec(
         name="sign",
         evaluate=ev,
-        conditional_mean=g,
-        pair_conditional=H,
-        centered_pair_conditional=Ht,
+        features=lambda x: _with_ones(np.sign(x)),
+        coef=np.diag([1.0, -shift]),
+        feature_mean=np.array([sb, 1.0]),
+        feature_moment=np.array([[q, sb], [sb, 1.0]]),
         degenerate_flag=abs(sb) < _DEGENERACY_EPS,
         dist=dist,
-        second_moment=q * q - shift * shift,
-        g_second_moment=shift * (q - shift),
     )
     _verify_registration(spec)
     return spec
@@ -247,19 +310,15 @@ def zero_kernel(dist: DistributionSpec) -> KernelSpec:
     def zeros2(x, y):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
-    def zeros1(x):
-        return np.zeros_like(np.asarray(x, np.float64))
-
     return KernelSpec(
         name="zero",
         evaluate=zeros2,
-        conditional_mean=zeros1,
-        pair_conditional=zeros2,
-        centered_pair_conditional=zeros2,
+        features=lambda x: np.zeros(np.shape(x) + (1,)),
+        coef=np.zeros((1, 1)),
+        feature_mean=np.zeros(1),
+        feature_moment=np.zeros((1, 1)),
         degenerate_flag=True,
         dist=dist,
-        second_moment=0.0,
-        g_second_moment=0.0,
     )
 
 
@@ -297,87 +356,85 @@ def kernel_by_name(name: str, dist: DistributionSpec) -> KernelSpec:
 
 
 def _verify_registration(spec: KernelSpec) -> None:
-    """Check centering, conditional-mean consistency, and the degeneracy flag.
+    """Check (phi, A) against h, (mu, Sigma) against the law, centering,
+    and the degeneracy flag.
 
-    Discrete laws are checked exactly by enumeration; continuous laws get a
-    fixed-seed Monte Carlo check with a 4-standard-error tolerance.
+    Discrete laws are checked exactly on the support: h == phi^T A phi on
+    every pair of support points, and mu, Sigma against their enumerated
+    values. Continuous laws get a fixed-seed Monte Carlo check: h ==
+    phi^T A phi on every drawn pair, and each entry of mu and Sigma within
+    4 standard errors of its sample mean. Centering (mu^T A mu = 0) and
+    degeneracy (E[g^2] = 0) are then read from the checked closed forms.
     """
     dist = spec.dist
     if dist is None:
         return
     if dist.is_discrete:
-        vals = np.asarray(dist.support)
-        qs = np.asarray(dist.probs)
-        hmat = spec.pair_values(vals[:, None], vals[None, :])
-        mean_h = float(qs @ hmat @ qs)
-        if abs(mean_h) > 1e-9:
-            raise ConfigurationError(
-                "kernel %r is not centered for this law: E[h] = %.3e"
-                % (spec.name, mean_h)
-            )
-        g_enum = hmat @ qs
-        if spec.conditional_mean is not None:
-            g_decl = np.asarray(spec.conditional_mean(vals), np.float64)
-            err = float(np.max(np.abs(g_decl - g_enum)))
-            if err > 1e-9:
-                raise ConfigurationError(
-                    "kernel %r: declared conditional mean differs from the "
-                    "enumerated one by %.3e" % (spec.name, err)
-                )
-        g2 = float(qs @ (g_enum * g_enum))
-        if spec.degenerate_flag != (g2 <= 1e-18):
-            raise ConfigurationError(
-                "kernel %r: degeneracy flag %r inconsistent with enumerated "
-                "E[g^2] = %.3e" % (spec.name, spec.degenerate_flag, g2)
-            )
-        h2 = float(qs @ (hmat * hmat) @ qs)
-        for label, declared, enum in (
-            ("E[h^2]", spec.second_moment, h2),
-            ("E[g^2]", spec.g_second_moment, g2),
-        ):
-            if declared is not None and abs(float(declared) - enum) > 1e-9:
-                raise ConfigurationError(
-                    "kernel %r: declared %s = %r differs from the enumerated "
-                    "value %.12g" % (spec.name, label, declared, enum)
-                )
-        return
-    # continuous law: deterministic MC spot check
-    seed = int.from_bytes(
-        ("registration:" + spec.name + ":" + dist.describe()).encode("utf8")[-8:],
-        "little",
-    )
-    m = 4096
-    x = sample_row(m, dist, seed)
-    y = sample_row(m, dist, seed + 1)
-    hv = spec.pair_values(x, y)
-    se = float(hv.std(ddof=1)) / math.sqrt(m)
-    if abs(float(hv.mean())) > 4.0 * se + 1e-12:
-        raise ConfigurationError(
-            "kernel %r fails the centering check: |mean h| = %.3e > 4 SE = %.3e"
-            % (spec.name, abs(float(hv.mean())), 4.0 * se)
+        x = np.asarray(dist.support, np.float64)
+        w = np.asarray(dist.probs, np.float64)
+        xa, xb = np.repeat(x, x.size), np.tile(x, x.size)
+    else:
+        seed = int.from_bytes(
+            ("registration:" + spec.name + ":" + dist.describe()).encode("utf8")[-8:],
+            "little",
         )
-    if spec.second_moment is not None:
-        h2 = hv * hv
-        h2_se = float(h2.std(ddof=1)) / math.sqrt(m)
-        if abs(float(h2.mean()) - float(spec.second_moment)) > 4.0 * h2_se + 1e-12:
+        m = 4096
+        xa = sample_row(m, dist, seed)
+        xb = sample_row(m, dist, seed + 1)
+        x = xa
+        w = np.full(m, 1.0 / m)
+    a = np.asarray(spec.coef, np.float64)
+    hv = spec.pair_values(xa, xb)
+    hf = _quadratic(spec._phi(xa), a, spec._phi(xb))
+    bad = np.abs(hv - hf) > 1e-9 * np.maximum(1.0, np.abs(hv))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ConfigurationError(
+            "kernel %r: phi^T A phi differs from h at %d of %d pairs; first "
+            "h(%r, %r) = %r against %r"
+            % (spec.name, int(bad.sum()), bad.size, float(xa[k]), float(xb[k]),
+               float(hv[k]), float(hf[k]))
+        )
+    phi = spec._phi(x)
+    outer = phi[:, :, None] * phi[:, None, :]
+    for label, declared, draws in (
+        ("E[phi]", spec.feature_mean, phi),
+        ("E[phi phi^T]", spec.feature_moment, outer),
+    ):
+        value = np.tensordot(w, draws, axes=1)
+        if dist.is_discrete:
+            tol = 1e-9 * np.maximum(1.0, np.abs(value))
+        else:
+            tol = 4.0 * draws.std(axis=0, ddof=1) / math.sqrt(w.size) + 1e-12
+        if np.any(np.abs(np.asarray(declared, np.float64) - value) > tol):
             raise ConfigurationError(
-                "kernel %r: declared E[h^2] = %r is more than 4 SE from the "
-                "sampled value %.6g" % (spec.name, spec.second_moment, float(h2.mean()))
+                "kernel %r: declared %s = %s differs from the %s value %s"
+                % (spec.name, label, np.asarray(declared).tolist(),
+                   "enumerated" if dist.is_discrete else "sampled",
+                   np.round(value, 12).tolist())
             )
-    if spec.conditional_mean is not None:
-        gv = np.asarray(spec.conditional_mean(x), np.float64)
-        g2 = float((gv * gv).mean())
-        g2_se = float((gv * gv).std(ddof=1)) / math.sqrt(m)
-        is_zero = g2 <= 4.0 * g2_se + 1e-12
-        if spec.degenerate_flag != is_zero:
-            raise ConfigurationError(
-                "kernel %r: degeneracy flag %r inconsistent with sampled "
-                "E[g^2] = %.3e (SE %.1e)" % (spec.name, spec.degenerate_flag, g2, g2_se)
-            )
+    mean_h = float(spec._products.mu @ spec._products.a_mu)
+    if abs(mean_h) > 1e-9:
+        raise ConfigurationError(
+            "kernel %r is not centered for this law: E[h] = %.3e" % (spec.name, mean_h)
+        )
+    g2 = spec.g_second_moment
+    if spec.degenerate_flag != (g2 <= 1e-18):
+        raise ConfigurationError(
+            "kernel %r: degeneracy flag %r inconsistent with E[g^2] = %.3e"
+            % (spec.name, spec.degenerate_flag, g2)
+        )
 
 
 # --------------------------------------------------------------------------
 # custom table kernels
+
+
+def _support_index(support: np.ndarray, x: np.ndarray):
+    """Index of each x in the sorted support, and where x is in it."""
+    idx = np.searchsorted(support, x)
+    found = (idx < support.size) & (support[np.minimum(idx, support.size - 1)] == x)
+    return idx, found
 
 
 def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) -> KernelSpec:
@@ -388,9 +445,11 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
     symmetric even if only one orientation was supplied.
 
     The row law, when given, must be discrete and its support covered by
-    the table; exact conditional structure (g, H, H~) and second moments
-    are then attached by enumeration. Without a law the kernel carries no
-    closed forms, so it can be evaluated but not centered or estimated.
+    the table. The kernel then gets its finite-rank form by enumeration:
+    phi is the one-hot indicator over the law's support, A the table on
+    that support, mu the probabilities and Sigma their diagonal matrix.
+    Without a law the kernel carries no closed forms, so it can be
+    evaluated but not centered or estimated.
     """
     if dist is not None and not dist.is_discrete:
         raise ConfigurationError(
@@ -421,10 +480,8 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
     def ev(xa, ya, _s=support, _m=mat):
         xa = np.asarray(xa, np.float64)
         ya = np.asarray(ya, np.float64)
-        ia = np.searchsorted(_s, xa)
-        ja = np.searchsorted(_s, ya)
-        in_a = (ia < _s.size) & (_s[np.minimum(ia, _s.size - 1)] == xa)
-        in_b = (ja < _s.size) & (_s[np.minimum(ja, _s.size - 1)] == ya)
+        ia, in_a = _support_index(_s, xa)
+        ja, in_b = _support_index(_s, ya)
         ok = in_a & in_b
         if not np.all(ok):
             bad = np.where(in_a, ya, xa)[~ok]
@@ -438,58 +495,44 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
         return vals
 
     spec = KernelSpec(name=name, evaluate=ev, dist=dist)
-    if dist is not None:
-        missing = set(dist.support) - {float(s) for s in support}
-        if missing:
-            raise ConfigurationError(
-                "row-law support %r not covered by the kernel table" % sorted(missing)
-            )
-        vals = np.asarray(dist.support)
-        qs = np.asarray(dist.probs)
-        hmat = spec.pair_values(
-            np.repeat(vals, vals.size), np.tile(vals, vals.size)
-        ).reshape(vals.size, vals.size)
-        g_vec = hmat @ qs
-        mean_h = float(qs @ g_vec)
-        if abs(mean_h) > _EXACT_TOL:
-            raise ConfigurationError(
-                "table kernel %r is not centered for this law (E[h] = %.3e); "
-                "shift the values by E[h]" % (name, mean_h)
-            )
-        Hmat = hmat @ (qs[:, None] * hmat)
-        ht = hmat - g_vec[:, None] - g_vec[None, :]
-        Htmat = ht @ (qs[:, None] * ht)
-        e_h2 = float(qs @ (hmat * hmat) @ qs)
-        e_g2 = float(qs @ (g_vec * g_vec))
-
-        def lookup(vec):
-            def f(x, _v=vals, _vec=vec):
-                x = np.asarray(x, np.float64)
-                idx = np.searchsorted(_v, x)
-                return _vec[np.clip(idx, 0, _v.size - 1)]
-
-            return f
-
-        def lookup2(m2):
-            def f(x, y, _v=vals, _m=m2):
-                x = np.asarray(x, np.float64)
-                y = np.asarray(y, np.float64)
-                ix = np.clip(np.searchsorted(_v, x), 0, _v.size - 1)
-                iy = np.clip(np.searchsorted(_v, y), 0, _v.size - 1)
-                return _m[ix, iy]
-
-            return f
-
-        spec = replace(
-            spec,
-            conditional_mean=lookup(g_vec),
-            pair_conditional=lookup2(Hmat),
-            centered_pair_conditional=lookup2(Htmat),
-            second_moment=e_h2,
-            g_second_moment=e_g2,
-            degenerate_flag=e_g2 <= 1e-18,
+    if dist is None:
+        return spec
+    missing = set(dist.support) - {float(s) for s in support}
+    if missing:
+        raise ConfigurationError(
+            "row-law support %r not covered by the kernel table" % sorted(missing)
         )
-    return spec
+    vals = np.asarray(dist.support, np.float64)
+    qs = np.asarray(dist.probs, np.float64)
+    hmat = spec.pair_values(
+        np.repeat(vals, vals.size), np.tile(vals, vals.size)
+    ).reshape(vals.size, vals.size)
+    mean_h = float(qs @ hmat @ qs)
+    if abs(mean_h) > _EXACT_TOL:
+        raise ConfigurationError(
+            "table kernel %r is not centered for this law (E[h] = %.3e); "
+            "shift the values by E[h]" % (name, mean_h)
+        )
+
+    def one_hot(x, _v=vals, _eye=np.eye(vals.size)):
+        idx, found = _support_index(_v, x)
+        if not np.all(found):
+            bad = x[~found]
+            raise ConfigurationError(
+                "%d value(s) outside the row-law support; first %r"
+                % (bad.size, float(bad.flat[0]))
+            )
+        return _eye[idx]
+
+    g_vec = hmat @ qs
+    return replace(
+        spec,
+        features=one_hot,
+        coef=hmat,
+        feature_mean=qs,
+        feature_moment=np.diag(qs),
+        degenerate_flag=float(qs @ (g_vec * g_vec)) <= 1e-18,
+    )
 
 
 def load_kernel_table(path, dist: Optional[DistributionSpec] = None) -> KernelSpec:

@@ -27,6 +27,27 @@ def skewed():
 
 
 @pytest.fixture(scope="session")
+def tri():
+    # mean-zero three-point law with an atom at 0 (so P(X != 0) = 3/4);
+    # dyadic probabilities keep every enumerated moment exact
+    return d.table([-1, 0, 2], [0.5, 0.25, 0.25])
+
+
+# A non-degenerate rank-3 table kernel on the tri law: arbitrary symmetric
+# values minus their mean 0.46875 under that law (exact in binary).
+TRI_TABLE = [
+    (a, b, v - 0.46875)
+    for a, b, v in [(-1, -1, 1.0), (-1, 0, 0.5), (-1, 2, -1.0),
+                    (0, 0, 2.0), (0, 2, 0.25), (2, 2, 3.0)]
+]
+
+
+@pytest.fixture(scope="session")
+def tri_kernel(tri):
+    return d.kernel_from_table("tri", TRI_TABLE, dist=tri)
+
+
+@pytest.fixture(scope="session")
 def policy():
     return d.SeedPolicy(master_seed=6)
 

@@ -2,6 +2,7 @@
 subcommand, flag-over-file precedence, and the module entry point."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -258,6 +259,24 @@ def test_conditions_expect_from_config_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_conditions_eta2_grid_above_the_cap_exits_3_before_any_cell(monkeypatch, capsys):
+    from diluteu.conditions import ETA2_MAX_N
+
+    cells = []
+    monkeypatch.setattr(d.harness, "sweep_condition", lambda cid, *a, **kw: cells.append(cid))
+    code = run_main(
+        [
+            "conditions", "--conditions", "C1,ETA2", "--dist", "table:-1=5/6,5=1/6",
+            "--a", "0.3", "--n", "50,%d" % (ETA2_MAX_N + 1),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert cells == []
+    assert "resource budget" in captured.err and "8 n^2 bytes" in captured.err
+
+
 # ------------------------------------------------------------------- oracle
 
 
@@ -307,6 +326,9 @@ def test_configuration_errors_exit_2(argv, capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same package as this test, installed or not
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(d.__file__)))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "diluteu", "moments",
@@ -315,6 +337,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "theta2" in proc.stdout

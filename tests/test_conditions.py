@@ -191,14 +191,50 @@ def replay_realizations(dist, n, p, m, seed):
     return out
 
 
-def test_eta2_matches_brute_force_enumeration(skewed):
-    k = d.sign_kernel(skewed)
+def test_eta2_matches_brute_force_enumeration(skewed, tri, tri_kernel):
+    # sign kernel (rank 2) and a table kernel (one-hot features, rank 3)
     n, p, m, seed = 12, 0.35, 6, 99
-    ms = d.moments_closed_form(k, skewed, n, p)
-    samples = d.estimate_eta2(k, skewed, n, p, m=m, seed=seed)
-    for val, (x, low) in zip(samples, replay_realizations(skewed, n, p, m, seed)):
-        brute = brute_conditional_variance(x, low, k, n, p, ms.theta2)
-        assert val == pytest.approx(brute, abs=1e-12)
+    for k, law in ((d.sign_kernel(skewed), skewed), (tri_kernel, tri)):
+        ms = d.moments_closed_form(k, law, n, p)
+        samples = d.estimate_eta2(k, law, n, p, m=m, seed=seed)
+        for val, (x, low) in zip(samples, replay_realizations(law, n, p, m, seed)):
+            brute = brute_conditional_variance(x, low, k, n, p, ms.theta2)
+            assert val == pytest.approx(brute, abs=1e-12)
+
+
+def dense_eta2(kernel, x, low, n, p, theta2):
+    """The O(n^3) form: n x n H~ matrix and the Gram matrix L^T L."""
+    eg2 = kernel.g_second_moment
+    fut = (n - 1) - np.arange(n, dtype=np.float64)
+    c = low.sum(axis=1)
+    colc = low.sum(axis=0)
+    eta21 = eg2 * float((c * c + 2.0 * c * fut * p + fut * p * (1.0 - p + fut * p)).sum())
+    htm = kernel.centered_pair_conditional(x[:, None], x[None, :])
+    gram = low.T @ low
+    diag_ht = np.diagonal(htm)
+    eta22 = float(diag_ht @ colc)
+    eta23 = float((htm * gram).sum()) - float(diag_ht @ np.diagonal(gram))
+    kx = kernel.cross_conditional(x)
+    eta24 = 2.0 * float((c + fut * p) @ (low @ (kx - eg2)))
+    return (eta21 + eta22 + eta23 + eta24) / (n * n * theta2)
+
+
+def test_eta2_matches_dense_reference(skewed, rad, norm, tri, tri_kernel):
+    cases = [
+        (d.sign_kernel(skewed), skewed, 0.35),
+        (d.product_kernel(norm), norm, 1.0),
+        (d.product_kernel(norm), norm, 0.4),
+        (d.additive_kernel(rad), rad, 0.6),
+        (tri_kernel, tri, 0.5),
+    ]
+    m, seed = 2, 7
+    for n in (12, 60, 400):
+        for k, law, p in cases:
+            t2 = d.moments_closed_form(k, law, n, p).theta2
+            samples = d.estimate_eta2(k, law, n, p, m=m, seed=seed)
+            for val, (x, low) in zip(samples, replay_realizations(law, n, p, m, seed)):
+                ref = dense_eta2(k, x, low, n, p, t2)
+                assert val == pytest.approx(ref, rel=1e-12), (k.name, n, p)
 
 
 def test_eta2_matches_brute_force_additive(rad):
@@ -236,10 +272,24 @@ def test_eta2_mean_matches_exact_formula(skewed):
     assert abs(samples.mean() - exact) < 4 * se
 
 
-def test_eta2_guards(skewed):
+def test_eta2_guards(skewed, monkeypatch):
     k = d.sign_kernel(skewed)
-    with pytest.raises(d.ResourceBudgetError):
+    with pytest.raises(d.ResourceBudgetError, match="8 n\\^2 bytes"):
         d.estimate_eta2(k, skewed, n=ETA2_MAX_N + 1, p=0.5, m=4, seed=0)
+    # a grid above the cap is rejected before any cell runs
+    cells = []
+    monkeypatch.setattr(d.conditions, "estimate_eta2", lambda *a: cells.append(a))
+    with pytest.raises(d.ResourceBudgetError):
+        d.sweep_condition(
+            "ETA2", k, skewed, d.SeedPolicy(6), n_grid=(50, ETA2_MAX_N + 1), a=0.3
+        )
+    assert cells == []
+    with pytest.raises(d.ConfigurationError, match="nonempty"):
+        d.sweep_condition("ETA2", k, skewed, d.SeedPolicy(6), n_grid=(), a=0.3)
+    with pytest.raises(d.ResourceBudgetError):
+        d.ExperimentConfig(
+            dist=skewed, n_grid=(50, ETA2_MAX_N + 1), a=0.3, conditions=("C1", "ETA2")
+        )
     with pytest.raises(d.ConfigurationError):
         d.estimate_eta2(k, skewed, n=20, p=0.5, m=1, seed=0)
 

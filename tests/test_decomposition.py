@@ -94,7 +94,8 @@ def test_projection_split_reconstructs_statistic(name, law, n, p, seed):
 def test_hoeffding_parts_evaluates_g_once_on_the_row(skewed):
     g_calls = []
     sign = d.sign_kernel(skewed)
-    k = replace(sign, conditional_mean=counting(sign.conditional_mean, g_calls))
+    # g = phi^T A mu, so each evaluation of g maps the row through phi once
+    k = replace(sign, features=counting(sign.features, g_calls))
     n = 20
     x = d.sample_row(n, skewed, 5)
     graph = d.sample_dilution(n, 0.5, 6)

@@ -1,6 +1,7 @@
 """Built-in kernels, registration checks, table kernels, centering."""
 
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -94,17 +95,28 @@ def test_zero_kernel(rad):
     assert np.all(k.pair_values(np.array([1.0, -1.0]), np.array([1.0, 1.0])) == 0.0)
 
 
-def test_cross_conditional_matches_enumeration(skewed):
-    # K(x) = E[g(Y) h(Y, x)] recovered from registered structure
-    k = d.sign_kernel(skewed)
-    vals, qs = enum_pairs(skewed)
-    gv = k.conditional_mean(vals)
-    for a in vals:
-        hya = k.pair_values(vals, np.full(vals.size, a))
-        direct = float(qs @ (gv * hya))
-        assert float(k.cross_conditional(np.array([a]))[0]) == pytest.approx(
-            direct, abs=1e-12
-        )
+def test_cross_conditional_matches_enumeration(skewed, tri, tri_kernel):
+    # g, H, H~, K, E[h^2] and E[g^2] derived from (phi, A, mu, Sigma)
+    # against direct enumeration of h over the support, for every built-in
+    # kernel on two discrete laws and for a rank-3 table kernel
+    cases = [(k, law) for law in (skewed, tri) for k in d.register_builtin_kernels(law)]
+    cases.append((tri_kernel, tri))
+    for k, law in cases:
+        vals, qs = enum_pairs(law)
+        hm = k.pair_values(vals[:, None], vals[None, :])
+        g = hm @ qs
+        ht = hm - g[:, None] - g[None, :]
+        derived_vs_direct = [
+            (k.conditional_mean(vals), g),
+            (k.pair_conditional(vals[:, None], vals[None, :]), hm @ (qs[:, None] * hm)),
+            (k.centered_pair_conditional(vals[:, None], vals[None, :]), ht @ (qs[:, None] * ht)),
+            # K(x) = E[g(Y) h(Y, x)]
+            (k.cross_conditional(vals), (qs * g) @ hm),
+            (k.second_moment, qs @ (hm * hm) @ qs),
+            (k.g_second_moment, qs @ (g * g)),
+        ]
+        for derived, direct in derived_vs_direct:
+            np.testing.assert_allclose(derived, direct, rtol=1e-12, atol=1e-12, err_msg=k.name)
 
 
 def test_cross_conditional_needs_structure(rad):
@@ -196,9 +208,34 @@ def test_registration_verify_catches_bad_second_moment(rad):
     from dataclasses import replace
     from diluteu.kernels import _verify_registration
 
-    k = replace(d.product_kernel(rad), second_moment=2.5)
+    # Sigma = [[sqrt(2.5)]] declares E[h^2] = tr(A Sigma A Sigma) = 2.5
+    k = replace(d.product_kernel(rad), feature_moment=np.array([[math.sqrt(2.5)]]))
+    assert k.second_moment == pytest.approx(2.5)
     with pytest.raises(d.ConfigurationError):
         _verify_registration(k)
+
+
+def test_registration_rejects_features_that_disagree_with_h(skewed, norm):
+    from dataclasses import replace
+    from diluteu.kernels import _verify_registration
+
+    # discrete law: h moved at the single support pair (5, 5)
+    sign = d.sign_kernel(skewed)
+    moved = replace(
+        sign,
+        evaluate=lambda x, y: sign.evaluate(x, y) + 1e-6 * ((x == 5.0) & (y == 5.0)),
+    )
+    with pytest.raises(d.ConfigurationError, match=r"differs from h at 1 of 4 pairs"):
+        _verify_registration(moved)
+    # continuous law: h moved only where x > 2.5, a set of probability
+    # 0.006 that the registration draws still hit
+    prod = d.product_kernel(norm)
+    moved = replace(prod, evaluate=lambda x, y: x * y + 1e-6 * (x > 2.5))
+    with pytest.raises(d.ConfigurationError, match=r"differs from h at \d+ of 4096 pairs"):
+        _verify_registration(moved)
+    # and a wrong A with the right h is caught the same way
+    with pytest.raises(d.ConfigurationError, match="differs from h"):
+        _verify_registration(replace(prod, coef=np.array([[1.0 + 1e-6]])))
 
 
 _NO_G_CALLS = {
@@ -216,15 +253,19 @@ _NO_G_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(_NO_G_CALLS))
 def test_kernel_with_law_but_no_g_is_rejected(call, skewed):
-    # bound to a law and carrying its second moments, but no g, H or H~
+    # bound to a law and carrying A, mu and Sigma, so its second moments,
+    # but no feature map phi, so no g, H or H~
     sign = d.sign_kernel(skewed)
     k = d.KernelSpec(
         name="no-g",
         evaluate=sign.evaluate,
+        coef=sign.coef,
+        feature_mean=sign.feature_mean,
+        feature_moment=sign.feature_moment,
         dist=skewed,
-        second_moment=sign.second_moment,
-        g_second_moment=sign.g_second_moment,
     )
+    assert k.second_moment == sign.second_moment
+    assert k.g_second_moment == sign.g_second_moment
     with pytest.raises(d.UnsupportedKernelError, match=r"closed form\(s\) g, H, H~;"):
         _NO_G_CALLS[call](k, skewed)
 
