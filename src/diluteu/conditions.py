@@ -46,7 +46,8 @@ from .errors import (
     DegenerateNormalizationError,
     ResourceBudgetError,
 )
-from .kernels import KernelSpec, _require_closed_forms
+from .decomposition import _centered_row_sums
+from .kernels import KernelSpec
 from .moments import moments_closed_form
 from .sampling import (
     DistributionSpec,
@@ -137,8 +138,7 @@ class PairConditionalSample:
 
 
 def _theta2(kernel: KernelSpec, dist: DistributionSpec, n: int, p: float) -> float:
-    """Closed-form theta^2, after checking the kernel carries g, H and H~."""
-    _require_closed_forms(kernel)
+    """Closed-form theta^2, rejected unless positive."""
     t2 = moments_closed_form(kernel, dist, n, p).theta2
     if not t2 > 0.0:
         raise DegenerateNormalizationError(
@@ -154,16 +154,23 @@ def _mean_se(vals: np.ndarray, factor: float = 1.0) -> Estimate:
     return Estimate(value=mean, se=se)
 
 
-def _check_m(m: int) -> int:
+def _check_m(condition_id: str, m: int) -> int:
+    """m, checked against the condition's minimum replicate count.
+
+    The eta estimators need m >= 2 for a standard error; the truncated
+    moment estimators need m >= 100.
+    """
     m = int(m)
-    if m < 100:
-        raise ConfigurationError("condition estimators need m >= 100; got %d" % m)
+    low = 2 if condition_id in ("ETA1", "ETA2") else 100
+    if m < low:
+        raise ConfigurationError(
+            "condition %s needs m >= %d replicates; got %d" % (condition_id, low, m)
+        )
     return m
 
 
 def sample_pair_conditional(kernel: KernelSpec, dist: DistributionSpec, p: float, seed) -> PairConditionalSample:
     """One G_1(2,3) / G~_1(2,3) draw: two rows, two bits, the conditionals."""
-    _require_closed_forms(kernel)
     sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(2, dist, sx)
     bits = (as_generator(sz).random(2) < p).astype(np.float64)
@@ -179,7 +186,7 @@ def sample_pair_conditional(kernel: KernelSpec, dist: DistributionSpec, p: float
 
 def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
     """Truncated second moment of the summed projection column."""
-    m = _check_m(m)
+    m = _check_m("C1", m)
     t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
     sx, sz = as_seed_sequence(seed).spawn(2)
@@ -191,35 +198,33 @@ def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
     return _mean_se(vals, factor=1.0 / (n * t2))
 
 
-def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """Truncated second moment of a single centered pair."""
-    m = _check_m(m)
+def _estimate_pair(kernel, dist, n, p, eps, m, seed, centered: bool) -> Estimate:
+    """Truncated second moment of one diluted pair, h~ (C2) or h (C2'')."""
     t2 = _theta2(kernel, dist, n, p)
     theta = math.sqrt(t2)
     sx, sy, sz = as_seed_sequence(seed).spawn(3)
     xa = sample_row(m, dist, sx)
     xb = sample_row(m, dist, sy)
     bits = (as_generator(sz).random(m) < p).astype(np.float64)
-    phit = bits * kernel.centered_values(xa, xb)
-    keep = np.abs(phit) >= eps * theta * n
-    vals = phit * phit * keep
-    return _mean_se(vals, factor=1.0 / t2)
+    fn = kernel.centered_values if centered else kernel.pair_values
+    pair = bits * fn(xa, xb)
+    keep = np.abs(pair) >= eps * theta * n
+    return _mean_se(pair * pair * keep, factor=1.0 / t2)
 
 
-def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """Truncated first moment of the centered diagonal conditional."""
-    m = _check_m(m)
+def _estimate_diag(kernel, dist, n, p, eps, m, seed, centered: bool) -> Estimate:
+    """Truncated first moment of the diagonal conditional, H~ (C3) or H (C3'')."""
     t2 = _theta2(kernel, dist, n, p)
     (sx,) = as_seed_sequence(seed).spawn(1)
     x = sample_row(m, dist, sx)
-    diag = np.asarray(kernel.centered_pair_conditional(x, x), np.float64)
+    fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
+    diag = np.asarray(fn(x, x), np.float64)
     keep = np.abs(diag) >= eps * t2 * n / p
-    vals = diag * keep
-    return _mean_se(vals, factor=p / t2)
+    return _mean_se(diag * keep, factor=p / t2)
 
 
 def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
-    m = _check_m(m)
+    """Second moment of the double-diluted pair conditional, G~ (C4') or G (C4)."""
     t2 = _theta2(kernel, dist, n, p)
     sx, sy, sz = as_seed_sequence(seed).spawn(3)
     xa = sample_row(m, dist, sx)
@@ -232,46 +237,44 @@ def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
     return _mean_se(g * g, factor=1.0 / (t2 * t2))
 
 
+def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
+    """Truncated second moment of a single centered pair."""
+    return _estimate_pair(kernel, dist, n, p, eps, _check_m("C2", m), seed, centered=True)
+
+
+def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
+    """Truncated first moment of the centered diagonal conditional."""
+    return _estimate_diag(kernel, dist, n, p, eps, _check_m("C3", m), seed, centered=True)
+
+
 def estimate_C4(kernel, dist, n, p, m, seed) -> Estimate:
     """Second moment of the double-diluted pair conditional G_1(2,3)."""
-    return _estimate_G2(kernel, dist, n, p, m, seed, centered=False)
+    return _estimate_G2(kernel, dist, n, p, _check_m("C4", m), seed, centered=False)
 
 
 def estimate_C4prime(kernel, dist, n, p, m, seed) -> Estimate:
     """As estimate_C4 with the centered conditional G~_1(2,3)."""
-    return _estimate_G2(kernel, dist, n, p, m, seed, centered=True)
+    return _estimate_G2(kernel, dist, n, p, _check_m("C4'", m), seed, centered=True)
 
 
 def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estimate:
     """The un-tilded single-object conditions C1'', C2'', C3''."""
-    m = _check_m(m)
-    t2 = _theta2(kernel, dist, n, p)
-    theta = math.sqrt(t2)
-    seq = as_seed_sequence(seed)
-    if condition == "C1''":
-        sx, sz = seq.spawn(2)
-        x = sample_row(m, dist, sx)
-        bits = (as_generator(sz).random(m) < p).astype(np.float64)
-        psi = bits * np.asarray(kernel.conditional_mean(x), np.float64)
-        keep = np.abs(psi) >= eps * theta
-        return _mean_se(psi * psi * keep, factor=n * n / t2)
+    if condition not in ("C1''", "C2''", "C3''"):
+        raise ConfigurationError(
+            "condition must be C1'', C2'' or C3''; got %r" % (condition,)
+        )
+    m = _check_m(condition, m)
     if condition == "C2''":
-        sx, sy, sz = seq.spawn(3)
-        xa = sample_row(m, dist, sx)
-        xb = sample_row(m, dist, sy)
-        bits = (as_generator(sz).random(m) < p).astype(np.float64)
-        phi = bits * kernel.pair_values(xa, xb)
-        keep = np.abs(phi) >= eps * theta * n
-        return _mean_se(phi * phi * keep, factor=1.0 / t2)
+        return _estimate_pair(kernel, dist, n, p, eps, m, seed, centered=False)
     if condition == "C3''":
-        (sx,) = seq.spawn(1)
-        x = sample_row(m, dist, sx)
-        diag = np.asarray(kernel.pair_conditional(x, x), np.float64)
-        keep = np.abs(diag) >= eps * t2 * n / p
-        return _mean_se(diag * keep, factor=p / t2)
-    raise ConfigurationError(
-        "condition must be C1'', C2'' or C3''; got %r" % (condition,)
-    )
+        return _estimate_diag(kernel, dist, n, p, eps, m, seed, centered=False)
+    t2 = _theta2(kernel, dist, n, p)
+    sx, sz = as_seed_sequence(seed).spawn(2)
+    x = sample_row(m, dist, sx)
+    bits = (as_generator(sz).random(m) < p).astype(np.float64)
+    psi = bits * np.asarray(kernel.conditional_mean(x), np.float64)
+    keep = np.abs(psi) >= eps * math.sqrt(t2)
+    return _mean_se(psi * psi * keep, factor=n * n / t2)
 
 
 # --------------------------------------------------------------------------
@@ -313,9 +316,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     (32 MB); larger n raises a resource error rather than silently
     thinning.
     """
-    m = int(m)
-    if m < 2:
-        raise ConfigurationError("estimate_eta2 needs m >= 2 replicates")
+    m = _check_m("ETA2", m)
     n = int(n)
     _check_eta2_n(n)
     t2 = _theta2(kernel, dist, n, p)
@@ -353,42 +354,28 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
     of the centered-pair partial sums over full sampled realizations.
     The result is an upper bound on the target, and is flagged as such.
     """
-    m = int(m)
-    if m < 2:
-        raise ConfigurationError("estimate_eta1_mean needs m >= 2 replicates")
+    m = _check_m("ETA1", m)
     t2 = _theta2(kernel, dist, n, p)
-    theta = math.sqrt(t2)
+    cut = 0.5 * eps * math.sqrt(t2) * n
     s_seed, t_seed = as_seed_sequence(seed).spawn(2)
 
-    # S1 part: vectorized, cheap, so use a larger replicate count
-    ms = max(m, 4096)
-    sx, sz = s_seed.spawn(2)
-    x = sample_row(ms, dist, sx)
-    counts = as_generator(sz).binomial(n - 1, p, size=ms).astype(np.float64)
-    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * counts
-    keep = np.abs(big_s) >= 0.5 * eps * theta * n
-    s1 = _mean_se(big_s * big_s * keep, factor=4.0 / (n * t2))
+    # S1 part: 4 C1 at eps/2, vectorized and cheap, so with a larger
+    # replicate count; scaling by 4, a power of two, adds no rounding
+    s1 = estimate_C1(kernel, dist, n, p, 0.5 * eps, max(m, 4096), s_seed)
 
     # T1 part: per-replicate realizations
-    children = t_seed.spawn(m)
     t_vals = np.empty(m)
-    cut = 0.5 * eps * theta * n
-    for r, child in enumerate(children):
+    for r, child in enumerate(t_seed.spawn(m)):
         cx, cz = child.spawn(2)
         x = sample_row(n, dist, cx)
-        graph = sample_dilution(n, p, cz)
-        ii, jj = graph.edges()
-        gvals = np.asarray(kernel.conditional_mean(x), np.float64)
-        rows = np.zeros(n)
-        if ii.size:
-            ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
-            rows = np.bincount(jj, weights=ht, minlength=n)
+        ii, jj = sample_dilution(n, p, cz).edges()
+        rows = _centered_row_sums(x, ii, jj, kernel.conditional_mean(x), kernel)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
     t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))
     return Estimate(
-        value=s1.value + t1.value,
-        se=math.hypot(s1.se, t1.se),
+        value=4.0 * s1.value + t1.value,
+        se=math.hypot(4.0 * s1.se, t1.se),
         upper_bound=True,
     )
 
@@ -529,10 +516,6 @@ class ConditionReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _cell_m(condition_id: str, m: Optional[int]) -> int:
-    return DEFAULT_M[condition_id] if m is None else int(m)
-
-
 def sweep_condition(
     condition_id: str,
     kernel: KernelSpec,
@@ -566,7 +549,7 @@ def sweep_condition(
     if not eps_free and not eps_cols:
         raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
     ncol = max(1, len(eps_cols))
-    mm = _cell_m(condition_id, m)
+    mm = _check_m(condition_id, DEFAULT_M[condition_id] if m is None else m)
     est = np.zeros((len(n_grid), ncol))
     ses = np.zeros((len(n_grid), ncol))
     spread = np.zeros(len(n_grid)) if condition_id == "ETA2" else None
@@ -586,7 +569,7 @@ def sweep_condition(
                 e = estimate_C4(kernel, dist, n, p, mm, seed)
             elif condition_id == "C4'":
                 e = estimate_C4prime(kernel, dist, n, p, mm, seed)
-            elif condition_id in ("C1''", "C2''", "C3''"):
+            elif condition_id.endswith("''"):
                 e = estimate_Cdoubleprime(condition_id, kernel, dist, n, p, eps, mm, seed)
             elif condition_id == "ETA1":
                 e = estimate_eta1_mean(kernel, dist, n, p, eps, mm, seed)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateNormalizationError
-from .kernels import KernelSpec, _require_closed_forms
+from .kernels import KernelSpec
 from .sampling import (
     DilutionGraph,
     DistributionSpec,
@@ -67,6 +67,17 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     return float(vals.sum()) / math.comb(n, 2)
 
 
+def _centered_row_sums(x, ii, jj, gvals, kernel: KernelSpec) -> np.ndarray:
+    """Per-index sums of h~(x_i, x_j) over the edges (ii, jj), ii < jj.
+
+    Each pair is charged to its larger index jj; gvals is g on the row.
+    """
+    if not ii.size:
+        return np.zeros(x.size)
+    ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
+    return np.bincount(jj, weights=ht, minlength=x.size)
+
+
 def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     """Per-index (psi_part, phi_tilde_part) whose total is binom(n,2)*U.
 
@@ -77,15 +88,10 @@ def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     once, on the row, and indexed per edge.
     """
     x = _check_row_graph(x, graph)
-    _require_closed_forms(kernel)
     ii, jj = graph.edges()
     gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
     psi_part = gvals * graph.degrees()
-    phi_tilde_part = np.zeros(graph.n)
-    if ii.size:
-        ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
-        phi_tilde_part = np.bincount(jj, weights=ht, minlength=graph.n)
-    return psi_part, phi_tilde_part
+    return psi_part, _centered_row_sums(x, ii, jj, gvals, kernel)
 
 
 @dataclass(frozen=True)

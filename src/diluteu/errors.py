@@ -12,9 +12,7 @@ class ConfigurationError(ValueError):
 
 
 class UnsupportedKernelError(ConfigurationError):
-    """The requested computation needs closed-form conditional structure
-    (g, H, H~, E[g^2]) the kernel does not carry, or names a kernel that
-    does not exist."""
+    """The requested kernel name is not a built-in kernel."""
 
 
 class DegenerateNormalizationError(ConfigurationError):

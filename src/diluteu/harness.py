@@ -29,6 +29,7 @@ from .conditions import (
     DEFAULT_N_GRID,
     ConditionReport,
     _check_eta2_n,
+    _check_m,
     sweep_condition,
 )
 from .decomposition import compute_ustat
@@ -45,6 +46,7 @@ from .sampling import (
     dilution_regime,
     sample_dilution,
     sample_row,
+    _warn_if_slow,
 )
 
 __all__ = [
@@ -65,6 +67,8 @@ __all__ = [
 
 DEFAULT_KS_THRESHOLD = 0.05
 DEFAULT_MAX_PAIR_EVALS = 2_000_000_000
+# what run_condition_sweep estimates when the config names no conditions
+_DEFAULT_CONDITIONS = ("C1", "C2", "C3", "C4")
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,11 @@ class ExperimentConfig:
                 raise ConfigurationError("unknown condition id %r" % cid)
         if "ETA2" in self.conditions:
             _check_eta2_n(grid[-1])
+        if self.m is not None:
+            for cid in self.conditions or _DEFAULT_CONDITIONS:
+                _check_m(cid, self.m)
         for n in grid:
-            p = self.p_at(n)
+            p = self.p_at(n)  # under exponent a, dilution_regime warns if slow
             if not 0.0 < p <= 1.0:
                 raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
             if n * p < 1.0:
@@ -128,14 +135,8 @@ class ExperimentConfig:
                     "n*p = %.3f < 1 at n=%d; the sparse regime needs np >= 1"
                     % (n * p, n)
                 )
-            if n * p < 10.0:
-                import warnings
-
-                warnings.warn(
-                    "n*p = %.2f < 10 at n=%d: slow regime, expect weak normality"
-                    % (n * p, n),
-                    stacklevel=2,
-                )
+            if self.p is not None:
+                _warn_if_slow(n, p, stacklevel=4)
 
     def p_at(self, n: int) -> float:
         if self.p is not None:
@@ -259,25 +260,15 @@ def square_law_n_cdf(t, n: int):
     return out.reshape(t.shape)
 
 
-_TARGET_CDFS = {"normal": normal_cdf, "chi1_shifted": chi1_shifted_cdf}
-
-
 def ks_distance(samples, target_cdf) -> float:
     """Sup distance between the empirical CDF and a target CDF.
 
     Uses the sorted-sample form max_i max(F(x_(i)) - (i-1)/R,
-    i/R - F(x_(i))); target_cdf may be a callable or a named target.
+    i/R - F(x_(i))); target_cdf is a callable.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ConfigurationError("ks_distance needs a nonempty sample")
-    if isinstance(target_cdf, str):
-        try:
-            target_cdf = _TARGET_CDFS[target_cdf]
-        except KeyError:
-            raise ConfigurationError(
-                "unknown target %r (normal, chi1_shifted)" % target_cdf
-            ) from None
     r = samples.size
     xs = np.sort(samples)
     fv = np.asarray(target_cdf(xs), dtype=np.float64)
@@ -467,7 +458,7 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
 
 def run_condition_sweep(config: ExperimentConfig):
     """ConditionReports for the configured condition subset."""
-    ids = config.conditions or ("C1", "C2", "C3", "C4")
+    ids = config.conditions or _DEFAULT_CONDITIONS
     dist = config.dist
     kernel = kernel_by_name(config.kernel_name, dist)
     policy = config.policy()

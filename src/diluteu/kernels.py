@@ -23,12 +23,13 @@ four objects (phi, A, mu, Sigma):
     E[h^2]  = tr(A Sigma A Sigma)
     E[g^2]  = mu^T A Sigma A mu
 
-(H~ in this form uses the centering contract mu^T A mu = E[h] = 0.) A
-kernel without these objects is rejected by one guard, and nothing falls
-back to nested Monte Carlo. h itself stays a direct closure (evaluate):
-it is the per-pair inner loop of every statistic, and the generic
-phi^T A phi form is 4 to 7 times slower per pair. Registration checks
-that the two agree pointwise.
+(H~ in this form uses the centering contract mu^T A mu = E[h] = 0.) The
+four objects and the row law are required fields of every kernel, so
+nothing downstream checks for them or falls back to nested Monte Carlo.
+Table kernels take their law as a required argument too. h itself stays
+a direct closure (evaluate): it is the per-pair inner loop of every
+statistic, and the generic phi^T A phi form is 4 to 7 times slower per
+pair. Registration checks that the two agree pointwise.
 
 Centering contract: every registered kernel satisfies E[h(X, Y)] = 0
 under independent draws from the paired law. For the product and additive
@@ -47,9 +48,10 @@ enumeration for discrete laws, by a fixed-seed Monte Carlo check otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,20 +98,21 @@ class KernelSpec:
     arguments. features is phi, mapping an array of shape s to shape
     s + (r,); coef is the symmetric r x r matrix A. feature_mean and
     feature_moment are mu = E[phi(X)] and Sigma = E[phi(X) phi(X)^T] under
-    the bound law. g, H, H~, K, E[h^2] and E[g^2] (the methods and
-    properties below) are derived from these four. The moments read as
-    None without A, mu and Sigma; the conditionals, which also need phi,
-    raise UnsupportedKernelError.
+    the bound law dist. g, H, H~, K, E[h^2] and E[g^2] (the methods and
+    properties below) are derived from these four. Every field is
+    required. The product, additive, sign and table factories check phi,
+    A, mu, Sigma and the degeneracy flag against h and the law
+    (_verify_registration); a spec built directly is taken as given.
     """
 
     name: str
     evaluate: Callable
-    features: Optional[Callable] = None
-    coef: Optional[np.ndarray] = None
-    feature_mean: Optional[np.ndarray] = None
-    feature_moment: Optional[np.ndarray] = None
-    degenerate_flag: bool = False
-    dist: Optional[DistributionSpec] = None
+    features: Callable
+    coef: np.ndarray
+    feature_mean: np.ndarray
+    feature_moment: np.ndarray
+    degenerate_flag: bool
+    dist: DistributionSpec
 
     def pair_values(self, xa, xb) -> np.ndarray:
         """Evaluate h elementwise on two equal-shape arrays."""
@@ -118,9 +121,7 @@ class KernelSpec:
         return np.asarray(self.evaluate(xa, xb), dtype=np.float64)
 
     @cached_property
-    def _products(self) -> Optional[_MomentProducts]:
-        if self.coef is None or self.feature_mean is None or self.feature_moment is None:
-            return None
+    def _products(self) -> _MomentProducts:
         a = np.asarray(self.coef, np.float64)
         mu = np.asarray(self.feature_mean, np.float64)
         a_sig = a @ np.asarray(self.feature_moment, np.float64)
@@ -136,29 +137,22 @@ class KernelSpec:
         )
 
     def _phi(self, x) -> np.ndarray:
-        """phi(x), after checking the kernel carries its closed forms."""
-        _require_closed_forms(self)
         return np.asarray(self.features(np.asarray(x, np.float64)), np.float64)
 
     @property
-    def second_moment(self) -> Optional[float]:
+    def second_moment(self) -> float:
         """E[h^2] = tr(A Sigma A Sigma)."""
-        if self._products is None:
-            return None
         a_sig = self._products.a_sig
         return float(np.sum(a_sig * a_sig.T))
 
     @property
-    def g_second_moment(self) -> Optional[float]:
+    def g_second_moment(self) -> float:
         """E[g^2] = mu^T A Sigma A mu."""
-        if self._products is None:
-            return None
         return float(self._products.mu @ self._products.k_vec)
 
     @property
     def centered_pair_matrix(self) -> np.ndarray:
         """B = A (Sigma - mu mu^T) A: H~(x, y) = (phi(x) - mu)^T B (phi(y) - mu)."""
-        _require_closed_forms(self)
         return self._products.a_cov_a
 
     def conditional_mean(self, x) -> np.ndarray:
@@ -180,34 +174,10 @@ class KernelSpec:
         return self._phi(x) @ self._products.k_vec
 
     def centered_values(self, xa, xb) -> np.ndarray:
-        """h~(x, y) = h(x, y) - g(x) - g(y), with h from evaluate.
-
-        Raises UnsupportedKernelError when the kernel lacks its closed forms.
-        """
-        _require_closed_forms(self)
+        """h~(x, y) = h(x, y) - g(x) - g(y), with h from evaluate."""
         xa = np.asarray(xa, np.float64)
         xb = np.asarray(xb, np.float64)
         return self.pair_values(xa, xb) - self.conditional_mean(xa) - self.conditional_mean(xb)
-
-
-def _require_closed_forms(kernel: KernelSpec) -> None:
-    """Raise UnsupportedKernelError naming the closed forms kernel lacks.
-
-    g, H, H~ need phi, A, mu and Sigma; E[g^2] needs A, mu and Sigma.
-    They are what every centering, condition and eta computation reads;
-    nothing approximates them another way.
-    """
-    missing = []
-    if kernel.features is None or kernel._products is None:
-        missing = ["g", "H", "H~"]
-    if kernel._products is None:
-        missing.append("E[g^2]")
-    if missing:
-        raise UnsupportedKernelError(
-            "kernel %r lacks the closed form(s) %s; bind a table kernel to a "
-            "discrete row law or use a built-in kernel"
-            % (kernel.name, ", ".join(missing))
-        )
 
 
 def _require_mean_zero(dist: DistributionSpec, kernel_name: str) -> None:
@@ -367,8 +337,6 @@ def _verify_registration(spec: KernelSpec) -> None:
     degeneracy (E[g^2] = 0) are then read from the checked closed forms.
     """
     dist = spec.dist
-    if dist is None:
-        return
     if dist.is_discrete:
         x = np.asarray(dist.support, np.float64)
         w = np.asarray(dist.probs, np.float64)
@@ -437,21 +405,20 @@ def _support_index(support: np.ndarray, x: np.ndarray):
     return idx, found
 
 
-def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) -> KernelSpec:
-    """Discrete kernel from (x, y, value) triples.
+def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
+    """Discrete kernel from (x, y, value) triples, bound to a discrete row law.
 
     Symmetry is validated: a pair given in both orders must agree exactly.
     The lookup matrix is filled in both orientations, so the kernel is
     symmetric even if only one orientation was supplied.
 
-    The row law, when given, must be discrete and its support covered by
-    the table. The kernel then gets its finite-rank form by enumeration:
-    phi is the one-hot indicator over the law's support, A the table on
-    that support, mu the probabilities and Sigma their diagonal matrix.
-    Without a law the kernel carries no closed forms, so it can be
-    evaluated but not centered or estimated.
+    The law's support must be covered by the table. The finite-rank form
+    comes by enumeration: phi is the one-hot indicator over the law's
+    support, A the table on that support, mu the probabilities and Sigma
+    their diagonal matrix. The kernel then passes the same registration
+    check as the built-ins, centering (E[h] = 0) included.
     """
-    if dist is not None and not dist.is_discrete:
+    if not dist.is_discrete:
         raise ConfigurationError(
             "table kernel %r needs a discrete row law; got %s"
             % (name, dist.describe())
@@ -494,9 +461,6 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
             raise ConfigurationError("kernel table has no entry for a requested pair")
         return vals
 
-    spec = KernelSpec(name=name, evaluate=ev, dist=dist)
-    if dist is None:
-        return spec
     missing = set(dist.support) - {float(s) for s in support}
     if missing:
         raise ConfigurationError(
@@ -504,15 +468,9 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
         )
     vals = np.asarray(dist.support, np.float64)
     qs = np.asarray(dist.probs, np.float64)
-    hmat = spec.pair_values(
-        np.repeat(vals, vals.size), np.tile(vals, vals.size)
-    ).reshape(vals.size, vals.size)
-    mean_h = float(qs @ hmat @ qs)
-    if abs(mean_h) > _EXACT_TOL:
-        raise ConfigurationError(
-            "table kernel %r is not centered for this law (E[h] = %.3e); "
-            "shift the values by E[h]" % (name, mean_h)
-        )
+    hmat = ev(np.repeat(vals, vals.size), np.tile(vals, vals.size)).reshape(
+        vals.size, vals.size
+    )
 
     def one_hot(x, _v=vals, _eye=np.eye(vals.size)):
         idx, found = _support_index(_v, x)
@@ -525,18 +483,26 @@ def kernel_from_table(name: str, rows, dist: Optional[DistributionSpec] = None) 
         return _eye[idx]
 
     g_vec = hmat @ qs
-    return replace(
-        spec,
+    spec = KernelSpec(
+        name=name,
+        evaluate=ev,
         features=one_hot,
         coef=hmat,
         feature_mean=qs,
         feature_moment=np.diag(qs),
         degenerate_flag=float(qs @ (g_vec * g_vec)) <= 1e-18,
+        dist=dist,
     )
+    _verify_registration(spec)
+    return spec
 
 
-def load_kernel_table(path, dist: Optional[DistributionSpec] = None) -> KernelSpec:
-    """Kernel from a three-column text file (x, y, h); '#' starts a comment."""
+def load_kernel_table(path, dist: DistributionSpec) -> KernelSpec:
+    """Kernel from a three-column text file (x, y, h); '#' starts a comment.
+
+    dist is the discrete row law the kernel is bound to, as in
+    kernel_from_table; the kernel is named after the file.
+    """
     rows = []
     with open(path, "r", encoding="utf8") as fh:
         for raw in fh:
@@ -549,7 +515,5 @@ def load_kernel_table(path, dist: Optional[DistributionSpec] = None) -> KernelSp
                     "kernel table line %r: expected three columns" % raw.strip()
                 )
             rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-    import os
-
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return kernel_from_table(name, rows, dist=dist)
+    return kernel_from_table(name, rows, dist)

@@ -10,8 +10,8 @@ With Phi(i,j) = Z_ij h(X_i, X_j) and Psi_j(i) = Z_ij g(X_i):
 theta2 is the squared normalizer of the martingale sum: n^2 theta^2
 matches Var(binom(n,2) U) to leading order, exactly when n = 2.
 
-Three provenances are supported: closed form (built-in kernels), Monte
-Carlo with standard errors, and exhaustive enumeration over tiny discrete
+Three provenances are supported: closed form (from the kernel's
+finite-rank form), Monte Carlo with standard errors, and exhaustive enumeration over tiny discrete
 instances. The enumeration path is an oracle: it sums over every
 (row assignment, dilution assignment) outcome and never reuses the
 identities above, so it can falsify them.
@@ -27,12 +27,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    EnumerationSizeError,
-    UnsupportedKernelError,
-)
-from .kernels import KernelSpec, _require_closed_forms
+from .errors import ConfigurationError, EnumerationSizeError
+from .kernels import KernelSpec
 from .sampling import DistributionSpec, as_seed_sequence, sample_row
 
 __all__ = [
@@ -117,7 +113,7 @@ def variance_exact(n: int, p: float, beta2: float, gamma2: float) -> float:
 
 
 def _same_law(kernel: KernelSpec, dist: DistributionSpec) -> None:
-    if kernel.dist is not None and kernel.dist.describe() != dist.describe():
+    if kernel.dist.describe() != dist.describe():
         raise ConfigurationError(
             "kernel %r was registered against %s, not %s"
             % (kernel.name, kernel.dist.describe(), dist.describe())
@@ -127,22 +123,11 @@ def _same_law(kernel: KernelSpec, dist: DistributionSpec) -> None:
 def moments_closed_form(
     kernel: KernelSpec, dist: DistributionSpec, n: int, p: float
 ) -> MomentSet:
-    """Exact moments from the kernel's registered second moments."""
+    """Exact moments from the kernel's E[h^2] and E[g^2]."""
     n, p = _check_np(n, p)
     _same_law(kernel, dist)
-    missing = [
-        nm
-        for nm, v in (("E[h^2]", kernel.second_moment), ("E[g^2]", kernel.g_second_moment))
-        if v is None
-    ]
-    if missing:
-        raise UnsupportedKernelError(
-            "kernel %r lacks the closed-form moment(s) %s; bind a table kernel "
-            "to a discrete row law or use a built-in kernel"
-            % (kernel.name, ", ".join(missing))
-        )
-    beta2 = p * float(kernel.second_moment)
-    gamma2 = p * float(kernel.g_second_moment)
+    beta2 = p * kernel.second_moment
+    gamma2 = p * kernel.g_second_moment
     theta2 = n * p * gamma2 + beta2 / 2.0
     return MomentSet(
         beta2=beta2,
@@ -165,11 +150,9 @@ def moments_mc(
 ) -> MomentSet:
     """Monte Carlo moments from m independent pairs, with standard errors.
 
-    E[h^2] is sampled; E[g^2] is sampled through the kernel's closed-form
-    g, so the kernel must carry its closed forms.
+    E[h^2] is sampled; E[g^2] is sampled through the kernel's closed-form g.
     """
     n, p = _check_np(n, p)
-    _require_closed_forms(kernel)
     m = int(m)
     if m < 100:
         raise ConfigurationError("moments_mc needs m >= 100; got %d" % m)

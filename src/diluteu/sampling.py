@@ -66,9 +66,8 @@ class DistributionSpec:
 
     All built-in constructors produce mean-zero laws; user tables are
     auto-centered (with a warning) unless explicitly told not to. The
-    extra moments carried here (sign mean, nonzero probability, sup |X|)
-    feed the closed-form kernel structure and the bounded-kernel cutoff
-    arguments in the condition estimators.
+    extra moments carried here (sign mean, nonzero probability) feed the
+    closed-form kernel structure.
     """
 
     kind: str
@@ -79,7 +78,6 @@ class DistributionSpec:
     nonzero_prob: float = 1.0
     support: tuple | None = None
     probs: tuple | None = None
-    abs_bound: float | None = None
 
     @property
     def is_discrete(self) -> bool:
@@ -105,12 +103,11 @@ def rademacher() -> DistributionSpec:
         nonzero_prob=1.0,
         support=(-1.0, 1.0),
         probs=(0.5, 0.5),
-        abs_bound=1.0,
     )
 
 
 def standard_normal() -> DistributionSpec:
-    return DistributionSpec(kind="normal", variance=1.0, abs_bound=None)
+    return DistributionSpec(kind="normal", variance=1.0)
 
 
 def uniform(a: float, b: float) -> DistributionSpec:
@@ -126,14 +123,12 @@ def uniform(a: float, b: float) -> DistributionSpec:
             stacklevel=2,
         )
         a, b = a - mid, b - mid
-    half = 0.5 * (b - a)
     return DistributionSpec(
         kind="uniform",
         params=(a, b),
         variance=(b - a) ** 2 / 12.0,
         sign_mean=0.0,
         nonzero_prob=1.0,
-        abs_bound=half,
     )
 
 
@@ -181,7 +176,6 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
         nonzero_prob=nonzero,
         support=tuple(vals),
         probs=tuple(qs),
-        abs_bound=max(abs(v) for v in vals),
     )
 
 
@@ -372,13 +366,18 @@ def dilution_regime(n: int, a: float) -> float:
             "dilution exponent a=%r outside [0, 1); n*p would not diverge" % a
         )
     p = float(n) ** (-a)
+    _warn_if_slow(n, p, stacklevel=3)
+    return p
+
+
+def _warn_if_slow(n: int, p: float, stacklevel: int = 2) -> None:
+    """Warn once when n*p < 10, where convergence is slow at desk scale."""
     if n * p < _SLOW_REGIME_NP:
         warnings.warn(
             "slow regime: n*p = %.3g < %g at n=%d; finite-n behaviour may be "
             "far from the limit" % (n * p, _SLOW_REGIME_NP, n),
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return p
 
 
 # --------------------------------------------------------------------------

@@ -277,6 +277,21 @@ def test_conditions_eta2_grid_above_the_cap_exits_3_before_any_cell(monkeypatch,
     assert "resource budget" in captured.err and "8 n^2 bytes" in captured.err
 
 
+def test_conditions_too_small_m_exits_2_before_any_cell(monkeypatch, capsys):
+    # ETA2 accepts m=50 but C1 needs m >= 100; the default condition set
+    # (C1-C4) is checked the same way
+    cells = []
+    monkeypatch.setattr(d.harness, "sweep_condition", lambda cid, *a, **kw: cells.append(cid))
+    law = ["--kernel", "sign", "--dist", "table:-1=5/6,5=1/6", "--a", "0.3", "--n", "50,100"]
+    for subset in (["--conditions", "ETA2,C1"], []):
+        code = run_main(["conditions"] + law + subset + ["--m", "50"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert cells == []
+        assert "C1 needs m >= 100" in captured.err
+
+
 # ------------------------------------------------------------------- oracle
 
 

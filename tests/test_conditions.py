@@ -294,14 +294,6 @@ def test_eta2_guards(skewed, monkeypatch):
         d.estimate_eta2(k, skewed, n=20, p=0.5, m=1, seed=0)
 
 
-def test_eta2_requires_closed_structure(rad):
-    bare = d.kernel_from_table(
-        "flip", [(-1, -1, 1), (-1, 1, -1), (1, 1, 1)]
-    )  # no law attached, no conditional structure
-    with pytest.raises(d.UnsupportedKernelError):
-        d.estimate_eta2(bare, rad, n=10, p=0.5, m=4, seed=0)
-
-
 # ----------------------------------------------------------------- eta1
 
 

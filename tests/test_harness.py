@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,14 +48,6 @@ def test_ks_distance_matches_brute_force():
         f = ndtr(v)
         brute = max(brute, abs(f - i / r), abs((i + 1) / r - f))
     assert fast == pytest.approx(brute, abs=1e-15)
-
-
-def test_ks_distance_accepts_target_names():
-    s = np.random.Generator(np.random.PCG64(4)).standard_normal(500)
-    assert d.ks_distance(s, "normal") == pytest.approx(d.ks_distance(s, ndtr))
-    assert d.ks_distance(s, "chi1_shifted") == pytest.approx(
-        d.ks_distance(s, d.chi1_shifted_cdf)
-    )
 
 
 def test_ks_null_calibration():
@@ -169,6 +162,19 @@ def test_config_validation_errors(norm):
         sign_config(p=0.001, n_grid=(60,))  # np < 1
     with pytest.warns(UserWarning, match="slow regime"):
         sign_config(p=0.1, n_grid=(60,))  # np = 6
+
+
+def test_config_warns_once_per_slow_grid_point(skewed):
+    # n*p is 1.35 at n=20 and 1.4 to 2.0 at n=30, under exponent a and
+    # under fixed p alike: one warning per grid point either way
+    for dilution in (dict(a=0.9), dict(p=0.0675)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            d.ExperimentConfig(dist=skewed, n_grid=(20, 30), R=10, **dilution)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2, (dilution, messages)
+        assert "slow regime" in messages[0] and "at n=20" in messages[0]
+        assert "slow regime" in messages[1] and "at n=30" in messages[1]
 
 
 def test_config_hash_tracks_content():

@@ -1,5 +1,6 @@
 """Built-in kernels, registration checks, table kernels, centering."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -119,12 +120,6 @@ def test_cross_conditional_matches_enumeration(skewed, tri, tri_kernel):
             np.testing.assert_allclose(derived, direct, rtol=1e-12, atol=1e-12, err_msg=k.name)
 
 
-def test_cross_conditional_needs_structure(rad):
-    bare = d.kernel_from_table("flip", [(-1, -1, 1), (-1, 1, -1), (1, 1, 1)])
-    with pytest.raises(d.UnsupportedKernelError):
-        bare.cross_conditional(np.array([1.0]))
-
-
 # ------------------------------------------------------------- table kernels
 
 
@@ -145,10 +140,10 @@ def test_table_kernel_round_trip(rad):
     )
 
 
-def test_table_kernel_symmetry_conflict():
+def test_table_kernel_symmetry_conflict(rad):
     rows = [(-1, 1, 2.0), (1, -1, 3.0)]
     with pytest.raises(d.ConfigurationError, match="symmetry"):
-        d.kernel_from_table("bad", rows)
+        d.kernel_from_table("bad", rows, dist=rad)
 
 
 def test_table_kernel_coverage_and_centering(rad):
@@ -174,9 +169,9 @@ def test_load_kernel_table(tmp_path, rad):
     assert float(k.pair_values(np.array([-1.0]), np.array([1.0]))[0]) == -1.0
 
 
-def test_empty_kernel_table():
+def test_empty_kernel_table(rad):
     with pytest.raises(d.ConfigurationError):
-        d.kernel_from_table("empty", [])
+        d.kernel_from_table("empty", [], dist=rad)
 
 
 # ---------------------------------------------------------------- centering
@@ -196,12 +191,6 @@ def test_centered_values_enumerates_table_kernels(rad):
     # g = 0 for this kernel, so tilde == h
     x = np.array([-1.0, 1.0])
     assert np.allclose(k.centered_values(x, x), k.pair_values(x, x))
-
-
-def test_centered_values_without_law_fails():
-    k = d.kernel_from_table("orphan", [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)])
-    with pytest.raises(d.ConfigurationError):
-        k.centered_values(np.array([1.0]), np.array([-1.0]))
 
 
 def test_registration_verify_catches_bad_second_moment(rad):
@@ -238,36 +227,23 @@ def test_registration_rejects_features_that_disagree_with_h(skewed, norm):
         _verify_registration(replace(prod, coef=np.array([[1.0 + 1e-6]])))
 
 
-_NO_G_CALLS = {
-    "centered_values": lambda k, law: k.centered_values(np.array([-1.0]), np.array([5.0])),
-    "hoeffding_parts": lambda k, law: d.hoeffding_parts(
-        np.array([-1.0, 5.0, -1.0]), d.sample_dilution(3, 1.0, 0), k
-    ),
-    "moments_mc": lambda k, law: d.moments_mc(k, law, 10, 0.5, m=200, seed=0),
-    "estimate_C1": lambda k, law: d.estimate_C1(k, law, 10, 0.5, 0.1, 200, 0),
-    "sweep_condition": lambda k, law: d.sweep_condition(
-        "C2", k, law, d.SeedPolicy(6), n_grid=(10,), eps_grid=(0.1,), m=200
-    ),
-}
-
-
-@pytest.mark.parametrize("call", sorted(_NO_G_CALLS))
-def test_kernel_with_law_but_no_g_is_rejected(call, skewed):
-    # bound to a law and carrying A, mu and Sigma, so its second moments,
-    # but no feature map phi, so no g, H or H~
-    sign = d.sign_kernel(skewed)
-    k = d.KernelSpec(
-        name="no-g",
-        evaluate=sign.evaluate,
-        coef=sign.coef,
-        feature_mean=sign.feature_mean,
-        feature_moment=sign.feature_moment,
-        dist=skewed,
-    )
-    assert k.second_moment == sign.second_moment
-    assert k.g_second_moment == sign.g_second_moment
-    with pytest.raises(d.UnsupportedKernelError, match=r"closed form\(s\) g, H, H~;"):
-        _NO_G_CALLS[call](k, skewed)
+def test_kernel_without_its_form_or_law_fails_at_construction(rad, tmp_path):
+    # phi, A, mu, Sigma, the degeneracy flag and the law are required, so
+    # a kernel missing any of them cannot be built in the first place
+    ref = d.sign_kernel(rad)
+    fields = {f.name: getattr(ref, f.name) for f in dataclasses.fields(d.KernelSpec)}
+    assert d.KernelSpec(**fields).second_moment == ref.second_moment
+    for left_out in fields:
+        partial = {k: v for k, v in fields.items() if k != left_out}
+        with pytest.raises(TypeError, match=left_out):
+            d.KernelSpec(**partial)
+    rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
+    with pytest.raises(TypeError):
+        d.kernel_from_table("tbl", rows)
+    f = tmp_path / "k.txt"
+    f.write_text("-1 -1 1\n-1 1 -1\n1 1 1\n")
+    with pytest.raises(TypeError):
+        d.load_kernel_table(f)
 
 
 def test_table_kernel_rejects_continuous_law_at_bind_time():

@@ -41,7 +41,6 @@ def test_sample_row_deterministic(norm):
 def test_uniform_moments_and_samples():
     u = d.uniform(-2.0, 2.0)
     assert u.variance == pytest.approx(16.0 / 12.0)
-    assert u.abs_bound == 2.0
     x = d.sample_row(10000, u, 7)
     assert x.min() >= -2.0 and x.max() <= 2.0
     assert abs(x.mean()) < 4 * math.sqrt(u.variance / 10000)
@@ -64,7 +63,6 @@ def test_table_law_exact_moments(skewed):
     assert skewed.variance == pytest.approx(5.0, abs=1e-12)
     assert skewed.sign_mean == pytest.approx(-2.0 / 3.0, abs=1e-12)
     assert skewed.nonzero_prob == 1.0
-    assert skewed.abs_bound == 5.0
 
 
 def test_table_autocenter_warning_and_shift():
