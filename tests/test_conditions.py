@@ -294,6 +294,19 @@ def test_eta2_guards(skewed, monkeypatch):
         d.estimate_eta2(k, skewed, n=20, p=0.5, m=1, seed=0)
 
 
+def test_eta2_requires_closed_structure(rad):
+    # a table kernel without its law cannot be built, so estimate_eta2
+    # never meets one lacking its conditional structure; bound to the law,
+    # the table form of x*y gives the product kernel's draws
+    rows = [(-1, -1, 1), (-1, 1, -1), (1, 1, 1)]
+    with pytest.raises(TypeError, match="dist"):
+        d.kernel_from_table("flip", rows)
+    bound = d.kernel_from_table("flip", rows, dist=rad)
+    got = d.estimate_eta2(bound, rad, n=10, p=0.5, m=4, seed=0)
+    want = d.estimate_eta2(d.product_kernel(rad), rad, n=10, p=0.5, m=4, seed=0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 # ----------------------------------------------------------------- eta1
 
 

@@ -120,6 +120,15 @@ def test_cross_conditional_matches_enumeration(skewed, tri, tri_kernel):
             np.testing.assert_allclose(derived, direct, rtol=1e-12, atol=1e-12, err_msg=k.name)
 
 
+def test_cross_conditional_needs_structure(rad):
+    rows = [(-1, -1, 1), (-1, 1, -1), (1, 1, 1)]
+    with pytest.raises(TypeError, match="dist"):
+        d.kernel_from_table("flip", rows)
+    # bound to its law the structure is there: x*y has g = 0, so K = 0
+    bound = d.kernel_from_table("flip", rows, dist=rad)
+    np.testing.assert_allclose(bound.cross_conditional(np.array([-1.0, 1.0])), 0.0, atol=1e-12)
+
+
 # ------------------------------------------------------------- table kernels
 
 
@@ -193,6 +202,11 @@ def test_centered_values_enumerates_table_kernels(rad):
     assert np.allclose(k.centered_values(x, x), k.pair_values(x, x))
 
 
+def test_centered_values_without_law_fails():
+    with pytest.raises(TypeError, match="dist"):
+        d.kernel_from_table("orphan", [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)])
+
+
 def test_registration_verify_catches_bad_second_moment(rad):
     from dataclasses import replace
     from diluteu.kernels import _verify_registration
@@ -225,6 +239,38 @@ def test_registration_rejects_features_that_disagree_with_h(skewed, norm):
     # and a wrong A with the right h is caught the same way
     with pytest.raises(d.ConfigurationError, match="differs from h"):
         _verify_registration(replace(prod, coef=np.array([[1.0 + 1e-6]])))
+
+
+_NO_G_CALLS = {
+    "centered_values": lambda k, law: k.centered_values(np.array([-1.0]), np.array([5.0])),
+    "hoeffding_parts": lambda k, law: d.hoeffding_parts(
+        np.array([-1.0, 5.0, -1.0]), d.sample_dilution(3, 1.0, 0), k
+    ),
+    "moments_mc": lambda k, law: d.moments_mc(k, law, 10, 0.5, m=200, seed=0),
+    "estimate_C1": lambda k, law: d.estimate_C1(k, law, 10, 0.5, 0.1, 200, 0),
+    "sweep_condition": lambda k, law: d.sweep_condition(
+        "C2", k, law, d.SeedPolicy(6), n_grid=(10,), eps_grid=(0.1,), m=200
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NO_G_CALLS))
+def test_kernel_with_law_but_no_g_is_rejected(call, skewed):
+    # bound to a law and carrying A, mu and Sigma, but no feature map phi,
+    # so no g, H or H~: such a kernel cannot be built, while the kernel
+    # with phi runs the call
+    sign = d.sign_kernel(skewed)
+    with pytest.raises(TypeError, match="features"):
+        d.KernelSpec(
+            name="no-g",
+            evaluate=sign.evaluate,
+            coef=sign.coef,
+            feature_mean=sign.feature_mean,
+            feature_moment=sign.feature_moment,
+            degenerate_flag=sign.degenerate_flag,
+            dist=skewed,
+        )
+    _NO_G_CALLS[call](sign, skewed)
 
 
 def test_kernel_without_its_form_or_law_fails_at_construction(rad, tmp_path):

@@ -96,6 +96,24 @@ def test_mc_moments_rejects_tiny_m(rad):
         d.moments_mc(k, rad, 10, 0.5, m=99, seed=0)
 
 
+def test_missing_closed_forms_name_the_remedy_not_the_other_route(rad):
+    # a table kernel without a law is refused when it is built, naming the
+    # missing law, so neither route is reached; bound to it, both routes
+    # agree with the product kernel x*y it tabulates
+    rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
+    with pytest.raises(TypeError, match="dist") as missing:
+        d.kernel_from_table("orphan", rows)
+    assert "moments" not in str(missing.value)
+    k = d.kernel_from_table("orphan", rows, dist=rad)
+    closed = d.moments_closed_form(k, rad, 10, 0.5)
+    exact = d.moments_closed_form(d.product_kernel(rad), rad, 10, 0.5)
+    mc = d.moments_mc(k, rad, 10, 0.5, m=200, seed=0)
+    for fieldname in ("beta2", "gamma2", "theta2", "var_u_exact"):
+        assert getattr(closed, fieldname) == pytest.approx(getattr(exact, fieldname), abs=1e-12)
+        gap = abs(getattr(mc, fieldname) - getattr(exact, fieldname))
+        assert gap <= 4 * mc.standard_errors[fieldname] + 1e-12, (fieldname, gap)
+
+
 def test_momentset_json_round_trip(skewed):
     k = d.sign_kernel(skewed)
     ms = d.moments_mc(k, skewed, 25, 0.4, m=500, seed=3)
