@@ -74,7 +74,9 @@ def _centered_row_sums(x, ii, jj, gvals, kernel: KernelSpec) -> np.ndarray:
     """
     if not ii.size:
         return np.zeros(x.size)
-    ht = kernel.pair_values(x[ii], x[jj]) - gvals[ii] - gvals[jj]
+    ht = kernel.pair_values(x[ii], x[jj])
+    ht -= gvals[ii]
+    ht -= gvals[jj]
     return np.bincount(jj, weights=ht, minlength=x.size)
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -124,7 +125,7 @@ class ExperimentConfig:
         if "ETA2" in self.conditions:
             _check_eta2_n(grid[-1])
         if self.m is not None:
-            for cid in self.conditions or _DEFAULT_CONDITIONS:
+            for cid in self.conditions:
                 _check_m(cid, self.m)
         for n in grid:
             p = self.p_at(n)  # under exponent a, dilution_regime warns if slow
@@ -457,26 +458,36 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
 
 
 def run_condition_sweep(config: ExperimentConfig):
-    """ConditionReports for the configured condition subset."""
+    """ConditionReports for the configured condition subset.
+
+    m is checked against every condition before the first sweep. The
+    config has already warned once per slow grid point, so the sweeps'
+    own slow-regime warnings are silenced.
+    """
     ids = config.conditions or _DEFAULT_CONDITIONS
+    if config.m is not None:
+        for cid in ids:
+            _check_m(cid, config.m)
     dist = config.dist
     kernel = kernel_by_name(config.kernel_name, dist)
     policy = config.policy()
     reports = []
-    for cid in ids:
-        reports.append(
-            sweep_condition(
-                cid,
-                kernel,
-                dist,
-                policy,
-                n_grid=config.n_grid,
-                eps_grid=config.eps_grid,
-                a=config.a if config.a is not None else 0.0,
-                m=config.m,
-                p_fixed=config.p,
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="slow regime", category=UserWarning)
+        for cid in ids:
+            reports.append(
+                sweep_condition(
+                    cid,
+                    kernel,
+                    dist,
+                    policy,
+                    n_grid=config.n_grid,
+                    eps_grid=config.eps_grid,
+                    a=config.a if config.a is not None else 0.0,
+                    m=config.m,
+                    p_fixed=config.p,
+                )
             )
-        )
     return reports
 
 

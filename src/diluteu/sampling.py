@@ -225,12 +225,6 @@ def sample_row(n: int, dist: DistributionSpec, seed) -> np.ndarray:
 # dilution graphs
 
 
-# Set bits per byte value; edge_count() relies on zero padding bits.
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
-
-
 @lru_cache(maxsize=2)
 def _complete_edges(n: int):
     """Read-only triu_indices(n, 1): the edge list of every complete graph."""
@@ -246,11 +240,13 @@ class DilutionGraph:
 
     Bits cover the n(n-1)/2 unordered pairs {i, j}, i < j, in row-major
     upper-triangle order, packed big-endian into ceil(C/8) bytes with zero
-    padding bits (checked at construction). The diagonal does not exist.
-    The packed bytes are the only stored form, O(n^2/8) bytes: the edge
-    list is derived on each call to edges() in O(C) byte work plus O(E)
-    index work, and no per-n index table is kept, except the read-only
-    triu_indices of the last two complete-graph sizes.
+    padding bits (checked at construction; edge_count() relies on them).
+    The diagonal does not exist. The packed bytes are the only stored form
+    of the pairs, O(n^2/8) bytes: the edge list is derived on each call to
+    edges() in O(C) byte work plus O(E) index work, and no per-n index
+    table is kept, except the read-only triu_indices of the last two
+    complete-graph sizes. The degree vector, 8n bytes, is computed on the
+    first call to degrees() and kept.
     """
 
     n: int
@@ -279,7 +275,7 @@ class DilutionGraph:
         return np.unpackbits(self.packed, count=self.pair_count).view(bool)
 
     def edge_count(self) -> int:
-        return int(_POPCOUNT[self.packed].sum(dtype=np.int64))
+        return int(np.bitwise_count(self.packed).sum(dtype=np.int64))
 
     def bit(self, i: int, j: int) -> int:
         n = self.n
@@ -294,23 +290,35 @@ class DilutionGraph:
         idx = i * (2 * n - i - 1) // 2 + (j - i - 1)
         return (int(self.packed[idx >> 3]) >> (7 - (idx & 7))) & 1
 
-    def edges(self):
-        """(ii, jj) arrays over the pairs with Z=1, ii < jj elementwise.
+    def _partners(self):
+        """(jj, counts) of an incomplete graph, None for a complete one.
 
-        Pairs come in storage order. A sorted linear pair index k in row i
-        (row offset off_i = i(2n-i-1)/2) maps to j = k - off_i + i + 1.
+        jj holds the larger index of each set pair in storage order and
+        counts[i] the number of those pairs in row i. A sorted linear pair
+        index k in row i (row offset off_i = i(2n-i-1)/2) maps to
+        j = k - off_i + i + 1.
         """
         n = self.n
         bits = self.bits()
         if bits.all():
-            return _complete_edges(n)
-        k = np.flatnonzero(bits)
+            return None
+        jj = np.flatnonzero(bits)
         rows = np.arange(n)
         off = rows * (2 * n - rows - 1) // 2
-        counts = np.diff(np.searchsorted(k, off), append=k.size)
-        ii = np.repeat(rows, counts)
-        jj = k - np.repeat(off - rows - 1, counts)
-        return ii, jj
+        counts = np.diff(np.searchsorted(jj, off), append=jj.size)
+        jj -= np.repeat(off - rows - 1, counts)
+        return jj, counts
+
+    def edges(self):
+        """(ii, jj) arrays over the pairs with Z=1, ii < jj elementwise.
+
+        Pairs come in storage order.
+        """
+        found = self._partners()
+        if found is None:
+            return _complete_edges(self.n)
+        jj, counts = found
+        return np.repeat(np.arange(self.n), counts), jj
 
     def dense(self) -> np.ndarray:
         """Full symmetric boolean matrix (diagonal False)."""
@@ -328,30 +336,56 @@ class DilutionGraph:
         return m
 
     def degrees(self) -> np.ndarray:
-        """Number of Z=1 pairs touching each vertex."""
-        ii, jj = self.edges()
-        return np.bincount(ii, minlength=self.n) + np.bincount(jj, minlength=self.n)
+        """Number of Z=1 pairs touching each vertex: read-only int64, length n.
+
+        Computed on the first call and kept on the graph; concurrent first
+        calls may each compute the same array.
+        """
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            found = self._partners()
+            if found is None:
+                deg = np.full(self.n, self.n - 1, dtype=np.int64)
+            else:
+                jj, counts = found
+                # row i's count covers the pairs (i, j); bincount the (j, i)
+                deg = counts + np.bincount(jj, minlength=self.n)
+            deg.setflags(write=False)
+            self.__dict__["_degrees"] = deg
+        return deg
 
 
 def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
-    """Independent Ber(p) per unordered pair; symmetric by construction."""
+    """Independent Ber(p) per unordered pair; symmetric by construction.
+
+    For 0 < p < 1, pair k is kept when the k-th uniform of the seeded
+    stream is below p. p = 0 and p = 1 draw nothing and build the packed
+    bytes directly (all bits clear or set, padding bits zero).
+    """
     if n < 1:
         raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
     c = n * (n - 1) // 2
+    nbytes = -(-c // 8)
     if p == 0.0:
-        bits = np.zeros(c, dtype=bool)
+        packed = np.zeros(nbytes, dtype=np.uint8)
     elif p == 1.0:
-        bits = np.ones(c, dtype=bool)
+        packed = np.full(nbytes, 0xFF, dtype=np.uint8)
+        if c % 8:
+            packed[-1] = (0xFF << (8 - c % 8)) & 0xFF
     else:
         rng = as_generator(seed)
         bits = np.empty(c, dtype=bool)
         chunk = 1 << 22
+        draws = np.empty(min(chunk, c))
         for start in range(0, c, chunk):
             stop = min(start + chunk, c)
-            bits[start:stop] = rng.random(stop - start) < p
-    return DilutionGraph(n=n, p=float(p), packed=np.packbits(bits))
+            u = draws[: stop - start]
+            rng.random(out=u)
+            np.less(u, p, out=bits[start:stop])
+        packed = np.packbits(bits)
+    return DilutionGraph(n=n, p=float(p), packed=packed)
 
 
 def dilution_regime(n: int, a: float) -> float:

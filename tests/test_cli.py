@@ -292,6 +292,35 @@ def test_conditions_too_small_m_exits_2_before_any_cell(monkeypatch, capsys):
         assert "C1 needs m >= 100" in captured.err
 
 
+def test_moments_mc_too_small_m_names_moments_mc(capsys):
+    code = run_main(["moments", "--method", "mc", "--m", "50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "moments_mc needs m >= 100" in captured.err
+    assert "C1" not in captured.err
+
+
+def test_conditions_warn_once_per_slow_grid_point(capsys):
+    # n*p = 1.35 at n=20 under a=0.9: the config warns, the sweeps do not
+    argv = ["conditions", "--a", "0.9", "--n", "20", "--conditions", "C1,C2", "--m", "100"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    capsys.readouterr()
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "slow regime" in messages[0], messages
+    # a sweep called on its own still warns
+    law = d.table([-1, 5], [5.0 / 6.0, 1.0 / 6.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d.sweep_condition(
+            "C1", d.sign_kernel(law), law, d.SeedPolicy(6), n_grid=(20,), eps_grid=(0.75,),
+            a=0.9, m=100,
+        )
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "slow regime" in messages[0], messages
+
+
 # ------------------------------------------------------------------- oracle
 
 

@@ -62,6 +62,27 @@ def test_eval_count_equals_edge_count(skewed):
     assert sum(evals) == g.edge_count()
 
 
+def test_realization_and_martingale_extract_edges_four_times(skewed, monkeypatch):
+    # compute_ustat, hoeffding_parts twice and the first degrees() call
+    # extract the edges; h runs on every edge in compute_ustat and in both
+    # hoeffding_parts calls
+    extracted = []
+    partners = d.DilutionGraph._partners
+
+    def counted(self):
+        extracted.append(self.n)
+        return partners(self)
+
+    monkeypatch.setattr(d.DilutionGraph, "_partners", counted)
+    evals = []
+    sign = d.sign_kernel(skewed)
+    k = replace(sign, evaluate=counting(sign.evaluate, evals))
+    real = d.sample_realization(200, skewed, k, 0.3, 6)
+    d.martingale_differences(real.x, real.z, k, 1.0)
+    assert len(extracted) <= 4
+    assert sum(evals) == 3 * real.z.edge_count() > 0
+
+
 def test_identity_on_empty_graph(skewed):
     k = d.sign_kernel(skewed)
     x = d.sample_row(8, skewed, 3)

@@ -212,7 +212,11 @@ def test_edges_match_triu_mask_reference(n, p):
     assert np.array_equal(ii, ri) and np.array_equal(jj, rj)
     assert g.edge_count() == ri.size
     deg = np.bincount(ri, minlength=n) + np.bincount(rj, minlength=n)
-    assert np.array_equal(g.degrees(), deg)
+    # computed once, kept on the graph and shared read-only
+    kept = g.degrees()
+    assert kept.dtype == np.int64 and kept.shape == (n,)
+    assert np.array_equal(kept, deg)
+    assert not kept.flags.writeable and g.degrees() is kept
     dense = np.zeros((n, n), dtype=bool)
     dense[ri, rj] = dense[rj, ri] = True
     assert np.array_equal(g.dense(), dense)
@@ -220,6 +224,27 @@ def test_edges_match_triu_mask_reference(n, p):
     assert low.dtype == np.float64
     assert np.array_equal(np.flatnonzero(low), np.sort(rj * n + ri))
     assert np.all(low[rj, ri] == 1.0)
+
+
+def test_degenerate_dilution_packed_bytes():
+    for n in range(1, 21):
+        c = n * (n - 1) // 2
+        for p, fill in ((0.0, np.zeros), (1.0, np.ones)):
+            packed = d.sample_dilution(n, p, 3).packed
+            assert packed.dtype == np.uint8
+            assert packed.tobytes() == np.packbits(fill(c, dtype=bool)).tobytes(), (n, p)
+
+
+def test_edge_count_matches_table_popcount():
+    table = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+    rng = rng_of(12)
+    for n in (2, 5, 9, 40, 301):
+        c = n * (n - 1) // 2
+        packed = rng.integers(0, 256, size=-(-c // 8), dtype=np.uint8)
+        if c % 8:
+            packed[-1] &= (0xFF << (8 - c % 8)) & 0xFF
+        g = d.DilutionGraph(n=n, p=0.5, packed=packed)
+        assert g.edge_count() == int(table[packed].sum())
 
 
 def test_complete_graph_edges_are_read_only():
