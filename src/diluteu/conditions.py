@@ -54,9 +54,10 @@ from .sampling import (
     SeedPolicy,
     as_generator,
     as_seed_sequence,
-    dilution_regime,
     sample_dilution,
     sample_row,
+    _regime_p,
+    _warn_if_slow,
 )
 
 __all__ = [
@@ -89,19 +90,7 @@ DEFAULT_N_GRID = (50, 100, 200, 400, 800)
 ETA2_MAX_N = 2000  # dense n x n float64 dilution matrix: 32 MB
 ABSOLUTE_FLOOR = 1e-3
 
-CONDITION_IDS = (
-    "C1",
-    "C2",
-    "C3",
-    "C4",
-    "C4'",
-    "C1''",
-    "C2''",
-    "C3''",
-    "ETA1",
-    "ETA2",
-)
-
+# replicates per cell when m is not given; the keys are the known condition ids
 DEFAULT_M = {
     "C1": 4096,
     "C2": 4096,
@@ -114,6 +103,7 @@ DEFAULT_M = {
     "ETA1": 256,
     "ETA2": 64,
 }
+CONDITION_IDS = tuple(DEFAULT_M)
 
 
 @dataclass(frozen=True)
@@ -291,6 +281,13 @@ def _check_eta2_n(n: int) -> None:
         )
 
 
+def _realizations(n, dist, p, seed, m):
+    """m (row, dilution graph) draws; draw r comes from child r of seed."""
+    for child in as_seed_sequence(seed).spawn(m):
+        sx, sz = child.spawn(2)
+        yield sample_row(n, dist, sx), sample_dilution(n, p, sz)
+
+
 def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     """m draws of the summed conditional variance of the differences.
 
@@ -324,13 +321,9 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     mu = np.asarray(kernel.feature_mean, np.float64)
     b = kernel.centered_pair_matrix
     rank = mu.size
-    children = as_seed_sequence(seed).spawn(m)
     out = np.empty(m)
     fut = (n - 1) - np.arange(n, dtype=np.float64)  # vertices after i
-    for r, child in enumerate(children):
-        sx, sz = child.spawn(2)
-        x = sample_row(n, dist, sx)
-        graph = sample_dilution(n, p, sz)
+    for r, (x, graph) in enumerate(_realizations(n, dist, p, seed, m)):
         cols = np.empty((n, rank + 2))
         cols[:, :rank] = np.asarray(kernel.features(x), np.float64) - mu
         cols[:, rank] = np.asarray(kernel.cross_conditional(x), np.float64) - eg2
@@ -365,10 +358,8 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
 
     # T1 part: per-replicate realizations
     t_vals = np.empty(m)
-    for r, child in enumerate(t_seed.spawn(m)):
-        cx, cz = child.spawn(2)
-        x = sample_row(n, dist, cx)
-        ii, jj = sample_dilution(n, p, cz).edges()
+    for r, (x, graph) in enumerate(_realizations(n, dist, p, t_seed, m)):
+        ii, jj = graph.edges()
         rows = _centered_row_sums(x, ii, jj, kernel.conditional_mean(x), kernel)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
@@ -516,6 +507,32 @@ class ConditionReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _check_n_grid(n_grid) -> Tuple[int, ...]:
+    """The n grid as ints, checked nonempty and strictly increasing."""
+    grid = tuple(int(v) for v in n_grid)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError("n grid must be nonempty and strictly increasing")
+    return grid
+
+
+def _check_sweep(condition_id, n_grid, eps_grid, m):
+    """(n grid, eps columns, m) of one condition sweep, checked before any cell runs."""
+    if condition_id not in CONDITION_IDS:
+        raise ConfigurationError(
+            "unknown condition %r (choose from %s)"
+            % (condition_id, ", ".join(CONDITION_IDS))
+        )
+    n_grid = _check_n_grid(n_grid)
+    if condition_id == "ETA2":
+        _check_eta2_n(n_grid[-1])
+    eps_free = condition_id in ("C4", "C4'", "ETA2")
+    eps_cols = () if eps_free else tuple(float(e) for e in eps_grid)
+    if not eps_free and not eps_cols:
+        raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
+    m = _check_m(condition_id, DEFAULT_M[condition_id] if m is None else m)
+    return n_grid, eps_cols, m
+
+
 def sweep_condition(
     condition_id: str,
     kernel: KernelSpec,
@@ -530,51 +547,39 @@ def sweep_condition(
     """Estimate one condition over the (n, eps) grid.
 
     The dilution is p = n^-a per grid point, or the constant p_fixed
-    when given. Every cell gets its own derived seed, so cells can be
-    recomputed in isolation and the grid is deterministic regardless of
-    evaluation order.
+    when given; a grid point with n*p < 10 warns once either way. The
+    plan (id, n and eps grids, m, ETA2 cap) is checked before any cell
+    runs. Every cell has its own derived seed, so cells can be recomputed
+    in isolation and the grid is the same in any evaluation order.
     """
-    if condition_id not in CONDITION_IDS:
-        raise ConfigurationError(
-            "unknown condition %r (choose from %s)"
-            % (condition_id, ", ".join(CONDITION_IDS))
-        )
-    n_grid = tuple(int(v) for v in n_grid)
-    if not n_grid or any(b <= a_ for a_, b in zip(n_grid, n_grid[1:])):
-        raise ConfigurationError("n grid must be nonempty and strictly increasing")
-    if condition_id == "ETA2":
-        _check_eta2_n(n_grid[-1])
-    eps_free = condition_id in ("C4", "C4'", "ETA2")
-    eps_cols = () if eps_free else tuple(float(e) for e in eps_grid)
-    if not eps_free and not eps_cols:
-        raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
+    n_grid, eps_cols, m = _check_sweep(condition_id, n_grid, eps_grid, m)
     ncol = max(1, len(eps_cols))
-    mm = _check_m(condition_id, DEFAULT_M[condition_id] if m is None else m)
     est = np.zeros((len(n_grid), ncol))
     ses = np.zeros((len(n_grid), ncol))
     spread = np.zeros(len(n_grid)) if condition_id == "ETA2" else None
     for r, n in enumerate(n_grid):
-        p = float(p_fixed) if p_fixed is not None else dilution_regime(n, a)
+        p = float(p_fixed) if p_fixed is not None else _regime_p(n, a)
+        _warn_if_slow(n, p, stacklevel=3)
         for c in range(ncol):
-            eps = None if eps_free else eps_cols[c]
+            eps = eps_cols[c] if eps_cols else None
             label = "cond/%s/n%d/eps%r" % (condition_id, n, eps)
             seed = policy.child(label, 0)
             if condition_id == "C1":
-                e = estimate_C1(kernel, dist, n, p, eps, mm, seed)
+                e = estimate_C1(kernel, dist, n, p, eps, m, seed)
             elif condition_id == "C2":
-                e = estimate_C2(kernel, dist, n, p, eps, mm, seed)
+                e = estimate_C2(kernel, dist, n, p, eps, m, seed)
             elif condition_id == "C3":
-                e = estimate_C3(kernel, dist, n, p, eps, mm, seed)
+                e = estimate_C3(kernel, dist, n, p, eps, m, seed)
             elif condition_id == "C4":
-                e = estimate_C4(kernel, dist, n, p, mm, seed)
+                e = estimate_C4(kernel, dist, n, p, m, seed)
             elif condition_id == "C4'":
-                e = estimate_C4prime(kernel, dist, n, p, mm, seed)
+                e = estimate_C4prime(kernel, dist, n, p, m, seed)
             elif condition_id.endswith("''"):
-                e = estimate_Cdoubleprime(condition_id, kernel, dist, n, p, eps, mm, seed)
+                e = estimate_Cdoubleprime(condition_id, kernel, dist, n, p, eps, m, seed)
             elif condition_id == "ETA1":
-                e = estimate_eta1_mean(kernel, dist, n, p, eps, mm, seed)
+                e = estimate_eta1_mean(kernel, dist, n, p, eps, m, seed)
             else:  # ETA2
-                sample = estimate_eta2(kernel, dist, n, p, mm, seed)
+                sample = estimate_eta2(kernel, dist, n, p, m, seed)
                 sd = float(sample.std(ddof=1)) if sample.size > 1 else 0.0
                 e = Estimate(value=float(sample.mean()), se=sd / math.sqrt(sample.size))
                 spread[r] = sd

@@ -25,12 +25,11 @@ import numpy as np
 from scipy.special import erf, gammaincinv, ndtr, roots_legendre
 
 from .conditions import (
-    CONDITION_IDS,
     DEFAULT_EPS_GRID,
     DEFAULT_N_GRID,
     ConditionReport,
-    _check_eta2_n,
-    _check_m,
+    _check_n_grid,
+    _check_sweep,
     sweep_condition,
 )
 from .decomposition import compute_ustat
@@ -44,9 +43,9 @@ from .moments import MomentSet, moments_closed_form, moments_mc
 from .sampling import (
     DistributionSpec,
     SeedPolicy,
-    dilution_regime,
     sample_dilution,
     sample_row,
+    _regime_p,
     _warn_if_slow,
 )
 
@@ -96,7 +95,6 @@ class ExperimentConfig:
     m: Optional[int] = None
     ks_threshold: float = DEFAULT_KS_THRESHOLD
     threads: int = 1
-    max_pair_evals: int = DEFAULT_MAX_PAIR_EVALS
     out_path: Optional[str] = None
     out_format: str = "csv"
     expected_verdicts: Dict[str, str] = field(default_factory=dict)
@@ -106,10 +104,7 @@ class ExperimentConfig:
             object.__setattr__(self, "dist", _default_dist())
         if self.R < 1:
             raise ConfigurationError("replication count must be >= 1")
-        grid = tuple(int(v) for v in self.n_grid)
-        if not grid or any(b <= a_ for a_, b in zip(grid, grid[1:])):
-            raise ConfigurationError("n grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "n_grid", _check_n_grid(self.n_grid))
         if (self.p is None) == (self.a is None):
             raise ConfigurationError("set exactly one of fixed p or exponent a")
         if self.standardization not in ("exact", "mc", "asymptotic"):
@@ -120,15 +115,9 @@ class ExperimentConfig:
         if self.out_format not in ("csv", "json"):
             raise ConfigurationError("format must be csv or json")
         for cid in self.conditions:
-            if cid not in CONDITION_IDS:
-                raise ConfigurationError("unknown condition id %r" % cid)
-        if "ETA2" in self.conditions:
-            _check_eta2_n(grid[-1])
-        if self.m is not None:
-            for cid in self.conditions:
-                _check_m(cid, self.m)
-        for n in grid:
-            p = self.p_at(n)  # under exponent a, dilution_regime warns if slow
+            _check_sweep(cid, self.n_grid, self.eps_grid, self.m)
+        for n in self.n_grid:
+            p = self.p_at(n)
             if not 0.0 < p <= 1.0:
                 raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
             if n * p < 1.0:
@@ -136,13 +125,13 @@ class ExperimentConfig:
                     "n*p = %.3f < 1 at n=%d; the sparse regime needs np >= 1"
                     % (n * p, n)
                 )
-            if self.p is not None:
-                _warn_if_slow(n, p, stacklevel=4)
+            _warn_if_slow(n, p, stacklevel=4)
 
     def p_at(self, n: int) -> float:
+        """p at n, fixed or n^-a; silent, as the config warned per slow grid point."""
         if self.p is not None:
             return float(self.p)
-        return dilution_regime(n, self.a)
+        return _regime_p(n, self.a)
 
     def policy(self) -> SeedPolicy:
         return SeedPolicy(master_seed=self.master_seed)
@@ -306,7 +295,6 @@ def _standardizer(config: ExperimentConfig, kernel: KernelSpec, dist, n: int, p:
 
 def _run_replicates(
     config: ExperimentConfig,
-    kernel: KernelSpec,
     dist,
     n: int,
     p: float,
@@ -321,10 +309,10 @@ def _run_replicates(
     """
     R = config.R
     expected = R * math.comb(n, 2) * p
-    if expected > config.max_pair_evals:
+    if expected > DEFAULT_MAX_PAIR_EVALS:
         raise ResourceBudgetError(
             "about %.3g kernel evaluations expected (R=%d, n=%d, p=%.3g), "
-            "over the %d budget" % (expected, R, n, p, config.max_pair_evals)
+            "over the %d budget" % (expected, R, n, p, DEFAULT_MAX_PAIR_EVALS)
         )
     policy = config.policy()
     out = np.empty(R)
@@ -363,7 +351,6 @@ def _standardized_replicates(config: ExperimentConfig, n: Optional[int]):
     denom, prov = _standardizer(config, kernel, dist, n, p)
     samples, evals = _run_replicates(
         config,
-        kernel,
         dist,
         n,
         p,
@@ -422,7 +409,6 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
     t0 = time.perf_counter()
     samples, evals = _run_replicates(
         config,
-        kernel,
         dist,
         n,
         1.0,
@@ -460,14 +446,13 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
 def run_condition_sweep(config: ExperimentConfig):
     """ConditionReports for the configured condition subset.
 
-    m is checked against every condition before the first sweep. The
-    config has already warned once per slow grid point, so the sweeps'
-    own slow-regime warnings are silenced.
+    Every condition's sweep plan (C1-C4 when none is named) is checked
+    before the first sweep. The config has already warned once per slow
+    grid point, so the sweeps' own slow-regime warnings are silenced.
     """
     ids = config.conditions or _DEFAULT_CONDITIONS
-    if config.m is not None:
-        for cid in ids:
-            _check_m(cid, config.m)
+    for cid in ids:
+        _check_sweep(cid, config.n_grid, config.eps_grid, config.m)
     dist = config.dist
     kernel = kernel_by_name(config.kernel_name, dist)
     policy = config.policy()

@@ -153,6 +153,7 @@ def moments_mc(
     E[h^2] is sampled; E[g^2] is sampled through the kernel's closed-form g.
     """
     n, p = _check_np(n, p)
+    _same_law(kernel, dist)
     m = int(m)
     if m < 100:
         raise ConfigurationError("moments_mc needs m >= 100; got %d" % m)

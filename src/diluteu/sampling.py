@@ -393,15 +393,21 @@ def dilution_regime(n: int, a: float) -> float:
 
     Exponents at or above 1 are rejected: they break the standing
     assumption that n*p diverges. Regimes with n*p < 10 are accepted but
-    flagged, since convergence there is slow at desk scale.
+    flagged on every call, since convergence there is slow at desk scale;
+    package code takes p from the silent _regime_p instead.
     """
+    p = _regime_p(n, a)
+    _warn_if_slow(n, p, stacklevel=3)
+    return p
+
+
+def _regime_p(n: int, a: float) -> float:
+    """p = n^(-a), with a checked to lie in [0, 1); never warns."""
     if not 0.0 <= a < 1.0:
         raise ConfigurationError(
             "dilution exponent a=%r outside [0, 1); n*p would not diverge" % a
         )
-    p = float(n) ** (-a)
-    _warn_if_slow(n, p, stacklevel=3)
-    return p
+    return float(n) ** (-a)
 
 
 def _warn_if_slow(n: int, p: float, stacklevel: int = 2) -> None:
@@ -436,6 +442,3 @@ class SeedPolicy:
         return SeedSequence(
             self.master_seed, spawn_key=(label_key, int(replication_index))
         )
-
-    def generator(self, stream_label: str, replication_index: int = 0) -> Generator:
-        return Generator(PCG64(self.child(stream_label, replication_index)))

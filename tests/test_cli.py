@@ -321,6 +321,34 @@ def test_conditions_warn_once_per_slow_grid_point(capsys):
     assert len(messages) == 1 and "slow regime" in messages[0], messages
 
 
+def test_conditions_empty_eps_grid_exits_2_before_any_cell(monkeypatch, capsys):
+    # C4 needs no eps grid but C1 does; the config rejects the pair before C4 runs
+    cells = []
+    monkeypatch.setattr(d.harness, "sweep_condition", lambda cid, *a, **kw: cells.append(cid))
+    code = run_main(
+        [
+            "conditions", "--conditions", "C4,C1", "--eps", "", "--n", "50,100",
+            "--a", "0.3", "--dist", "table:-1=5/6,5=1/6",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert cells == []
+    assert "C1 needs a nonempty eps grid" in captured.err
+
+
+@pytest.mark.parametrize("command", [["moments"], ["simulate", "--R", "50"]])
+def test_single_point_commands_warn_once_for_a_slow_point(command, capsys):
+    # n*p = 1.35 at n=20 under a=0.9; p_at is silent after the config warned
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(command + ["--a", "0.9", "--n", "20"]) == 0
+    capsys.readouterr()
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "slow regime" in messages[0], messages
+
+
 # ------------------------------------------------------------------- oracle
 
 

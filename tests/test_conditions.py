@@ -8,6 +8,7 @@ for the summed conditional variance.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,16 @@ def test_sweep_fixed_p_overrides_regime(skewed, policy):
         "C4", k, skewed, policy, n_grid=(20,), a=0.0, m=256, p_fixed=0.5
     )
     assert np.array_equal(rep.estimates, rep2.estimates)
+
+
+def test_sweep_with_fixed_p_warns_once_per_slow_grid_point(skewed, policy):
+    # n*p = 1 at n=20: a fixed p warns like the exponent a does
+    k = d.sign_kernel(skewed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d.sweep_condition("C4", k, skewed, policy, n_grid=(20,), m=100, p_fixed=0.05)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "slow regime" in messages[0], messages
 
 
 def test_sweep_rejects_unknown_condition(skewed, policy):

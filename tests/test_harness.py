@@ -164,6 +164,12 @@ def test_config_validation_errors(norm):
         sign_config(p=0.1, n_grid=(60,))  # np = 6
 
 
+def test_config_rejects_an_empty_eps_grid_for_eps_conditions():
+    with pytest.raises(d.ConfigurationError, match="C1 needs a nonempty eps grid"):
+        sign_config(conditions=("C1",), eps_grid=())
+    sign_config(conditions=("C4", "ETA2"), eps_grid=())  # eps-free
+
+
 def test_config_warns_once_per_slow_grid_point(skewed):
     # n*p is 1.35 at n=20 and 1.4 to 2.0 at n=30, under exponent a and
     # under fixed p alike: one warning per grid point either way
@@ -233,10 +239,16 @@ def test_replicate_eval_accounting():
     assert res.eval_count == total
 
 
-def test_budget_guard_trips():
-    cfg = sign_config(R=200, max_pair_evals=1000)
+def test_budget_guard_trips(monkeypatch):
+    # R * C(n, 2) * p = 2000 * 1999000 = 4.0e9 expected evaluations, over
+    # DEFAULT_MAX_PAIR_EVALS; the guard trips before any row is drawn
+    rows = []
+    monkeypatch.setattr(d.harness, "sample_row", lambda *a: rows.append(a))
+    cfg = sign_config(n_grid=(2000,), p=1.0, R=2000)
+    assert cfg.R * math.comb(2000, 2) > d.harness.DEFAULT_MAX_PAIR_EVALS
     with pytest.raises(d.ResourceBudgetError):
         d.replicate_standardized(cfg)
+    assert rows == []
 
 
 def test_standardizations_agree_at_scale(skewed):

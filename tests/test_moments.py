@@ -54,6 +54,14 @@ def test_moments_rejects_foreign_law(rad, norm):
         d.moments_closed_form(k, norm, n=5, p=0.5)
 
 
+def test_moments_mc_rejects_foreign_law(skewed, rad):
+    # the sign kernel's g belongs to the skewed law; sampling Rademacher
+    # rows through it would mix the two laws
+    k = d.sign_kernel(skewed)
+    with pytest.raises(d.ConfigurationError, match="registered against"):
+        d.moments_mc(k, rad, 100, 0.5, 1000, 1)
+
+
 def test_asymptotic_variance_ratio(skewed):
     # n^2 theta^2 over binom(n,2) (beta2 + 2(n-2) p gamma2) tends to 1
     k = d.sign_kernel(skewed)
