@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .conditions import CONDITION_IDS, DEFAULT_EPS_GRID, DEFAULT_N_GRID
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
             if args.method == "mc":
                 ms = moments_mc(
                     kernel, config.dist, n, p,
-                    m=config.m or 100_000,
+                    m=100_000 if config.m is None else config.m,
                     seed=config.policy().child("moments-cli", 0),
                 )
             else:
@@ -273,11 +274,18 @@ def main(argv=None) -> int:
             return 0 if result.decision == "pass" else 1
         if args.command == "counterexample":
             vs_normal, vs_chi = run_counterexample(config)
-            _emit(config, [vs_normal, vs_chi])
-            # the square-law gate uses the exact finite-n law; the limit
-            # Z^2 - 1 in the report row is about 0.08 from it at n=500
+            # the square-law gate uses the exact finite-n law, reported in
+            # its own row; the limit Z^2 - 1 is about 0.08 from it at n=500
             n = vs_chi.n
             ks_exact = ks_distance(vs_chi.samples, lambda t: square_law_n_cdf(t, n))
+            vs_exact = replace(
+                vs_chi,
+                target="square_law_n",
+                ks_statistic=ks_exact,
+                decision="pass" if ks_exact < config.ks_threshold else "fail",
+                note="exact finite-n law of n*U: Z^2 - chi2(n-1)/(n-1)",
+            )
+            _emit(config, [vs_normal, vs_chi, vs_exact])
             ok = vs_normal.ks_statistic > 0.15 and ks_exact < config.ks_threshold
             if not ok:
                 sys.stderr.write(

@@ -533,6 +533,18 @@ def _check_sweep(condition_id, n_grid, eps_grid, m):
     return n_grid, eps_cols, m
 
 
+def _check_p(n: int, p) -> float:
+    """Dilution p at grid point n as a float, checked: 0 < p <= 1 and n*p >= 1."""
+    p = float(p)
+    if not 0.0 < p <= 1.0:
+        raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
+    if n * p < 1.0:
+        raise ConfigurationError(
+            "n*p = %.3f < 1 at n=%d; the sparse regime needs np >= 1" % (n * p, n)
+        )
+    return p
+
+
 def sweep_condition(
     condition_id: str,
     kernel: KernelSpec,
@@ -548,17 +560,21 @@ def sweep_condition(
 
     The dilution is p = n^-a per grid point, or the constant p_fixed
     when given; a grid point with n*p < 10 warns once either way. The
-    plan (id, n and eps grids, m, ETA2 cap) is checked before any cell
-    runs. Every cell has its own derived seed, so cells can be recomputed
-    in isolation and the grid is the same in any evaluation order.
+    plan (id, n and eps grids, m, ETA2 cap, and p at every grid point) is
+    checked before any cell runs. Every cell has its own derived seed, so
+    cells can be recomputed in isolation and the grid is the same in any
+    evaluation order.
     """
     n_grid, eps_cols, m = _check_sweep(condition_id, n_grid, eps_grid, m)
+    ps = [
+        _check_p(n, p_fixed if p_fixed is not None else _regime_p(n, a))
+        for n in n_grid
+    ]
     ncol = max(1, len(eps_cols))
     est = np.zeros((len(n_grid), ncol))
     ses = np.zeros((len(n_grid), ncol))
     spread = np.zeros(len(n_grid)) if condition_id == "ETA2" else None
-    for r, n in enumerate(n_grid):
-        p = float(p_fixed) if p_fixed is not None else _regime_p(n, a)
+    for r, (n, p) in enumerate(zip(n_grid, ps)):
         _warn_if_slow(n, p, stacklevel=3)
         for c in range(ncol):
             eps = eps_cols[c] if eps_cols else None

@@ -29,6 +29,7 @@ from .conditions import (
     DEFAULT_N_GRID,
     ConditionReport,
     _check_n_grid,
+    _check_p,
     _check_sweep,
     sweep_condition,
 )
@@ -117,14 +118,7 @@ class ExperimentConfig:
         for cid in self.conditions:
             _check_sweep(cid, self.n_grid, self.eps_grid, self.m)
         for n in self.n_grid:
-            p = self.p_at(n)
-            if not 0.0 < p <= 1.0:
-                raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
-            if n * p < 1.0:
-                raise ConfigurationError(
-                    "n*p = %.3f < 1 at n=%d; the sparse regime needs np >= 1"
-                    % (n * p, n)
-                )
+            p = _check_p(n, self.p_at(n))
             _warn_if_slow(n, p, stacklevel=4)
 
     def p_at(self, n: int) -> float:

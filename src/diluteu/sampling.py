@@ -10,6 +10,12 @@ Seed derivation is counter-based: a master seed plus a (stream label,
 replication index) pair is mixed into a child seed by a fixed public
 function (SHA-256 of the label, folded into a numpy SeedSequence spawn
 key). Distinct labels and indices give independent streams.
+
+Within a stream, a dilution graph with 0 < p < 1 spends one byte of the
+generator's raw 64-bit words per pair (little-endian byte order, pair k
+in byte k % 8 of word k // 8) and one uniform per pair whose byte ties
+with the top 8 bits of p, drawn after all the words; see
+sample_dilution. The draw does not depend on how the pairs are chunked.
 """
 
 from __future__ import annotations
@@ -358,9 +364,17 @@ class DilutionGraph:
 def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
     """Independent Ber(p) per unordered pair; symmetric by construction.
 
-    For 0 < p < 1, pair k is kept when the k-th uniform of the seeded
-    stream is below p. p = 0 and p = 1 draw nothing and build the packed
-    bytes directly (all bits clear or set, padding bits zero).
+    For 0 < p < 1, with top = floor(256 p) and frac = 256 p - top, pair
+    k (storage order) reads byte k % 8 of the little-endian bytes of the
+    (k // 8)-th random_raw word of the seeded generator. The pair is kept
+    when that byte is below top; on a tie with top it is kept when its
+    uniform is below frac. The tie uniforms come from one rng.random
+    call over the ties in storage order, after all the words, and are
+    skipped when frac = 0. So P(keep) = p within 2^-61, pairs are
+    independent, and the stream depends on neither the internal chunk
+    size nor the platform's byte order. p = 0 and p = 1 draw nothing and
+    build the packed bytes directly (all bits clear or set, padding bits
+    zero).
     """
     if n < 1:
         raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
@@ -376,14 +390,24 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
             packed[-1] = (0xFF << (8 - c % 8)) & 0xFF
     else:
         rng = as_generator(seed)
+        # both exact in float64: 256p only shifts the exponent
+        top = int(p * 256.0)
+        frac = p * 256.0 - top
         bits = np.empty(c, dtype=bool)
-        chunk = 1 << 22
-        draws = np.empty(min(chunk, c))
+        ties = []
+        chunk = 1 << 22  # a multiple of 8, so a chunk starts on a word
         for start in range(0, c, chunk):
             stop = min(start + chunk, c)
-            u = draws[: stop - start]
-            rng.random(out=u)
-            np.less(u, p, out=bits[start:stop])
+            words = rng.bit_generator.random_raw(-(-(stop - start) // 8))
+            byte = words.astype("<u8", copy=False).view(np.uint8)[: stop - start]
+            np.less(byte, top, out=bits[start:stop])
+            if frac:
+                tie = np.flatnonzero(byte == top)
+                tie += start
+                ties.append(tie)
+        if ties:
+            tie = np.concatenate(ties)
+            bits[tie] = rng.random(tie.size) < frac
         packed = np.packbits(bits)
     return DilutionGraph(n=n, p=float(p), packed=packed)
 

@@ -204,6 +204,10 @@ def test_counterexample_small_n_exits_1(capsys):
     # far from normal even at this size
     ks_normal = float(captured.out.strip().splitlines()[2].split(",")[3])
     assert ks_normal > 0.15
+    # the exact-law row carries the gate that failed
+    exact = captured.out.strip().splitlines()[4].split(",")
+    assert exact[0] == "square_law_n" and exact[5] == "fail"
+    assert "ks_square_law_n=%.4f" % float(exact[3]) in captured.err
 
 
 def test_counterexample_passes_against_the_exact_law(capsys):
@@ -214,6 +218,10 @@ def test_counterexample_passes_against_the_exact_law(capsys):
     assert code == 0
     assert captured.err == ""
     assert "chi1_shifted," in captured.out
+    # the row the exit code reads says pass, whatever the limit row says
+    exact = captured.out.strip().splitlines()[4].split(",")
+    assert exact[0] == "square_law_n" and exact[5] == "pass"
+    assert float(exact[3]) < 0.05
 
 
 # --------------------------------------------------------------- conditions
@@ -298,6 +306,14 @@ def test_moments_mc_too_small_m_names_moments_mc(capsys):
     assert code == 2
     assert "moments_mc needs m >= 100" in captured.err
     assert "C1" not in captured.err
+
+
+def test_moments_mc_zero_m_is_not_the_default(capsys):
+    # --m 0 is an explicit, too small m, not a request for the default
+    code = run_main(["moments", "--method", "mc", "--m", "0", "--n", "50", "--p", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "moments_mc needs m >= 100" in captured.err
 
 
 def test_conditions_warn_once_per_slow_grid_point(capsys):

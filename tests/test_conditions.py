@@ -434,6 +434,21 @@ def test_sweep_rejects_unknown_condition(skewed, policy):
         d.sweep_condition("C7", k, skewed, policy, n_grid=(20,))
 
 
+@pytest.mark.parametrize(
+    "p_fixed, match", [(0.01, "n\\*p = 0.200 < 1 at n=20"), (1.5, "p=1.5 out of range")]
+)
+def test_sweep_rejects_a_bad_p_before_any_cell(rad, policy, monkeypatch, p_fixed, match):
+    # the config's per-grid-point p rule: 0 < p <= 1 and n*p >= 1
+    cells = []
+    monkeypatch.setattr(d.conditions, "estimate_C4", lambda *a: cells.append(a))
+    k = d.sign_kernel(rad)
+    with pytest.raises(d.ConfigurationError, match=match):
+        d.sweep_condition("C4", k, rad, policy, n_grid=(20, 40), m=100, p_fixed=p_fixed)
+    assert cells == []
+    with pytest.raises(d.ConfigurationError, match=match):
+        d.ExperimentConfig(dist=rad, n_grid=(20, 40), p=p_fixed)
+
+
 def test_default_m_covers_all_conditions():
     assert set(DEFAULT_M) == set(d.CONDITION_IDS)
 

@@ -195,6 +195,75 @@ def test_dilution_bitset_roundtrip(n, p, seed):
     assert np.array_equal(g.degrees(), m.sum(axis=1).astype(int))
 
 
+def _reference_dilution(n, p, rng):
+    # the byte rule written out over all words at once, with no chunks:
+    # pair k reads bits 8(k%8)..8(k%8)+7 of word k//8; ties draw last
+    c = n * (n - 1) // 2
+    words = rng.bit_generator.random_raw(-(-c // 8))
+    k = np.arange(c)
+    byte = (words[k // 8] >> (8 * (k % 8)).astype(np.uint64)) & np.uint64(0xFF)
+    top = math.floor(256 * p)
+    frac = 256 * p - top
+    keep = byte < top
+    tie = np.flatnonzero(byte == top)
+    if frac > 0:
+        keep[tie] = rng.random(tie.size) < frac
+    return np.packbits(keep)
+
+
+# 0.002: top 0, every kept pair is a tie; 0.25: frac 0, no tie draws;
+# 0.999: top 255
+SAMPLER_PS = (0.002, 0.25, 0.3, 0.999)
+
+
+@pytest.mark.parametrize(
+    "n, p", [(300, q) for q in SAMPLER_PS] + [(3000, 0.3)]  # 3000 crosses the 2**22 chunk
+)
+def test_dilution_matches_byte_rule_reference(n, p):
+    got_rng, ref_rng = rng_of(70 + n), rng_of(70 + n)
+    g = d.sample_dilution(n, p, got_rng)
+    assert np.array_equal(g.packed, _reference_dilution(n, p, ref_rng))
+    # both left the generator at the same point: same words, same ties
+    assert got_rng.bit_generator.random_raw() == ref_rng.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("p", SAMPLER_PS)
+def test_dilution_pooled_edge_count_is_binomial(p):
+    R, n = 40, 300
+    trials = R * math.comb(n, 2)
+    total = sum(
+        d.sample_dilution(n, p, np.random.SeedSequence((31, r))).edge_count()
+        for r in range(R)
+    )
+    assert abs(total - trials * p) < 5 * math.sqrt(trials * p * (1 - p))
+
+
+# sample_dilution(12, 0.3, 2024): 66 pairs, 22 kept
+GOLDEN_N12_P03_SEED2024 = "1611064000b12bdb00"
+
+
+def test_dilution_golden_packed_bytes():
+    g = d.sample_dilution(12, 0.3, 2024)
+    assert g.packed.tobytes().hex() == GOLDEN_N12_P03_SEED2024
+
+
+def test_dilution_sampling_memory_bound():
+    # one byte per pair in flight: the bool vector plus a chunk of words
+    # and its tie mask, not a float64 per pair
+    n = 3000
+    c = n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = d.sample_dilution(n, 0.3, 8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.pair_count == c
+    assert peak < 4 * c
+
+
 def _reference_edges(g):
     # the triu-mask gather over all C pairs that edges() once used
     iu, ju = np.triu_indices(g.n, k=1)
