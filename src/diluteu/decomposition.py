@@ -12,6 +12,11 @@ count. The same sum splits, pointwise in (x, Z), into per-index pieces
 where deg_i is the dilution degree of vertex i and h~ is the centered
 kernel. Dividing the pieces by n*theta gives the martingale-difference
 arrays used by the normal-approximation bounds.
+
+Both sums walk the edge list in blocks of _BLOCK edges: the row values
+gathered on either side, the kernel values and the centered terms exist
+for one block at a time, so evaluation holds O(_BLOCK) float temporaries
+on top of the edge list instead of several arrays of E floats.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ __all__ = [
     "sample_realization",
 ]
 
+# Edges per kernel call: each float64 temporary of a block is 256 KiB.
+_BLOCK = 1 << 15
+
 
 def _check_row_graph(x: np.ndarray, graph: DilutionGraph) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -55,29 +63,39 @@ def _check_row_graph(x: np.ndarray, graph: DilutionGraph) -> np.ndarray:
 
 
 def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
-    """U over the retained pairs; exactly edge_count() kernel evaluations."""
+    """U over the retained pairs; exactly edge_count() kernel evaluations.
+
+    The edges are evaluated in blocks of _BLOCK and the block sums added,
+    so U can differ from one sum over all E values in its last bits.
+    """
     x = _check_row_graph(x, graph)
     n = graph.n
     if n < 2:
         raise ConfigurationError("need at least two observations")
     ii, jj = graph.edges()
-    if ii.size == 0:
-        return 0.0
-    vals = kernel.pair_values(x[ii], x[jj])
-    return float(vals.sum()) / math.comb(n, 2)
+    total = 0.0
+    for lo in range(0, ii.size, _BLOCK):
+        bi, bj = ii[lo : lo + _BLOCK], jj[lo : lo + _BLOCK]
+        total += float(kernel.pair_values(x[bi], x[bj]).sum())
+    return total / math.comb(n, 2)
 
 
 def _centered_row_sums(x, ii, jj, gvals, kernel: KernelSpec) -> np.ndarray:
     """Per-index sums of h~(x_i, x_j) over the edges (ii, jj), ii < jj.
 
     Each pair is charged to its larger index jj; gvals is g on the row.
+    The edges are evaluated in blocks of _BLOCK, each edge once, and the
+    centered terms added in edge order, as one bincount over all E
+    weights would add them, so the sums are bit-identical to it.
     """
-    if not ii.size:
-        return np.zeros(x.size)
-    ht = kernel.pair_values(x[ii], x[jj])
-    ht -= gvals[ii]
-    ht -= gvals[jj]
-    return np.bincount(jj, weights=ht, minlength=x.size)
+    out = np.zeros(x.size)
+    for lo in range(0, ii.size, _BLOCK):
+        bi, bj = ii[lo : lo + _BLOCK], jj[lo : lo + _BLOCK]
+        ht = kernel.pair_values(x[bi], x[bj])
+        ht -= gvals[bi]
+        ht -= gvals[bj]
+        np.add.at(out, bj, ht)
+    return out
 
 
 def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
@@ -87,12 +105,15 @@ def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     centered remainder h~(x_i, x_j) of each retained pair is charged to
     its larger index, so phi_tilde_part[i] sums over j < i. The identity
     holds for every realization, not just in expectation. g is evaluated
-    once, on the row, and indexed per edge.
+    once, on the row, and indexed per edge; h once per edge, in blocks of
+    _BLOCK. The degrees are taken before the edge list, so their first
+    computation never extracts a second list while this one is held.
     """
     x = _check_row_graph(x, graph)
+    deg = graph.degrees()
     ii, jj = graph.edges()
     gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
-    psi_part = gvals * graph.degrees()
+    psi_part = gvals * deg
     return psi_part, _centered_row_sums(x, ii, jj, gvals, kernel)
 
 

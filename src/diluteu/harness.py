@@ -308,14 +308,17 @@ def _run_replicates(
             "about %.3g kernel evaluations expected (R=%d, n=%d, p=%.3g), "
             "over the %d budget" % (expected, R, n, p, DEFAULT_MAX_PAIR_EVALS)
         )
-    policy = config.policy()
+    # replicate r's two streams are the spawn(2) children of
+    # policy.child(label, r); build them from the label's key directly
+    base = config.policy().child(label, 0)
+    entropy, key = base.entropy, base.spawn_key[0]
     out = np.empty(R)
     evals = np.zeros(R, dtype=np.int64)
 
     def run_range(lo: int, hi: int) -> None:
         for r in range(lo, hi):
-            seq = policy.child(label, r)
-            sx, sz = seq.spawn(2)
+            sx = np.random.SeedSequence(entropy, spawn_key=(key, r, 0))
+            sz = np.random.SeedSequence(entropy, spawn_key=(key, r, 1))
             x = sample_row(n, dist, sx)
             graph = sample_dilution(n, p, sz)
             out[r] = statistic(x, graph)

@@ -305,13 +305,21 @@ class DilutionGraph:
         j = k - off_i + i + 1.
         """
         n = self.n
-        bits = self.bits()
-        if bits.all():
+        # complete: every full byte 0xFF and the last one's pair bits set,
+        # read from the packed bytes so the C-byte unpack is skipped
+        full, rest = divmod(self.pair_count, 8)
+        packed = self.packed
+        if packed[:full].min(initial=0xFF) == 0xFF and (
+            not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
+        ):
             return None
-        jj = np.flatnonzero(bits)
+        jj = np.flatnonzero(self.bits())
         rows = np.arange(n)
         off = rows * (2 * n - rows - 1) // 2
-        counts = np.diff(np.searchsorted(jj, off), append=jj.size)
+        starts = np.searchsorted(jj, off)
+        counts = np.empty(n, dtype=np.int64)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = jj.size - starts[-1]
         jj -= np.repeat(off - rows - 1, counts)
         return jj, counts
 

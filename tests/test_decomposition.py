@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,63 @@ def test_identity_on_empty_graph(skewed):
     assert d.compute_ustat(x, g, k) == 0.0
     psi, phi = d.hoeffding_parts(x, g, k)
     assert np.all(psi == 0.0) and np.all(phi == 0.0)
+
+
+def unblocked_parts(x, graph, kernel):
+    """U, psi and phi~ from one gather and one bincount over all E edges."""
+    ii, jj = graph.edges()
+    gv = kernel.conditional_mean(x)
+    h = kernel.pair_values(x[ii], x[jj])
+    u = float(h.sum()) / math.comb(graph.n, 2)
+    h -= gv[ii]
+    h -= gv[jj]
+    return u, gv * graph.degrees(), np.bincount(jj, weights=h, minlength=graph.n)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [8, 40])
+def test_blocked_evaluation_matches_unblocked(skewed, monkeypatch, block, p, n):
+    # n=8 keeps E < 64; at n=40, p=1, E = 780 is no multiple of 7 or 64
+    monkeypatch.setattr(d.decomposition, "_BLOCK", block)
+    sign = d.sign_kernel(skewed)
+    x = d.sample_row(n, skewed, 31 + n)
+    graph = d.sample_dilution(n, p, 32 + n)
+    e = graph.edge_count()
+    u_ref, psi_ref, phi_ref = unblocked_parts(x, graph, sign)
+    evals = []
+    k = replace(sign, evaluate=counting(sign.evaluate, evals))
+
+    u = d.compute_ustat(x, graph, k)
+    assert sum(evals) == e and len(evals) == -(-e // block)
+    assert all(size == block for size in evals[:-1])
+    assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300)
+
+    evals.clear()
+    psi, phi = d.hoeffding_parts(x, graph, k)
+    assert sum(evals) == e and len(evals) == -(-e // block)
+    assert np.array_equal(psi, psi_ref) and np.array_equal(phi, phi_ref)
+    gap = abs(math.comb(n, 2) * u - float(psi.sum() + phi.sum()))
+    assert gap <= 1e-10 * max(1.0, abs(u))
+
+
+def test_blocked_evaluation_edge_list_sizes(skewed):
+    # E = 0, E < _BLOCK and a ragged last block, at the module's block size
+    block = d.decomposition._BLOCK
+    sign = d.sign_kernel(skewed)
+    for n, p in [(50, 0.0), (50, 0.5), (300, 1.0)]:
+        x = d.sample_row(n, skewed, n)
+        graph = d.sample_dilution(n, p, n + 1)
+        e = graph.edge_count()
+        evals = []
+        k = replace(sign, evaluate=counting(sign.evaluate, evals))
+        u_ref, psi_ref, phi_ref = unblocked_parts(x, graph, sign)
+        u = d.compute_ustat(x, graph, k)
+        psi, phi = d.hoeffding_parts(x, graph, k)
+        assert evals == 2 * ([block] * (e // block) + [e % block] * (e % block > 0))
+        assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300)
+        assert np.array_equal(psi, psi_ref) and np.array_equal(phi, phi_ref)
+    assert 0 < e % block and e > block  # the last graph's final block is ragged
 
 
 @given(
@@ -233,3 +291,46 @@ def test_sample_realization_reuses_given_graph(skewed):
     # row draw still deterministic in the seed
     r2 = d.sample_realization(9, skewed, k, 0.5, 124, graph=g)
     assert np.array_equal(r.x, r2.x)
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate during fn(), above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_is_bounded_by_the_edge_list(skewed):
+    # blocks keep the float temporaries at O(_BLOCK); the extraction's own
+    # peak, about 5 C bytes here, is what remains
+    n, p = 3000, 0.3
+    c = math.comb(n, 2)
+    k = d.sign_kernel(skewed)
+    x = d.sample_row(n, skewed, 1)
+    packed = d.sample_dilution(n, p, 2).packed
+    d.compute_ustat(x, d.DilutionGraph(n=n, p=p, packed=packed), k)
+    # fresh graphs, so hoeffding_parts also pays the first degrees() call
+    ustat = traced_peak(
+        lambda: d.compute_ustat(x, d.DilutionGraph(n=n, p=p, packed=packed), k)
+    )
+    parts = traced_peak(
+        lambda: d.hoeffding_parts(x, d.DilutionGraph(n=n, p=p, packed=packed), k)
+    )
+    assert ustat < 7 * c and parts < 7 * c
+
+
+def test_complete_graph_evaluation_memory_is_independent_of_c(norm):
+    # the complete graph's edge list is the cached triu_indices (16 C bytes,
+    # filled by the warm-up call); evaluation adds only its blocks
+    n = 2000
+    c = math.comb(n, 2)
+    k = d.product_kernel(norm)
+    x = d.sample_row(n, norm, 3)
+    graph = d.sample_dilution(n, 1.0, 0)
+    d.compute_ustat(x, graph, k)
+    assert traced_peak(lambda: d.compute_ustat(x, graph, k)) < c

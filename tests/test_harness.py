@@ -218,6 +218,33 @@ def test_replicates_deterministic_and_thread_independent():
     assert s1.shape == (200,)
 
 
+def test_replicate_streams_are_the_spawned_children_of_the_label():
+    # _run_replicates builds replicate r's row and graph streams from the
+    # label's entropy and key; they must be policy.child(label, r).spawn(2)
+    pol = d.SeedPolicy(master_seed=6)
+    for label in ("replicate/n60", "counterexample/n500", "x"):
+        base = pol.child(label, 0)
+        for r in (0, 1, 2, 1999):
+            spawned = pol.child(label, r).spawn(2)
+            for i in (0, 1):
+                direct = np.random.SeedSequence(
+                    base.entropy, spawn_key=(base.spawn_key[0], r, i)
+                )
+                assert np.array_equal(
+                    direct.generate_state(4), spawned[i].generate_state(4)
+                )
+    # and the replicates themselves replay from the spawned children
+    cfg = sign_config(R=20)
+    kernel = d.kernel_by_name("sign", cfg.dist)
+    u = []
+    for r in range(20):
+        sx, sz = cfg.policy().child("replicate/n60", r).spawn(2)
+        graph = d.sample_dilution(60, cfg.p_at(60), sz)
+        u.append(d.compute_ustat(d.sample_row(60, cfg.dist, sx), graph, kernel))
+    s = d.replicate_standardized(cfg)
+    assert np.allclose(s * (u[0] / s[0]), u, rtol=1e-14, atol=0.0)
+
+
 def test_replicates_single_run():
     cfg = sign_config(R=1)
     s = d.replicate_standardized(cfg)
