@@ -15,10 +15,9 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .conditions import CONDITION_IDS, DEFAULT_EPS_GRID, DEFAULT_N_GRID
+from .conditions import CONDITION_IDS
 from .errors import ConfigurationError, ResourceBudgetError
 from .harness import (
-    DEFAULT_KS_THRESHOLD,
     ExperimentConfig,
     emit_report,
     ks_distance,
@@ -99,62 +98,63 @@ def _float_list(text: str):
     return tuple(float(Fraction(v)) for v in text.split(",") if v.strip())
 
 
+def _fraction(text: str) -> float:
+    return float(Fraction(text))
+
+
+# config-file key -> (dest of its flag, ExperimentConfig field, parser of
+# the file's text). Flags arrive parsed and win over the file; dist, from
+# either, goes through parse_dist last. A field that neither sets keeps
+# ExperimentConfig's default.
+_CONFIG_KEYS = {
+    "kernel": ("kernel", "kernel_name", str),
+    "dist": ("dist", "dist", str),
+    "n_grid": ("n", "n_grid", _int_list),
+    "p": ("p", "p", _fraction),
+    "a": ("a", "a", _fraction),
+    "R": ("R", "R", int),
+    "seed": ("seed", "master_seed", int),
+    "standardization": ("standardization", "standardization", str),
+    "eps_grid": ("eps", "eps_grid", _float_list),
+    "conditions": (
+        "conditions",
+        "conditions",
+        lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
+    ),
+    "m": ("m", "m", int),
+    "ks_threshold": ("ks_threshold", "ks_threshold", float),
+    "threads": ("threads", "threads", int),
+    "out": ("out", "out_path", str),
+    "format": ("format", "out_format", str),
+}
+
+
 def _build_config(args) -> ExperimentConfig:
-    file_opts = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_opts:
-            return convert(file_opts[key])
-        return default
-
-    expected = {
-        k[len("expect."):]: v
-        for k, v in file_opts.items()
-        if k.startswith("expect.")
-    }
-    if getattr(args, "expect", None):
-        for item in args.expect:
-            cid, _, verdict = item.partition("=")
-            if not verdict:
-                raise ConfigurationError("--expect looks like COND=verdict")
-            expected[cid] = verdict
-
-    p = pick(getattr(args, "p", None), "p", lambda s: float(Fraction(s)), None)
-    a = pick(getattr(args, "a", None), "a", lambda s: float(Fraction(s)), None)
-    if p is None and a is None:
-        a = 0.0
-    return ExperimentConfig(
-        kernel_name=pick(getattr(args, "kernel", None), "kernel", str, "sign"),
-        dist=parse_dist(pick(getattr(args, "dist", None), "dist", str, "rademacher")),
-        n_grid=pick(getattr(args, "n", None), "n_grid", _int_list, DEFAULT_N_GRID),
-        p=p,
-        a=a,
-        R=pick(getattr(args, "R", None), "R", int, 2000),
-        master_seed=pick(args.seed, "seed", int, 6),
-        standardization=pick(
-            getattr(args, "standardization", None), "standardization", str, "exact"
-        ),
-        eps_grid=pick(getattr(args, "eps", None), "eps_grid", _float_list, DEFAULT_EPS_GRID),
-        conditions=pick(
-            getattr(args, "conditions", None),
-            "conditions",
-            lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-            (),
-        ),
-        m=pick(getattr(args, "m", None), "m", int, None),
-        ks_threshold=pick(
-            getattr(args, "ks_threshold", None),
-            "ks_threshold",
-            float,
-            DEFAULT_KS_THRESHOLD,
-        ),
-        threads=pick(args.threads, "threads", int, 1),
-        out_path=pick(args.out, "out", str, None),
-        out_format=pick(args.format, "format", str, "csv"),
-        expected_verdicts=expected,
-    )
+    fields, expected = {}, {}
+    for key, text in (load_config_file(args.config) if args.config else {}).items():
+        if key.startswith("expect."):
+            expected[key[len("expect."):]] = text
+            continue
+        if key not in _CONFIG_KEYS:
+            raise ConfigurationError("unknown config key %r" % key)
+        _, name, parse = _CONFIG_KEYS[key]
+        try:
+            fields[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigurationError("config key %s: %s" % (key, exc)) from None
+    for dest, name, _ in _CONFIG_KEYS.values():
+        if (value := getattr(args, dest, None)) is not None:
+            fields[name] = value
+    for item in getattr(args, "expect", None) or ():
+        cid, _, verdict = item.partition("=")
+        if not verdict:
+            raise ConfigurationError("--expect looks like COND=verdict")
+        expected[cid] = verdict
+    if "dist" in fields:
+        fields["dist"] = parse_dist(fields["dist"])
+    if "p" not in fields and "a" not in fields:
+        fields["a"] = 0.0
+    return ExperimentConfig(expected_verdicts=expected, **fields)
 
 
 def _add_common(sub, with_grid=True):
@@ -163,10 +163,8 @@ def _add_common(sub, with_grid=True):
     sub.add_argument("--dist", help="rademacher | normal | uniform:a,b | table:...")
     if with_grid:
         sub.add_argument("--n", type=_int_list, help="n grid, comma-separated")
-    sub.add_argument("--p", type=lambda s: float(Fraction(s)), help="fixed dilution p")
-    sub.add_argument(
-        "--a", type=lambda s: float(Fraction(s)), help="dilution exponent: p = n^-a"
-    )
+    sub.add_argument("--p", type=_fraction, help="fixed dilution p")
+    sub.add_argument("--a", type=_fraction, help="dilution exponent: p = n^-a")
     sub.add_argument("--R", type=int, help="replication count")
     sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument("--threads", type=int, help="worker threads (default 1)")

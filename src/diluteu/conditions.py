@@ -62,8 +62,6 @@ from .sampling import (
 
 __all__ = [
     "Estimate",
-    "PairConditionalSample",
-    "sample_pair_conditional",
     "estimate_C1",
     "estimate_C2",
     "estimate_C3",
@@ -115,18 +113,6 @@ class Estimate:
     upper_bound: bool = False
 
 
-@dataclass(frozen=True)
-class PairConditionalSample:
-    """One draw of G_k(i,j) and its centered companion.
-
-    Both vanish whenever either dilution bit is 0, since the bits
-    multiply the pair conditionals directly.
-    """
-
-    g_k_value: float
-    g_tilde_value: float
-
-
 def _theta2(kernel: KernelSpec, dist: DistributionSpec, n: int, p: float) -> float:
     """Closed-form theta^2, rejected unless positive."""
     t2 = moments_closed_form(kernel, dist, n, p).theta2
@@ -157,17 +143,6 @@ def _check_m(condition_id: str, m: int) -> int:
             "condition %s needs m >= %d replicates; got %d" % (condition_id, low, m)
         )
     return m
-
-
-def sample_pair_conditional(kernel: KernelSpec, dist: DistributionSpec, p: float, seed) -> PairConditionalSample:
-    """One G_1(2,3) / G~_1(2,3) draw: two rows, two bits, the conditionals."""
-    sx, sz = as_seed_sequence(seed).spawn(2)
-    x = sample_row(2, dist, sx)
-    bits = (as_generator(sz).random(2) < p).astype(np.float64)
-    hv = float(kernel.pair_conditional(x[:1], x[1:])[0])
-    htv = float(kernel.centered_pair_conditional(x[:1], x[1:])[0])
-    both = float(bits[0] * bits[1])
-    return PairConditionalSample(g_k_value=both * hv, g_tilde_value=both * htv)
 
 
 # --------------------------------------------------------------------------

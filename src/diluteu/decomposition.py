@@ -11,7 +11,8 @@ count. The same sum splits, pointwise in (x, Z), into per-index pieces
 
 where deg_i is the dilution degree of vertex i and h~ is the centered
 kernel. Dividing the pieces by n*theta gives the martingale-difference
-arrays used by the normal-approximation bounds.
+arrays used by the normal-approximation bounds. sample_realization draws
+one (x, Z) from a seed and keeps U and both pieces in a Realization.
 
 Both sums walk the edge list in blocks of _BLOCK edges: the row values
 gathered on either side, the kernel values and the centered terms exist
@@ -21,10 +22,8 @@ on top of the edge list instead of several arrays of E floats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -157,7 +156,7 @@ def martingale_differences(
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled (row, graph) with its statistic and split parts."""
+    """One sampled (row, graph) with U and its split parts; in memory only."""
 
     x: np.ndarray
     z: DilutionGraph
@@ -171,61 +170,18 @@ class Realization:
         rhs = float(self.psi_part.sum() + self.phi_tilde_part.sum())
         return abs(lhs - rhs)
 
-    def to_json(self) -> str:
-        payload = {
-            "x": [repr(float(v)) for v in self.x],
-            "n": self.z.n,
-            "p": repr(float(self.z.p)),
-            "packed": bytes(self.z.packed).hex(),
-            "u_value": repr(float(self.u_value)),
-            "psi_part": [repr(float(v)) for v in self.psi_part],
-            "phi_tilde_part": [repr(float(v)) for v in self.phi_tilde_part],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Realization":
-        """Inverse of to_json.
-
-        A `packed` field of the wrong length for n, or with set padding
-        bits, raises ConfigurationError.
-        """
-        d = json.loads(text)
-        graph = DilutionGraph(
-            n=int(d["n"]),
-            p=float(d["p"]),
-            packed=np.frombuffer(bytes.fromhex(d["packed"]), dtype=np.uint8),
-        )
-        return cls(
-            x=np.asarray([float(v) for v in d["x"]]),
-            z=graph,
-            u_value=float(d["u_value"]),
-            psi_part=np.asarray([float(v) for v in d["psi_part"]]),
-            phi_tilde_part=np.asarray([float(v) for v in d["phi_tilde_part"]]),
-        )
-
 
 def sample_realization(
-    n: int,
-    dist: DistributionSpec,
-    kernel: KernelSpec,
-    p: float,
-    seed,
-    graph: Optional[DilutionGraph] = None,
+    n: int, dist: DistributionSpec, kernel: KernelSpec, p: float, seed
 ) -> Realization:
-    """Draw a row and an independent dilution graph, then decompose.
+    """Draw a row and its own dilution graph, then decompose.
 
-    The seed is split into independent child streams for the row and the
-    graph, so the two sources cannot alias even for equal n.
+    The graph is always drawn here. The seed is split into independent
+    child streams, the first for the row and the second for the graph,
+    so the two sources cannot alias even for equal n.
     """
-    seq = as_seed_sequence(seed)
-    if graph is None:
-        row_seed, graph_seed = seq.spawn(2)
-        graph = sample_dilution(n, p, graph_seed)
-    else:
-        (row_seed,) = seq.spawn(1)
-        if graph.n != n:
-            raise ConfigurationError("supplied graph size differs from n")
+    row_seed, graph_seed = as_seed_sequence(seed).spawn(2)
+    graph = sample_dilution(n, p, graph_seed)
     x = sample_row(n, dist, row_seed)
     u = compute_ustat(x, graph, kernel)
     psi_part, phi_tilde_part = hoeffding_parts(x, graph, kernel)

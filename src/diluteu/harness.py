@@ -443,13 +443,19 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
 def run_condition_sweep(config: ExperimentConfig):
     """ConditionReports for the configured condition subset.
 
-    Every condition's sweep plan (C1-C4 when none is named) is checked
-    before the first sweep. The config has already warned once per slow
-    grid point, so the sweeps' own slow-regime warnings are silenced.
+    Every condition's sweep plan (C1-C4 when none is named) is checked,
+    and every expected verdict must name a swept condition, before the
+    first sweep. The config has already warned once per slow grid point,
+    so the sweeps' own slow-regime warnings are silenced.
     """
     ids = config.conditions or _DEFAULT_CONDITIONS
     for cid in ids:
         _check_sweep(cid, config.n_grid, config.eps_grid, config.m)
+    unswept = sorted(set(config.expected_verdicts) - set(ids))
+    if unswept:
+        raise ConfigurationError(
+            "expected verdicts name unswept conditions: %s" % ", ".join(unswept)
+        )
     dist = config.dist
     kernel = kernel_by_name(config.kernel_name, dist)
     policy = config.policy()

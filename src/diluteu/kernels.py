@@ -60,7 +60,6 @@ from .sampling import DistributionSpec, sample_row
 
 __all__ = [
     "KernelSpec",
-    "register_builtin_kernels",
     "kernel_by_name",
     "product_kernel",
     "additive_kernel",
@@ -299,16 +298,8 @@ _BUILTIN_FACTORIES = {
 }
 
 
-def register_builtin_kernels(dist: DistributionSpec):
-    """The built-in kernels bound to one row law, registration-checked.
-
-    The conditional structure (and the degeneracy flag it implies) depends
-    on the law, so binding happens here rather than at import time.
-    """
-    return [product_kernel(dist), additive_kernel(dist), sign_kernel(dist)]
-
-
 def kernel_by_name(name: str, dist: DistributionSpec) -> KernelSpec:
+    """Bind the built-in kernel `name` (a _BUILTIN_FACTORIES key, or zero) to dist."""
     if name == "zero":
         return zero_kernel(dist)
     try:

@@ -136,6 +136,39 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["seed"] == 5  # flag beats file
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("kernal=product", "unknown config key 'kernal'"),
+        ("R=abc", "config key R: invalid literal"),
+    ],
+    ids=["unknown-key", "bad-value"],
+)
+def test_bad_config_key_exits_2_before_any_replicate(line, message, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n_grid=40\np=0.5\n%s\n" % line)
+    calls = []
+    monkeypatch.setattr(d.harness, "_run_replicates", lambda *a, **kw: calls.append(a))
+    code = run_main(["clt-test", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert calls == []
+    assert message in captured.err
+
+
+def test_bare_command_keeps_the_config_defaults():
+    # the CLI sets a = 0 when neither p nor a is given and nothing else
+    from diluteu.cli import _build_config, _parser
+
+    built = _build_config(_parser().parse_args(["clt-test"]))
+    default = d.ExperimentConfig(a=0.0)
+    assert built.canonical_json() == default.canonical_json()
+    assert (built.threads, built.out_path, built.out_format) == (
+        default.threads, default.out_path, default.out_format,
+    )
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -265,6 +298,29 @@ def test_conditions_expect_from_config_file(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--conditions", "C1", "--expect", "C2=decreasing-toward-0"],
+        ["--expect", "C9=stagnant"],
+    ],
+)
+def test_conditions_expect_on_unswept_condition_exits_2_before_any_cell(
+    extra, monkeypatch, capsys
+):
+    # C2 is not among the swept C1; C9 is no condition, so never swept
+    cells = []
+    monkeypatch.setattr(d.harness, "sweep_condition", lambda cid, *a, **kw: cells.append(cid))
+    code = run_main(
+        ["conditions", "--n", "50,100", "--a", "0.3", "--dist", "table:-1=5/6,5=1/6"] + extra
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert cells == []
+    assert "unswept conditions: %s" % extra[-1].split("=")[0] in captured.err
 
 
 def test_conditions_eta2_grid_above_the_cap_exits_3_before_any_cell(monkeypatch, capsys):

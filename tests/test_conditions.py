@@ -143,14 +143,6 @@ def test_estimators_reject_tiny_m(skewed):
         d.estimate_C1(k, skewed, 10, 0.5, 0.5, m=50, seed=0)
 
 
-def test_pair_conditional_sample_bit_gating(skewed):
-    k = d.sign_kernel(skewed)
-    s0 = d.sample_pair_conditional(k, skewed, p=0.0, seed=5)
-    assert s0.g_k_value == 0.0 and s0.g_tilde_value == 0.0
-    s1 = d.sample_pair_conditional(k, skewed, p=1.0, seed=5)
-    assert s1.g_k_value != 0.0  # both bits retained, conditionals kick in
-
-
 # ----------------------------------------------------------------- eta2
 
 

@@ -1,6 +1,5 @@
 """Pair statistic, projection split, martingale differences."""
 
-import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -252,45 +251,15 @@ def test_martingale_rejects_degenerate_theta(skewed):
         d.martingale_differences(x, g, k, 0.0)
 
 
-def test_realization_json_round_trip(skewed):
-    k = d.sign_kernel(skewed)
-    r = d.sample_realization(14, skewed, k, 0.35, 77)
-    r2 = d.Realization.from_json(r.to_json())
-    assert np.array_equal(r2.x, r.x)
-    assert np.array_equal(r2.z.dense(), r.z.dense())
-    assert r2.u_value == r.u_value
-    assert np.array_equal(r2.psi_part, r.psi_part)
-    assert np.array_equal(r2.phi_tilde_part, r.phi_tilde_part)
-    assert r2.identity_gap() == r.identity_gap()
-
-
-def test_realization_json_rejects_truncated_or_padded_bits(skewed):
-    k = d.sign_kernel(skewed)
-    r = d.sample_realization(6, skewed, k, 1.0, 77)
-    text = r.to_json()
-    assert json.loads(text)["packed"] == "fffe"
-    assert d.Realization.from_json(text).z.edge_count() == 15
-    for packed in ("ff", "ffff", "fffe00"):
-        payload = dict(json.loads(text), packed=packed)
-        with pytest.raises(d.ConfigurationError):
-            d.Realization.from_json(json.dumps(payload))
-
-
 def test_sample_realization_accepts_numpy_integer_seeds(skewed):
     k = d.sign_kernel(skewed)
     r = d.sample_realization(14, skewed, k, 0.35, 77)
     r64 = d.sample_realization(14, skewed, k, 0.35, np.int64(77))
-    assert r64.to_json() == r.to_json()
-
-
-def test_sample_realization_reuses_given_graph(skewed):
-    k = d.sign_kernel(skewed)
-    g = d.sample_dilution(9, 0.5, 123)
-    r = d.sample_realization(9, skewed, k, 0.5, 124, graph=g)
-    assert r.z is g
-    # row draw still deterministic in the seed
-    r2 = d.sample_realization(9, skewed, k, 0.5, 124, graph=g)
-    assert np.array_equal(r.x, r2.x)
+    assert np.array_equal(r64.x, r.x)
+    assert np.array_equal(r64.z.packed, r.z.packed)
+    assert r64.u_value == r.u_value
+    assert np.array_equal(r64.psi_part, r.psi_part)
+    assert np.array_equal(r64.phi_tilde_part, r.phi_tilde_part)
 
 
 def traced_peak(fn):

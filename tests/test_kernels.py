@@ -18,7 +18,7 @@ def enum_pairs(dist):
 
 
 def test_builtin_names(rad):
-    ks = d.register_builtin_kernels(rad)
+    ks = [d.kernel_by_name(k, rad) for k in ("product", "additive", "sign")]
     assert [k.name for k in ks] == ["product", "additive", "sign"]
     assert d.kernel_by_name("zero", rad).name == "zero"
     with pytest.raises(d.UnsupportedKernelError):
@@ -83,7 +83,7 @@ def test_builtin_centering_by_enumeration(skewed, rad):
     # E[h(X, Y)] must be 0 for every registration
     for dist in (skewed, rad):
         vals, qs = enum_pairs(dist)
-        for k in d.register_builtin_kernels(dist):
+        for k in [d.kernel_by_name(name, dist) for name in ("product", "additive", "sign")]:
             hm = k.pair_values(
                 np.repeat(vals, vals.size), np.tile(vals, vals.size)
             ).reshape(vals.size, vals.size)
@@ -100,7 +100,11 @@ def test_cross_conditional_matches_enumeration(skewed, tri, tri_kernel):
     # g, H, H~, K, E[h^2] and E[g^2] derived from (phi, A, mu, Sigma)
     # against direct enumeration of h over the support, for every built-in
     # kernel on two discrete laws and for a rank-3 table kernel
-    cases = [(k, law) for law in (skewed, tri) for k in d.register_builtin_kernels(law)]
+    cases = [
+        (d.kernel_by_name(name, law), law)
+        for law in (skewed, tri)
+        for name in ("product", "additive", "sign")
+    ]
     cases.append((tri_kernel, tri))
     for k, law in cases:
         vals, qs = enum_pairs(law)

@@ -324,8 +324,18 @@ def test_complete_graph_edges_are_read_only():
         ii[0] = 3
 
 
+def test_graph_rejects_truncated_or_padded_bits():
+    # n=6: 15 bits in 2 bytes, the last bit of the second byte is padding
+    ok = np.frombuffer(bytes.fromhex("fffe"), dtype=np.uint8)
+    assert d.DilutionGraph(n=6, p=1.0, packed=ok).edge_count() == 15
+    for packed in ("ff", "ffff", "fffe00"):
+        bits = np.frombuffer(bytes.fromhex(packed), dtype=np.uint8)
+        with pytest.raises(d.ConfigurationError):
+            d.DilutionGraph(n=6, p=1.0, packed=bits)
+
+
 def test_graph_rejects_packed_bits_of_another_dtype():
-    # length and padding checks: test_realization_json_rejects_truncated_or_padded_bits
+    # length and padding checks: test_graph_rejects_truncated_or_padded_bits
     ok = np.packbits(np.ones(15, dtype=bool))  # n=6: 15 bits in 2 bytes
     with pytest.raises(d.ConfigurationError):
         d.DilutionGraph(n=6, p=1.0, packed=ok.astype(np.int64))
