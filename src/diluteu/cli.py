@@ -98,6 +98,10 @@ def _float_list(text: str):
     return tuple(float(Fraction(v)) for v in text.split(",") if v.strip())
 
 
+def _name_list(text: str):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
 def _fraction(text: str) -> float:
     return float(Fraction(text))
 
@@ -116,11 +120,7 @@ _CONFIG_KEYS = {
     "seed": ("seed", "master_seed", int),
     "standardization": ("standardization", "standardization", str),
     "eps_grid": ("eps", "eps_grid", _float_list),
-    "conditions": (
-        "conditions",
-        "conditions",
-        lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-    ),
+    "conditions": ("conditions", "conditions", _name_list),
     "m": ("m", "m", int),
     "ks_threshold": ("ks_threshold", "ks_threshold", float),
     "threads": ("threads", "threads", int),
@@ -167,7 +167,12 @@ def _add_common(sub, with_grid=True):
     sub.add_argument("--a", type=_fraction, help="dilution exponent: p = n^-a")
     sub.add_argument("--R", type=int, help="replication count")
     sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--threads", type=int, help="worker threads (default 1)")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        help="replicate worker threads (default 1); pays only on large "
+        "replicates, see README",
+    )
     sub.add_argument("--out", help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
 
@@ -190,8 +195,9 @@ def _parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("conditions", help="sweep condition estimates over the grid")
     _add_common(s)
-    s.add_argument("--conditions", type=lambda t: tuple(v.strip() for v in t.split(",")),
-                   help="subset of " + ",".join(CONDITION_IDS))
+    s.add_argument(
+        "--conditions", type=_name_list, help="subset of " + ",".join(CONDITION_IDS)
+    )
     s.add_argument("--eps", type=_float_list, help="eps grid, comma-separated")
     s.add_argument("--m", type=int, help="replicates per grid cell")
     s.add_argument(

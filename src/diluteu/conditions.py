@@ -334,8 +334,8 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
     # T1 part: per-replicate realizations
     t_vals = np.empty(m)
     for r, (x, graph) in enumerate(_realizations(n, dist, p, t_seed, m)):
-        ii, jj = graph.edges()
-        rows = _centered_row_sums(x, ii, jj, kernel.conditional_mean(x), kernel)
+        counts, jj = graph.edges()
+        rows = _centered_row_sums(x, counts, jj, kernel.conditional_mean(x), kernel)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
     t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))

@@ -14,10 +14,15 @@ kernel. Dividing the pieces by n*theta gives the martingale-difference
 arrays used by the normal-approximation bounds. sample_realization draws
 one (x, Z) from a seed and keeps U and both pieces in a Realization.
 
-Both sums walk the edge list in blocks of _BLOCK edges: the row values
-gathered on either side, the kernel values and the centered terms exist
-for one block at a time, so evaluation holds O(_BLOCK) float temporaries
-on top of the edge list instead of several arrays of E floats.
+Both sums read the graph's row-form edge list (per-row counts and the
+partners jj, see DilutionGraph.edges) and walk it in blocks of _BLOCK
+edges. The row side of a block repeats each row's value over its count;
+the partner side gathers x[jj]. Those values, the kernel values and the
+centered terms exist for one block at a time, so evaluation holds
+O(_BLOCK) float temporaries on top of the edge list instead of several
+arrays of E floats. The list is extracted once per graph: the passes of
+one realization (U, the degrees, the split, the martingale differences)
+share it.
 """
 
 from __future__ import annotations
@@ -61,6 +66,26 @@ def _check_row_graph(x: np.ndarray, graph: DilutionGraph) -> np.ndarray:
     return x
 
 
+def _edge_blocks(counts, jj):
+    """Cut the row-form edge list (counts, jj) into blocks of _BLOCK edges.
+
+    Yields (rows, reps, bj) per block, in edge order: the block's edges
+    pair vertex rows.start + k, reps[k] times in a row, with the partners
+    bj, so np.repeat(v[rows], reps) lines row values up with v[bj]. Only
+    the last block can be short, and an empty list yields nothing.
+    """
+    e = jj.size
+    ends = counts.cumsum()
+    for lo in range(0, e, _BLOCK):
+        hi = min(lo + _BLOCK, e)
+        # the rows of the block's first and last edge
+        r0, r1 = ends.searchsorted((lo, hi - 1), side="right")
+        reps = np.minimum(ends[r0 : r1 + 1], hi)
+        reps[1:] -= ends[r0:r1]
+        reps[0] -= lo
+        yield slice(r0, r1 + 1), reps, jj[lo:hi]
+
+
 def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     """U over the retained pairs; exactly edge_count() kernel evaluations.
 
@@ -71,16 +96,14 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     n = graph.n
     if n < 2:
         raise ConfigurationError("need at least two observations")
-    ii, jj = graph.edges()
     total = 0.0
-    for lo in range(0, ii.size, _BLOCK):
-        bi, bj = ii[lo : lo + _BLOCK], jj[lo : lo + _BLOCK]
-        total += float(kernel.pair_values(x[bi], x[bj]).sum())
+    for rows, reps, bj in _edge_blocks(*graph.edges()):
+        total += float(kernel.pair_values(np.repeat(x[rows], reps), x[bj]).sum())
     return total / math.comb(n, 2)
 
 
-def _centered_row_sums(x, ii, jj, gvals, kernel: KernelSpec) -> np.ndarray:
-    """Per-index sums of h~(x_i, x_j) over the edges (ii, jj), ii < jj.
+def _centered_row_sums(x, counts, jj, gvals, kernel: KernelSpec) -> np.ndarray:
+    """Per-index sums of h~(x_i, x_j) over the row-form edges (counts, jj).
 
     Each pair is charged to its larger index jj; gvals is g on the row.
     The edges are evaluated in blocks of _BLOCK, each edge once, and the
@@ -88,10 +111,9 @@ def _centered_row_sums(x, ii, jj, gvals, kernel: KernelSpec) -> np.ndarray:
     weights would add them, so the sums are bit-identical to it.
     """
     out = np.zeros(x.size)
-    for lo in range(0, ii.size, _BLOCK):
-        bi, bj = ii[lo : lo + _BLOCK], jj[lo : lo + _BLOCK]
-        ht = kernel.pair_values(x[bi], x[bj])
-        ht -= gvals[bi]
+    for rows, reps, bj in _edge_blocks(counts, jj):
+        ht = kernel.pair_values(np.repeat(x[rows], reps), x[bj])
+        ht -= np.repeat(gvals[rows], reps)
         ht -= gvals[bj]
         np.add.at(out, bj, ht)
     return out
@@ -104,16 +126,15 @@ def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     centered remainder h~(x_i, x_j) of each retained pair is charged to
     its larger index, so phi_tilde_part[i] sums over j < i. The identity
     holds for every realization, not just in expectation. g is evaluated
-    once, on the row, and indexed per edge; h once per edge, in blocks of
-    _BLOCK. The degrees are taken before the edge list, so their first
-    computation never extracts a second list while this one is held.
+    once, on the row, and read per edge; h once per edge, in blocks of
+    _BLOCK. The degrees and the sums read the same kept edge list.
     """
     x = _check_row_graph(x, graph)
     deg = graph.degrees()
-    ii, jj = graph.edges()
+    counts, jj = graph.edges()
     gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
     psi_part = gvals * deg
-    return psi_part, _centered_row_sums(x, ii, jj, gvals, kernel)
+    return psi_part, _centered_row_sums(x, counts, jj, gvals, kernel)
 
 
 @dataclass(frozen=True)

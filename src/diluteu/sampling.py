@@ -16,6 +16,13 @@ generator's raw 64-bit words per pair (little-endian byte order, pair k
 in byte k % 8 of word k // 8) and one uniform per pair whose byte ties
 with the top 8 bits of p, drawn after all the words; see
 sample_dilution. The draw does not depend on how the pairs are chunked.
+
+A graph's kept pairs are read in row form, (counts, jj): the number of
+pairs (i, j), j > i, of each row i, and their partners j in storage order.
+The row side of a pair list is np.repeat over counts, so no E-length
+array of row indices is built. The last incomplete graph's extraction is
+kept read-only, so the several passes over one realization (U, its
+Hoeffding split, the degrees) extract its edges once.
 """
 
 from __future__ import annotations
@@ -231,13 +238,34 @@ def sample_row(n: int, dist: DistributionSpec, seed) -> np.ndarray:
 # dilution graphs
 
 
+def _row_form(k: np.ndarray, n: int):
+    """(counts, jj) of the sorted linear pair indices k; k becomes jj in place.
+
+    Row i's pairs start at off_i = i(2n-i-1)/2, so index k in row i is the
+    pair (i, k - off_i + i + 1). Both arrays come back read-only.
+    """
+    rows = np.arange(n)
+    off = rows * (2 * n - rows - 1) // 2
+    starts = np.searchsorted(k, off)
+    counts = np.empty(n, dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = k.size - starts[-1]
+    k -= np.repeat(off - rows - 1, counts)
+    counts.setflags(write=False)
+    k.setflags(write=False)
+    return counts, k
+
+
 @lru_cache(maxsize=2)
 def _complete_edges(n: int):
-    """Read-only triu_indices(n, 1): the edge list of every complete graph."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    """The row-form edge list of every complete graph on n vertices."""
+    return _row_form(np.arange(n * (n - 1) // 2), n)
+
+
+# (graph, counts, jj) of the last incomplete graph whose edges() was
+# extracted, or None. Replaced as one tuple and read once per call, so
+# concurrent callers never see a graph with another graph's arrays.
+_kept = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,12 +275,13 @@ class DilutionGraph:
     Bits cover the n(n-1)/2 unordered pairs {i, j}, i < j, in row-major
     upper-triangle order, packed big-endian into ceil(C/8) bytes with zero
     padding bits (checked at construction; edge_count() relies on them).
-    The diagonal does not exist. The packed bytes are the only stored form
-    of the pairs, O(n^2/8) bytes: the edge list is derived on each call to
-    edges() in O(C) byte work plus O(E) index work, and no per-n index
-    table is kept, except the read-only triu_indices of the last two
-    complete-graph sizes. The degree vector, 8n bytes, is computed on the
-    first call to degrees() and kept.
+    The diagonal does not exist. The packed bytes are the graph's only
+    stored form of the pairs, O(n^2/8) bytes. The edge list, in row form
+    (per-row counts and partners, 8(n + E) bytes), is extracted by edges()
+    in O(C) byte work plus O(E) index work. The module keeps the lists of
+    the last extracted incomplete graph and of the last two complete-graph
+    sizes, and no per-n pair-index table. The degree vector, 8n bytes, is
+    computed on the first call to degrees() and kept on the graph.
     """
 
     n: int
@@ -296,15 +325,22 @@ class DilutionGraph:
         idx = i * (2 * n - i - 1) // 2 + (j - i - 1)
         return (int(self.packed[idx >> 3]) >> (7 - (idx & 7))) & 1
 
-    def _partners(self):
-        """(jj, counts) of an incomplete graph, None for a complete one.
+    def edges(self):
+        """(counts, jj): the pairs with Z=1 in row form, in storage order.
 
-        jj holds the larger index of each set pair in storage order and
-        counts[i] the number of those pairs in row i. A sorted linear pair
-        index k in row i (row offset off_i = i(2n-i-1)/2) maps to
-        j = k - off_i + i + 1.
+        counts[i] is the number of kept pairs (i, j), and jj holds the
+        partners j > i row after row, ascending within a row, so the pair
+        list is (repeat(arange(n), counts), jj). Both are read-only intp
+        arrays. A complete graph returns the cached arrays of its size. An
+        incomplete graph is extracted in O(C) byte work plus O(E) index
+        work; the arrays of the last extraction are kept (one graph in the
+        process) until the next extraction or sample_dilution call, so
+        repeated calls on the same graph return them without work.
         """
-        n = self.n
+        global _kept
+        kept = _kept
+        if kept is not None and kept[0] is self:
+            return kept[1], kept[2]
         # complete: every full byte 0xFF and the last one's pair bits set,
         # read from the packed bytes so the C-byte unpack is skipped
         full, rest = divmod(self.pair_count, 8)
@@ -312,32 +348,18 @@ class DilutionGraph:
         if packed[:full].min(initial=0xFF) == 0xFF and (
             not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
         ):
-            return None
-        jj = np.flatnonzero(self.bits())
-        rows = np.arange(n)
-        off = rows * (2 * n - rows - 1) // 2
-        starts = np.searchsorted(jj, off)
-        counts = np.empty(n, dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-        counts[-1] = jj.size - starts[-1]
-        jj -= np.repeat(off - rows - 1, counts)
-        return jj, counts
-
-    def edges(self):
-        """(ii, jj) arrays over the pairs with Z=1, ii < jj elementwise.
-
-        Pairs come in storage order.
-        """
-        found = self._partners()
-        if found is None:
             return _complete_edges(self.n)
-        jj, counts = found
-        return np.repeat(np.arange(self.n), counts), jj
+        # free the kept list (both references) before this one is built
+        kept = _kept = None
+        counts, jj = _row_form(np.flatnonzero(self.bits()), self.n)
+        _kept = (self, counts, jj)
+        return counts, jj
 
     def dense(self) -> np.ndarray:
         """Full symmetric boolean matrix (diagonal False)."""
         m = np.zeros((self.n, self.n), dtype=bool)
-        ii, jj = self.edges()
+        counts, jj = self.edges()
+        ii = np.repeat(np.arange(self.n), counts)
         m[ii, jj] = True
         m[jj, ii] = True
         return m
@@ -345,25 +367,21 @@ class DilutionGraph:
     def lower(self) -> np.ndarray:
         """Strict lower triangle as float64: L[i, j] = Z_ij for j < i."""
         m = np.zeros((self.n, self.n), dtype=np.float64)
-        ii, jj = self.edges()
-        m[jj, ii] = 1.0
+        counts, jj = self.edges()
+        m[jj, np.repeat(np.arange(self.n), counts)] = 1.0
         return m
 
     def degrees(self) -> np.ndarray:
         """Number of Z=1 pairs touching each vertex: read-only int64, length n.
 
-        Computed on the first call and kept on the graph; concurrent first
-        calls may each compute the same array.
+        Computed from edges() on the first call and kept on the graph;
+        concurrent first calls may each compute the same array.
         """
         deg = self.__dict__.get("_degrees")
         if deg is None:
-            found = self._partners()
-            if found is None:
-                deg = np.full(self.n, self.n - 1, dtype=np.int64)
-            else:
-                jj, counts = found
-                # row i's count covers the pairs (i, j); bincount the (j, i)
-                deg = counts + np.bincount(jj, minlength=self.n)
+            counts, jj = self.edges()
+            # row i's count covers the pairs (i, j); bincount the (j, i)
+            deg = counts + np.bincount(jj, minlength=self.n)
             deg.setflags(write=False)
             self.__dict__["_degrees"] = deg
         return deg
@@ -388,6 +406,8 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
         raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
+    global _kept
+    _kept = None  # free the last graph's edge list before drawing a new one
     c = n * (n - 1) // 2
     nbytes = -(-c // 8)
     if p == 0.0:

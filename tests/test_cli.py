@@ -169,6 +169,18 @@ def test_bare_command_keeps_the_config_defaults():
     )
 
 
+def test_conditions_flag_and_config_key_parse_one_list(tmp_path):
+    # a trailing comma leaves an empty item, which both sources drop
+    from diluteu.cli import _build_config, _parser
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("conditions=C1,\n")
+    flag = _build_config(_parser().parse_args(["conditions", "--conditions", "C1,"]))
+    key = _build_config(_parser().parse_args(["conditions", "--config", str(cfg)]))
+    assert flag.conditions == key.conditions == ("C1",)
+    assert flag.canonical_json() == key.canonical_json()
+
+
 # ----------------------------------------------------------------- simulate
 
 

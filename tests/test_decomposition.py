@@ -62,24 +62,24 @@ def test_eval_count_equals_edge_count(skewed):
     assert sum(evals) == g.edge_count()
 
 
-def test_realization_and_martingale_extract_edges_four_times(skewed, monkeypatch):
-    # compute_ustat, hoeffding_parts twice and the first degrees() call
-    # extract the edges; h runs on every edge in compute_ustat and in both
-    # hoeffding_parts calls
+def test_realization_and_martingale_extract_edges_once(skewed, monkeypatch):
+    # compute_ustat extracts the edges; degrees() and both hoeffding_parts
+    # calls read the kept list. h still runs on every edge in compute_ustat
+    # and in both hoeffding_parts calls
     extracted = []
-    partners = d.DilutionGraph._partners
+    row_form = d.sampling._row_form
 
-    def counted(self):
-        extracted.append(self.n)
-        return partners(self)
+    def counted(k, n):
+        extracted.append(n)
+        return row_form(k, n)
 
-    monkeypatch.setattr(d.DilutionGraph, "_partners", counted)
+    monkeypatch.setattr(d.sampling, "_row_form", counted)
     evals = []
     sign = d.sign_kernel(skewed)
     k = replace(sign, evaluate=counting(sign.evaluate, evals))
     real = d.sample_realization(200, skewed, k, 0.3, 6)
     d.martingale_differences(real.x, real.z, k, 1.0)
-    assert len(extracted) <= 4
+    assert extracted == [200]
     assert sum(evals) == 3 * real.z.edge_count() > 0
 
 
@@ -94,7 +94,8 @@ def test_identity_on_empty_graph(skewed):
 
 def unblocked_parts(x, graph, kernel):
     """U, psi and phi~ from one gather and one bincount over all E edges."""
-    ii, jj = graph.edges()
+    counts, jj = graph.edges()
+    ii = np.repeat(np.arange(graph.n), counts)
     gv = kernel.conditional_mean(x)
     h = kernel.pair_values(x[ii], x[jj])
     u = float(h.sum()) / math.comb(graph.n, 2)

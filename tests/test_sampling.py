@@ -161,7 +161,8 @@ def test_dilution_lower_and_degrees_agree():
     assert np.all(np.triu(low) == 0)
     assert np.array_equal(low + low.T, g.dense())
     assert np.array_equal(g.degrees(), g.dense().sum(axis=1).astype(int))
-    ii, jj = g.edges()
+    counts, jj = g.edges()
+    ii = np.repeat(np.arange(g.n), counts)
     assert len(ii) == g.edge_count()
     assert np.all(ii < jj)
 
@@ -186,7 +187,8 @@ def test_dilution_bitset_roundtrip(n, p, seed):
     g = d.sample_dilution(n, p, seed)
     m = g.dense()
     # dense view, bit probes, edge list, and degree vector all consistent
-    ii, jj = g.edges()
+    counts, jj = g.edges()
+    ii = np.repeat(np.arange(n), counts)
     rebuilt = np.zeros_like(m)
     rebuilt[ii, jj] = 1
     rebuilt[jj, ii] = 1
@@ -276,8 +278,9 @@ def _reference_edges(g):
 def test_edges_match_triu_mask_reference(n, p):
     g = d.sample_dilution(n, p, 40 + n)
     ri, rj = _reference_edges(g)
-    ii, jj = g.edges()
-    assert ii.dtype == jj.dtype == np.intp
+    counts, jj = g.edges()
+    ii = np.repeat(np.arange(n), counts)
+    assert counts.dtype == jj.dtype == np.intp
     assert np.array_equal(ii, ri) and np.array_equal(jj, rj)
     assert g.edge_count() == ri.size
     deg = np.bincount(ri, minlength=n) + np.bincount(rj, minlength=n)
@@ -318,10 +321,59 @@ def test_edge_count_matches_table_popcount():
 
 def test_complete_graph_edges_are_read_only():
     g = d.sample_dilution(7, 1.0, 0)
-    ii, jj = g.edges()
-    assert not ii.flags.writeable and not jj.flags.writeable
+    counts, jj = g.edges()
+    assert not counts.flags.writeable and not jj.flags.writeable
     with pytest.raises(ValueError):
-        ii[0] = 3
+        jj[0] = 3
+
+
+def test_kept_edge_list_belongs_to_its_graph():
+    # same (n, p), different bits: alternate calls never cross arrays
+    n, p = 60, 0.4
+    graphs = [d.sample_dilution(n, p, seed) for seed in (1, 2)]
+    assert graphs[0].packed.tobytes() != graphs[1].packed.tobytes()
+    for g in graphs + graphs + graphs[::-1]:
+        ri, rj = _reference_edges(g)
+        counts, jj = g.edges()
+        assert np.array_equal(np.repeat(np.arange(n), counts), ri)
+        assert np.array_equal(jj, rj)
+        assert not counts.flags.writeable and not jj.flags.writeable
+        with pytest.raises(ValueError):
+            jj[0] = 0
+        # a repeated call on the same graph returns the kept arrays
+        again = g.edges()
+        assert again[0] is counts and again[1] is jj
+
+
+def test_kept_edge_list_is_released_by_the_next_graph():
+    # three graphs of one size: a's list is kept while b is extracted,
+    # nothing is kept while c is
+    n, p = 1000, 0.3
+    a, b, c = (
+        d.DilutionGraph(n=n, p=p, packed=d.sample_dilution(n, p, s).packed)
+        for s in (5, 6, 7)
+    )
+
+    def peak_of(fn):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        jj_bytes = a.edges()[1].nbytes
+        held_b = peak_of(b.edges)
+        before = tracemalloc.get_traced_memory()[0]
+        d.sample_dilution(2, 0.5, 1)
+        freed = before - tracemalloc.get_traced_memory()[0]
+        fresh_c = peak_of(c.edges)
+    finally:
+        tracemalloc.stop()
+    assert jj_bytes > 10**6
+    # sample_dilution drops b's list; b's extraction dropped a's first
+    assert freed > jj_bytes - 4096
+    assert held_b < fresh_c - jj_bytes // 2
 
 
 def test_graph_rejects_truncated_or_padded_bits():
@@ -351,9 +403,9 @@ def test_edges_keep_no_pair_sized_memory():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        ii, jj = g.edges()
+        counts, jj = g.edges()
         peak = tracemalloc.get_traced_memory()[1] - base
-        del ii, jj
+        del counts, jj
         left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
