@@ -24,9 +24,10 @@ pair conditional H~ over pairs of known bits in one row) and a mixed
 cross term. The kernel's finite-rank form h = phi^T A phi makes H~ and
 the cross conditional rank r, so the pair term is sum_i v_i^T B v_i with
 V = L (phi(x) - mu), L the strictly-lower dilution matrix: O(n^2 r) work
-per replicate, no n x n conditional matrix. eta1's mean is bounded above
-by the S1 + T1 truncation split; the estimator reports that bound and
-flags it as one.
+per replicate, no n x n conditional matrix. At p = 1, V is a prefix sum
+over the rows: O(n r) work and no n x n matrix at all. eta1's mean is
+bounded above by the S1 + T1 truncation split; the estimator reports
+that bound and flags it as one.
 
 Dilution bits are always sampled, never folded into p analytically, so
 each estimator is a plain mean of the defining integrand.
@@ -284,8 +285,11 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
 
     One product of L with the n x (r + 2) matrix [phi(x) - mu, K(x) -
     E[g^2], 1] gives V, L (K(x) - E[g^2]) and c, so a replicate costs
-    O(n^2 r) time. L is dense, 8 n^2 bytes, so n is capped at ETA2_MAX_N
-    (32 MB); larger n raises a resource error rather than silently
+    O(n^2 r) time. At p = 1, L is all ones below the diagonal, so the
+    product is the exclusive prefix sum over the matrix's rows: O(n r)
+    time and no n x n matrix. Otherwise L is dense, 8 n^2 bytes, so n is
+    capped at ETA2_MAX_N (32 MB); the cap holds for every p, p = 1
+    included, and larger n raises a resource error rather than silently
     thinning.
     """
     m = _check_m("ETA2", m)
@@ -303,7 +307,13 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
         cols[:, :rank] = np.asarray(kernel.features(x), np.float64) - mu
         cols[:, rank] = np.asarray(kernel.cross_conditional(x), np.float64) - eg2
         cols[:, rank + 1] = 1.0
-        prod = graph.lower() @ cols
+        if p == 1.0:
+            # L is all ones below the diagonal: row i sums the rows j < i
+            prod = np.empty_like(cols)
+            prod[0] = 0.0
+            np.cumsum(cols[:-1], axis=0, out=prod[1:])
+        else:
+            prod = graph.lower() @ cols
         v = prod[:, :rank]
         c = prod[:, rank + 1]
         t1_counts = c * c + 2.0 * c * fut * p + fut * p * (1.0 - p + fut * p)

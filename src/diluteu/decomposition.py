@@ -14,15 +14,22 @@ kernel. Dividing the pieces by n*theta gives the martingale-difference
 arrays used by the normal-approximation bounds. sample_realization draws
 one (x, Z) from a seed and keeps U and both pieces in a Realization.
 
-Both sums read the graph's row-form edge list (per-row counts and the
-partners jj, see DilutionGraph.edges) and walk it in blocks of _BLOCK
-edges. The row side of a block repeats each row's value over its count;
-the partner side gathers x[jj]. Those values, the kernel values and the
-centered terms exist for one block at a time, so evaluation holds
-O(_BLOCK) float temporaries on top of the edge list instead of several
-arrays of E floats. The list is extracted once per graph: the passes of
-one realization (U, the degrees, the split, the martingale differences)
+Except for U on a complete graph (below), both sums read the graph's
+row-form edge list (per-row counts and the partners jj, see
+DilutionGraph.edges) and walk it in blocks of _BLOCK edges. The row side
+of a block repeats each row's value over its count; the partner side
+gathers x[jj]. Those values, the kernel values and the centered terms
+exist for one block at a time, so evaluation holds O(_BLOCK) float
+temporaries on top of the edge list instead of several arrays of E
+floats. The list is extracted once per graph: the passes of one
+realization (U, the degrees, the split, the martingale differences)
 share it.
+
+When the list covers every pair (a complete graph, as at p = 1), U reads
+only its length: h runs over the circulant diagonals
+(x_i, x_{(i+k) mod n}), whose two sides are a broadcast of x and a window
+of (x, x), so no index array is built or gathered. The pairs and their
+count are the same; only the order of the sum differs.
 """
 
 from __future__ import annotations
@@ -86,18 +93,46 @@ def _edge_blocks(counts, jj):
         yield slice(r0, r1 + 1), reps, jj[lo:hi]
 
 
+def _complete_sum(x: np.ndarray, kernel: KernelSpec) -> float:
+    """Sum of h over every pair i < j of x, by circulant diagonals.
+
+    Diagonal k pairs x_i with x_{(i+k) mod n}. Diagonals 1..(n-1)//2 over
+    every i, and for even n diagonal n/2 over i < n/2, meet each unordered
+    pair once: binom(n, 2) evaluations. Row k of the windows of (x, x) is
+    diagonal k's partner side, so a call takes max(1, _BLOCK // n) whole
+    diagonals against a broadcast of x, and no index array is built.
+    """
+    n = x.size
+    stop = (n - 1) // 2 + 1  # one past the last diagonal taken whole
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x)), n)
+    step = max(1, _BLOCK // n)
+    total = 0.0
+    for k0 in range(1, stop, step):
+        b = windows[k0 : min(k0 + step, stop)]
+        total += float(kernel.pair_values(np.broadcast_to(x, b.shape), b).sum())
+    if n % 2 == 0:
+        total += float(kernel.pair_values(x[: n // 2], x[n // 2 :]).sum())
+    return total
+
+
 def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     """U over the retained pairs; exactly edge_count() kernel evaluations.
 
     The edges are evaluated in blocks of _BLOCK and the block sums added,
-    so U can differ from one sum over all E values in its last bits.
+    so U can differ from one sum over all E values in its last bits. A
+    graph whose edge list covers every pair is summed by circulant
+    diagonals instead (_complete_sum), with the same evaluation count and
+    O(n + _BLOCK) floats, in another order.
     """
     x = _check_row_graph(x, graph)
     n = graph.n
     if n < 2:
         raise ConfigurationError("need at least two observations")
+    counts, jj = graph.edges()
+    if jj.size == graph.pair_count:
+        return _complete_sum(x, kernel) / math.comb(n, 2)
     total = 0.0
-    for rows, reps, bj in _edge_blocks(*graph.edges()):
+    for rows, reps, bj in _edge_blocks(counts, jj):
         total += float(kernel.pair_values(np.repeat(x[rows], reps), x[bj]).sum())
     return total / math.comb(n, 2)
 

@@ -254,6 +254,27 @@ def test_eta2_undiluted_product_partial_sum_identity(norm):
         assert val == pytest.approx(expect, rel=1e-12)
 
 
+def test_eta2_undiluted_needs_no_dilution_matrix(norm, skewed, monkeypatch):
+    # at p = 1 the product with L is a prefix sum over rows, so lower() is
+    # never built; the skewed sign kernel (rank 2, nonzero cross term)
+    # still matches the dense reference. Below p = 1, lower() is built
+    n, m, seed = 50, 3, 4
+    sign = d.sign_kernel(skewed)
+    t2 = d.moments_closed_form(sign, skewed, n, 1.0).theta2
+    refs = [dense_eta2(sign, x, low, n, 1.0, t2)
+            for x, low in replay_realizations(skewed, n, 1.0, m, seed)]
+
+    def refuse(self):
+        raise AssertionError("lower() called")
+
+    monkeypatch.setattr(d.DilutionGraph, "lower", refuse)
+    got = d.estimate_eta2(sign, skewed, n, 1.0, m=m, seed=seed)
+    assert got == pytest.approx(refs, rel=1e-12)
+    assert np.all(np.isfinite(d.estimate_eta2(d.product_kernel(norm), norm, n, 1.0, m=m, seed=seed)))
+    with pytest.raises(AssertionError, match="lower"):
+        d.estimate_eta2(sign, skewed, n, 0.5, m=2, seed=seed)
+
+
 def test_eta2_mean_matches_exact_formula(skewed):
     # E[eta2] = (n-1)/n (beta2/2 + (n-2) p gamma2) / theta2
     k = d.sign_kernel(skewed)

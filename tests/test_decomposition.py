@@ -31,15 +31,16 @@ def test_ustat_matches_manual_sum(skewed):
 
 
 def test_undiluted_product_reduces_to_square_identity(norm):
-    # binom(n,2) U = sum_{i<j} x_i x_j = (S^2 - sum x^2) / 2 at p = 1
+    # binom(n,2) U = sum_{i<j} x_i x_j = (S^2 - sum x^2) / 2 at p = 1;
+    # odd and even n, with and without the half diagonal's lone call
     k = d.product_kernel(norm)
-    n = 37
-    x = d.sample_row(n, norm, 8)
-    g = d.sample_dilution(n, 1.0, 0)
-    u = d.compute_ustat(x, g, k)
-    s = x.sum()
-    direct = (s * s - (x * x).sum()) / 2.0 / math.comb(n, 2)
-    assert u == pytest.approx(direct, rel=1e-12)
+    for n in (2, 3, 4, 37, 500, 501):
+        x = d.sample_row(n, norm, 8)
+        g = d.sample_dilution(n, 1.0, 0)
+        u = d.compute_ustat(x, g, k)
+        s = x.sum()
+        direct = (s * s - (x * x).sum()) / 2.0 / math.comb(n, 2)
+        assert u == pytest.approx(direct, rel=1e-12), n
 
 
 def counting(fn, calls):
@@ -53,13 +54,14 @@ def counting(fn, calls):
 
 
 def test_eval_count_equals_edge_count(skewed):
-    evals = []
     sign = d.sign_kernel(skewed)
-    k = replace(sign, evaluate=counting(sign.evaluate, evals))
     x = d.sample_row(25, skewed, 1)
-    g = d.sample_dilution(25, 0.3, 2)
-    d.compute_ustat(x, g, k)
-    assert sum(evals) == g.edge_count()
+    for p in (0.3, 1.0):  # row-form blocks, then circulant diagonals
+        evals = []
+        k = replace(sign, evaluate=counting(sign.evaluate, evals))
+        g = d.sample_dilution(25, p, 2)
+        d.compute_ustat(x, g, k)
+        assert sum(evals) == g.edge_count(), p
 
 
 def test_realization_and_martingale_extract_edges_once(skewed, monkeypatch):
@@ -119,8 +121,11 @@ def test_blocked_evaluation_matches_unblocked(skewed, monkeypatch, block, p, n):
     k = replace(sign, evaluate=counting(sign.evaluate, evals))
 
     u = d.compute_ustat(x, graph, k)
-    assert sum(evals) == e and len(evals) == -(-e // block)
-    assert all(size == block for size in evals[:-1])
+    if e == graph.pair_count:  # complete: whole circulant diagonals per call
+        assert sum(evals) == e and max(evals) <= max(block, n)
+    else:
+        assert sum(evals) == e and len(evals) == -(-e // block)
+        assert all(size == block for size in evals[:-1])
     assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300)
 
     evals.clear()
@@ -143,11 +148,47 @@ def test_blocked_evaluation_edge_list_sizes(skewed):
         k = replace(sign, evaluate=counting(sign.evaluate, evals))
         u_ref, psi_ref, phi_ref = unblocked_parts(x, graph, sign)
         u = d.compute_ustat(x, graph, k)
+        ustat_calls = len(evals)
         psi, phi = d.hoeffding_parts(x, graph, k)
-        assert evals == 2 * ([block] * (e // block) + [e % block] * (e % block > 0))
+        if e == graph.pair_count:  # U by whole circulant diagonals per call
+            ustat_evals, parts_evals = evals[:ustat_calls], evals[ustat_calls:]
+            assert sum(ustat_evals) == e and max(ustat_evals) <= max(block, n)
+            assert parts_evals == [block] * (e // block) + [e % block] * (e % block > 0)
+        else:
+            assert evals == 2 * ([block] * (e // block) + [e % block] * (e % block > 0))
         assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300)
         assert np.array_equal(psi, psi_ref) and np.array_equal(phi, phi_ref)
     assert 0 < e % block and e > block  # the last graph's final block is ragged
+
+
+def recording_ndim(fn, calls):
+    """fn wrapped to record the number of axes of its first argument."""
+
+    def wrapped(*args):
+        calls.append(np.ndim(args[0]))
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_complete_graph_ustat_matches_row_form(skewed, rad, tri, tri_kernel, n):
+    # a graph whose edge list covers every pair is summed by circulant
+    # diagonals (2-D kernel calls), whatever p it records; one pair short
+    # of complete it takes the row-form blocks (1-D calls)
+    full = d.sample_dilution(n, 1.0, 0).packed
+    short = full.copy()
+    short[0] = 0x7F  # drops the pair (0, 1)
+    for k, law in ((tri_kernel, tri), (d.sign_kernel(skewed), skewed),
+                   (d.additive_kernel(rad), rad)):
+        x = d.sample_row(n, law, n)
+        for p, packed, ndim in ((1.0, full, 2), (0.5, full, 2), (1.0, short, 1)):
+            graph = d.DilutionGraph(n=n, p=p, packed=packed)
+            u_ref = unblocked_parts(x, graph, k)[0]
+            calls = []
+            u = d.compute_ustat(x, graph, replace(k, evaluate=recording_ndim(k.evaluate, calls)))
+            assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300), (k.name, p)
+            assert calls[0] == ndim, (k.name, p)
 
 
 @given(
@@ -295,8 +336,9 @@ def test_evaluation_memory_is_bounded_by_the_edge_list(skewed):
 
 
 def test_complete_graph_evaluation_memory_is_independent_of_c(norm):
-    # the complete graph's edge list is the cached triu_indices (16 C bytes,
-    # filled by the warm-up call); evaluation adds only its blocks
+    # the complete graph's edge list is the cached row form (counts, jj),
+    # 8 C + 8 n bytes filled by the warm-up call; evaluation adds only the
+    # doubled row and one block of diagonals
     n = 2000
     c = math.comb(n, 2)
     k = d.product_kernel(norm)
