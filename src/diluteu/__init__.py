@@ -8,150 +8,19 @@ statistic is to a normal limit, including the regimes where the limit
 fails.
 """
 
-from .errors import (
-    ConfigurationError,
-    DegenerateNormalizationError,
-    EnumerationSizeError,
-    ResourceBudgetError,
-    UnsupportedKernelError,
-)
-from .sampling import (
-    DilutionGraph,
-    DistributionSpec,
-    SeedPolicy,
-    as_generator,
-    dilution_regime,
-    rademacher,
-    sample_dilution,
-    sample_row,
-    standard_normal,
-    table,
-    table_from_file,
-    uniform,
-)
-from .kernels import (
-    KernelSpec,
-    additive_kernel,
-    kernel_by_name,
-    kernel_from_table,
-    load_kernel_table,
-    product_kernel,
-    sign_kernel,
-    zero_kernel,
-)
-from .decomposition import (
-    MartingaleDifferences,
-    Realization,
-    compute_ustat,
-    hoeffding_parts,
-    martingale_differences,
-    sample_realization,
-)
-from .moments import (
-    EnumerationResult,
-    MomentSet,
-    enumerate_exact,
-    moments_closed_form,
-    moments_mc,
-    variance_exact,
-)
-from .conditions import (
-    CONDITION_IDS,
-    C4ComparisonReport,
-    ConditionReport,
-    Estimate,
-    estimate_C1,
-    estimate_C2,
-    estimate_C3,
-    estimate_C4,
-    estimate_C4prime,
-    estimate_Cdoubleprime,
-    estimate_eta1_mean,
-    estimate_eta2,
-    eta2_verdict,
-    sweep_condition,
-    trend_verdict,
-    verify_c4_implies_c4prime,
-)
-from .harness import (
-    DistTestResult,
-    ExperimentConfig,
-    chi1_shifted_cdf,
-    emit_report,
-    ks_distance,
-    normal_cdf,
-    replicate_standardized,
-    run_clt_experiment,
-    run_condition_sweep,
-    run_counterexample,
-    square_law_n_cdf,
-)
+from . import conditions, decomposition, errors, harness, kernels, moments, sampling
+from .errors import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .decomposition import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .conditions import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "UnsupportedKernelError",
-    "DegenerateNormalizationError",
-    "ResourceBudgetError",
-    "EnumerationSizeError",
-    "DistributionSpec",
-    "DilutionGraph",
-    "SeedPolicy",
-    "as_generator",
-    "rademacher",
-    "standard_normal",
-    "uniform",
-    "table",
-    "table_from_file",
-    "sample_row",
-    "sample_dilution",
-    "dilution_regime",
-    "KernelSpec",
-    "kernel_by_name",
-    "product_kernel",
-    "additive_kernel",
-    "sign_kernel",
-    "zero_kernel",
-    "kernel_from_table",
-    "load_kernel_table",
-    "compute_ustat",
-    "hoeffding_parts",
-    "martingale_differences",
-    "MartingaleDifferences",
-    "Realization",
-    "sample_realization",
-    "MomentSet",
-    "moments_closed_form",
-    "moments_mc",
-    "variance_exact",
-    "enumerate_exact",
-    "EnumerationResult",
-    "Estimate",
-    "CONDITION_IDS",
-    "estimate_C1",
-    "estimate_C2",
-    "estimate_C3",
-    "estimate_C4",
-    "estimate_C4prime",
-    "estimate_Cdoubleprime",
-    "estimate_eta2",
-    "estimate_eta1_mean",
-    "verify_c4_implies_c4prime",
-    "C4ComparisonReport",
-    "trend_verdict",
-    "eta2_verdict",
-    "ConditionReport",
-    "sweep_condition",
-    "ExperimentConfig",
-    "DistTestResult",
-    "replicate_standardized",
-    "ks_distance",
-    "normal_cdf",
-    "chi1_shifted_cdf",
-    "square_law_n_cdf",
-    "run_clt_experiment",
-    "run_counterexample",
-    "run_condition_sweep",
-    "emit_report",
-]
+# each module's __all__ is the one list of its public names
+__all__ = (
+    errors.__all__ + sampling.__all__ + kernels.__all__ + decomposition.__all__
+    + moments.__all__ + conditions.__all__ + harness.__all__
+)

@@ -358,14 +358,20 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
 
 @dataclass(frozen=True)
 class C4ComparisonReport:
-    """Checks the estimated C4' against its bound in terms of C4."""
+    """Checks the estimated C4' (lhs) against its bound in terms of C4 (rhs)."""
 
-    satisfied: bool
     lhs: float
     rhs: float
-    slack: float
     n: int
     p: float
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
 
 def verify_c4_implies_c4prime(
@@ -378,10 +384,8 @@ def verify_c4_implies_c4prime(
     combined_se = math.hypot(25.0 * c4.se, c4prime.se)
     rhs = 25.0 * c4.value + 50.0 / (npv * npv) + 50.0 / npv + 5.0 * combined_se
     return C4ComparisonReport(
-        satisfied=c4prime.value <= rhs,
         lhs=c4prime.value,
         rhs=rhs,
-        slack=rhs - c4prime.value,
         n=int(n),
         p=float(p),
     )
@@ -447,7 +451,7 @@ class ConditionReport:
     standard deviation per n for ETA2, where the concentration of the
     sample (not just its mean) is the object of interest. upper_bound
     marks series that bound their target from above rather than estimate
-    it (ETA1).
+    it (ETA1). Every estimator normalizes by the closed-form theta^2.
     """
 
     condition_id: str
@@ -456,9 +460,12 @@ class ConditionReport:
     estimates: np.ndarray
     ses: np.ndarray
     verdicts: Tuple[str, ...]
-    upper_bound: bool = False
     spread: Optional[np.ndarray] = None
-    theta_provenance: str = "closed_form"
+    theta_provenance = "closed_form"
+
+    @property
+    def upper_bound(self) -> bool:
+        return self.condition_id == "ETA1"
 
     def csv_rows(self):
         """Rows (condition_id, n, eps, estimate, se, verdict); eps blank
@@ -493,10 +500,12 @@ class ConditionReport:
 
 
 def _check_n_grid(n_grid) -> Tuple[int, ...]:
-    """The n grid as ints, checked nonempty and strictly increasing."""
+    """The n grid as ints, checked nonempty, strictly increasing and >= 2."""
     grid = tuple(int(v) for v in n_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n grid must be nonempty and strictly increasing")
+    if grid[0] < 2:
+        raise ConfigurationError("a pair statistic needs n >= 2; got n=%d" % grid[0])
     return grid
 
 
@@ -514,6 +523,10 @@ def _check_sweep(condition_id, n_grid, eps_grid, m):
     eps_cols = () if eps_free else tuple(float(e) for e in eps_grid)
     if not eps_free and not eps_cols:
         raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
+    if not all(0.0 < e < math.inf for e in eps_cols):
+        raise ConfigurationError(
+            "condition %s needs finite eps > 0; got %r" % (condition_id, eps_cols)
+        )
     m = _check_m(condition_id, DEFAULT_M[condition_id] if m is None else m)
     return n_grid, eps_cols, m
 
@@ -597,6 +610,5 @@ def sweep_condition(
         estimates=est,
         ses=ses,
         verdicts=verdicts,
-        upper_bound=(condition_id == "ETA1"),
         spread=spread,
     )

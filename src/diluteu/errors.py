@@ -5,6 +5,14 @@ with 2, resource-budget violations with 3. Statistical test failures are
 not exceptions; they are reported results (exit code 1 at the CLI).
 """
 
+__all__ = [
+    "ConfigurationError",
+    "UnsupportedKernelError",
+    "DegenerateNormalizationError",
+    "ResourceBudgetError",
+    "EnumerationSizeError",
+]
+
 
 class ConfigurationError(ValueError):
     """Invalid parameters, unusable kernel/distribution combination, or

@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -105,6 +104,12 @@ class ExperimentConfig:
             object.__setattr__(self, "dist", _default_dist())
         if self.R < 1:
             raise ConfigurationError("replication count must be >= 1")
+        if self.threads < 1:
+            raise ConfigurationError("threads must be >= 1; got %r" % self.threads)
+        if not 0.0 < self.ks_threshold < 1.0:
+            raise ConfigurationError(
+                "ks_threshold must be finite and in (0, 1); got %r" % self.ks_threshold
+            )
         object.__setattr__(self, "n_grid", _check_n_grid(self.n_grid))
         if (self.p is None) == (self.a is None):
             raise ConfigurationError("set exactly one of fixed p or exponent a")
@@ -162,23 +167,27 @@ def _default_dist() -> DistributionSpec:
 class DistTestResult:
     """Standardized samples against one target law, with the KS readout.
 
-    decision is the literal threshold comparison (pass iff ks below the
-    threshold); callers that expect a failure, like the normal leg of the
-    counterexample, interpret it themselves. runtime_seconds is carried
-    in memory only and never serialized, to keep reports byte-stable.
+    decision is derived: the literal threshold comparison (pass iff ks
+    below the threshold); callers that expect a failure, like the normal
+    leg of the counterexample, interpret it themselves. runtime_seconds is
+    carried in memory only and never serialized, to keep reports
+    byte-stable.
     """
 
     samples: np.ndarray
     target: str
     ks_statistic: float
     threshold: float
-    decision: str
     n: int
     R: int
     eval_count: int
     standardization: str
     note: str = ""
     runtime_seconds: float = 0.0
+
+    @property
+    def decision(self) -> str:
+        return "pass" if self.ks_statistic < self.threshold else "fail"
 
     def to_json(self) -> str:
         payload = {
@@ -324,7 +333,7 @@ def _run_replicates(
             out[r] = statistic(x, graph)
             evals[r] = graph.edge_count()
 
-    workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
+    workers = config.threads
     if workers <= 1 or R < 2 * workers:
         run_range(0, R)
     else:
@@ -372,7 +381,6 @@ def run_clt_experiment(config: ExperimentConfig, n: Optional[int] = None) -> Dis
         target="normal",
         ks_statistic=ks,
         threshold=config.ks_threshold,
-        decision="pass" if ks < config.ks_threshold else "fail",
         n=n,
         R=config.R,
         eval_count=evals,
@@ -425,18 +433,8 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
         note=_COUNTEREXAMPLE_NOTE,
         runtime_seconds=runtime,
     )
-    vs_normal = DistTestResult(
-        target="normal",
-        ks_statistic=ks_norm,
-        decision="pass" if ks_norm < config.ks_threshold else "fail",
-        **common,
-    )
-    vs_chi = DistTestResult(
-        target="chi1_shifted",
-        ks_statistic=ks_chi,
-        decision="pass" if ks_chi < config.ks_threshold else "fail",
-        **common,
-    )
+    vs_normal = DistTestResult(target="normal", ks_statistic=ks_norm, **common)
+    vs_chi = DistTestResult(target="chi1_shifted", ks_statistic=ks_chi, **common)
     return vs_normal, vs_chi
 
 

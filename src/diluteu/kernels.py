@@ -40,9 +40,9 @@ E[sign X]^2 instead. The shift is zero for symmetric laws, where the sign
 kernel is degenerate.
 
 Degeneracy (g identically zero) is a property of the (kernel, law) pair,
-not of h alone; it is declared at registration and checked there against
-E[g^2], after mu and Sigma are checked against the law: exactly by
-enumeration for discrete laws, by a fixed-seed Monte Carlo check otherwise.
+not of h alone; it is read from E[g^2], which registration derives from mu
+and Sigma after checking them against the law: exactly by enumeration for
+discrete laws, by a fixed-seed Monte Carlo check otherwise.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 _EXACT_TOL = 1e-12
-_DEGENERACY_EPS = 1e-15
 
 
 def _quadratic(fx: np.ndarray, m: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -98,9 +97,9 @@ class KernelSpec:
     s + (r,); coef is the symmetric r x r matrix A. feature_mean and
     feature_moment are mu = E[phi(X)] and Sigma = E[phi(X) phi(X)^T] under
     the bound law dist. g, H, H~, K, E[h^2] and E[g^2] (the methods and
-    properties below) are derived from these four. Every field is
-    required. The product, additive, sign and table factories check phi,
-    A, mu, Sigma and the degeneracy flag against h and the law
+    properties below) are derived from these four, and so is
+    degenerate_flag (E[g^2] = 0). Every field is required. The built-in
+    and table factories check phi, A, mu and Sigma against h and the law
     (_verify_registration); a spec built directly is taken as given.
     """
 
@@ -110,7 +109,6 @@ class KernelSpec:
     coef: np.ndarray
     feature_mean: np.ndarray
     feature_moment: np.ndarray
-    degenerate_flag: bool
     dist: DistributionSpec
 
     def pair_values(self, xa, xb) -> np.ndarray:
@@ -148,6 +146,11 @@ class KernelSpec:
     def g_second_moment(self) -> float:
         """E[g^2] = mu^T A Sigma A mu."""
         return float(self._products.mu @ self._products.k_vec)
+
+    @property
+    def degenerate_flag(self) -> bool:
+        """g vanishes: E[g^2] <= 1e-18."""
+        return self.g_second_moment <= 1e-18
 
     @property
     def centered_pair_matrix(self) -> np.ndarray:
@@ -206,7 +209,6 @@ def product_kernel(dist: DistributionSpec) -> KernelSpec:
         coef=np.array([[1.0]]),
         feature_mean=np.array([0.0]),
         feature_moment=np.array([[float(dist.variance)]]),
-        degenerate_flag=True,
         dist=dist,
     )
     _verify_registration(spec)
@@ -231,7 +233,6 @@ def additive_kernel(dist: DistributionSpec) -> KernelSpec:
         coef=np.array([[0.0, 1.0], [1.0, 0.0]]),
         feature_mean=np.array([0.0, 1.0]),
         feature_moment=np.array([[var, 0.0], [0.0, 1.0]]),
-        degenerate_flag=var == 0.0,
         dist=dist,
     )
     _verify_registration(spec)
@@ -266,7 +267,6 @@ def sign_kernel(dist: DistributionSpec) -> KernelSpec:
         coef=np.diag([1.0, -shift]),
         feature_mean=np.array([sb, 1.0]),
         feature_moment=np.array([[q, sb], [sb, 1.0]]),
-        degenerate_flag=abs(sb) < _DEGENERACY_EPS,
         dist=dist,
     )
     _verify_registration(spec)
@@ -279,34 +279,34 @@ def zero_kernel(dist: DistributionSpec) -> KernelSpec:
     def zeros2(x, y):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
-    return KernelSpec(
+    spec = KernelSpec(
         name="zero",
         evaluate=zeros2,
         features=lambda x: np.zeros(np.shape(x) + (1,)),
         coef=np.zeros((1, 1)),
         feature_mean=np.zeros(1),
         feature_moment=np.zeros((1, 1)),
-        degenerate_flag=True,
         dist=dist,
     )
+    _verify_registration(spec)
+    return spec
 
 
 _BUILTIN_FACTORIES = {
     "product": product_kernel,
     "additive": additive_kernel,
     "sign": sign_kernel,
+    "zero": zero_kernel,
 }
 
 
 def kernel_by_name(name: str, dist: DistributionSpec) -> KernelSpec:
-    """Bind the built-in kernel `name` (a _BUILTIN_FACTORIES key, or zero) to dist."""
-    if name == "zero":
-        return zero_kernel(dist)
+    """Bind the built-in kernel `name` (a _BUILTIN_FACTORIES key) to dist."""
     try:
         factory = _BUILTIN_FACTORIES[name]
     except KeyError:
         raise UnsupportedKernelError(
-            "unknown kernel %r (built-ins: %s, zero)"
+            "unknown kernel %r (built-ins: %s)"
             % (name, ", ".join(sorted(_BUILTIN_FACTORIES)))
         ) from None
     return factory(dist)
@@ -317,15 +317,14 @@ def kernel_by_name(name: str, dist: DistributionSpec) -> KernelSpec:
 
 
 def _verify_registration(spec: KernelSpec) -> None:
-    """Check (phi, A) against h, (mu, Sigma) against the law, centering,
-    and the degeneracy flag.
+    """Check (phi, A) against h, (mu, Sigma) against the law, and centering.
 
     Discrete laws are checked exactly on the support: h == phi^T A phi on
     every pair of support points, and mu, Sigma against their enumerated
     values. Continuous laws get a fixed-seed Monte Carlo check: h ==
     phi^T A phi on every drawn pair, and each entry of mu and Sigma within
-    4 standard errors of its sample mean. Centering (mu^T A mu = 0) and
-    degeneracy (E[g^2] = 0) are then read from the checked closed forms.
+    4 standard errors of its sample mean. Centering (mu^T A mu = 0) is
+    then read from the checked closed form.
     """
     dist = spec.dist
     if dist.is_discrete:
@@ -376,12 +375,6 @@ def _verify_registration(spec: KernelSpec) -> None:
     if abs(mean_h) > 1e-9:
         raise ConfigurationError(
             "kernel %r is not centered for this law: E[h] = %.3e" % (spec.name, mean_h)
-        )
-    g2 = spec.g_second_moment
-    if spec.degenerate_flag != (g2 <= 1e-18):
-        raise ConfigurationError(
-            "kernel %r: degeneracy flag %r inconsistent with E[g^2] = %.3e"
-            % (spec.name, spec.degenerate_flag, g2)
         )
 
 
@@ -473,7 +466,6 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
             )
         return _eye[idx]
 
-    g_vec = hmat @ qs
     spec = KernelSpec(
         name=name,
         evaluate=ev,
@@ -481,7 +473,6 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
         coef=hmat,
         feature_mean=qs,
         feature_moment=np.diag(qs),
-        degenerate_flag=float(qs @ (g_vec * g_vec)) <= 1e-18,
         dist=dist,
     )
     _verify_registration(spec)

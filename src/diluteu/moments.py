@@ -50,19 +50,24 @@ _ZERO_SE = {"beta2": 0.0, "gamma2": 0.0, "theta2": 0.0, "var_u_exact": 0.0}
 class MomentSet:
     """beta2, gamma2, theta2 and the exact finite-n variance of U.
 
-    standard_errors carries one entry per field; all zero for closed-form
+    standard_errors carries one entry per moment; all zero for closed-form
     and enumerated values. provenance records which path produced the
-    numbers, since downstream standardization must report it.
+    numbers, since downstream standardization must report it. theta2 is
+    derived from n, p, beta2 and gamma2.
     """
 
     beta2: float
     gamma2: float
-    theta2: float
     var_u_exact: float
     standard_errors: Dict[str, float] = field(default_factory=lambda: dict(_ZERO_SE))
     provenance: str = "closed_form"
     n: int = 0
     p: float = 1.0
+
+    @property
+    def theta2(self) -> float:
+        """n p gamma2 + beta2 / 2."""
+        return self.n * self.p * self.gamma2 + self.beta2 / 2.0
 
     @property
     def theta(self) -> float:
@@ -87,7 +92,6 @@ class MomentSet:
         return cls(
             beta2=float(d["beta2"]),
             gamma2=float(d["gamma2"]),
-            theta2=float(d["theta2"]),
             var_u_exact=float(d["var_u_exact"]),
             standard_errors={k: float(v) for k, v in d["standard_errors"].items()},
             provenance=d["provenance"],
@@ -128,11 +132,9 @@ def moments_closed_form(
     _same_law(kernel, dist)
     beta2 = p * kernel.second_moment
     gamma2 = p * kernel.g_second_moment
-    theta2 = n * p * gamma2 + beta2 / 2.0
     return MomentSet(
         beta2=beta2,
         gamma2=gamma2,
-        theta2=theta2,
         var_u_exact=variance_exact(n, p, beta2, gamma2),
         provenance="closed_form",
         n=n,
@@ -167,14 +169,12 @@ def moments_mc(
     gamma2 = p * float(g2.mean())
     se_b = p * float(h2.std(ddof=1)) / math.sqrt(m)
     se_g = p * float(g2.std(ddof=1)) / math.sqrt(m)
-    theta2 = n * p * gamma2 + beta2 / 2.0
     se_t = math.hypot(n * p * se_g, se_b / 2.0)
     var_u = variance_exact(n, p, beta2, gamma2)
     se_v = math.hypot(se_b, 2.0 * (n - 2) * p * se_g) / math.comb(n, 2)
     return MomentSet(
         beta2=beta2,
         gamma2=gamma2,
-        theta2=theta2,
         var_u_exact=var_u,
         standard_errors={
             "beta2": se_b,
@@ -331,11 +331,9 @@ def enumerate_exact(
     results = {pr: acc.value() for pr, acc in zip(all_products, accs)}
     beta2 = results[base[0]]
     gamma2 = results[base[1]]
-    theta2 = n * p * gamma2 + beta2 / 2.0
     moment_set = MomentSet(
         beta2=beta2,
         gamma2=gamma2,
-        theta2=theta2,
         var_u_exact=var_acc.value(),
         provenance="enumerated",
         n=n,

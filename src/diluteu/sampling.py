@@ -44,6 +44,11 @@ __all__ = [
     "SeedPolicy",
     "as_generator",
     "as_seed_sequence",
+    "rademacher",
+    "standard_normal",
+    "uniform",
+    "table",
+    "table_from_file",
     "sample_row",
     "sample_dilution",
     "dilution_regime",
@@ -285,7 +290,6 @@ class DilutionGraph:
     """
 
     n: int
-    p: float
     packed: np.ndarray
 
     def __post_init__(self) -> None:
@@ -437,7 +441,7 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
             tie = np.concatenate(ties)
             bits[tie] = rng.random(tie.size) < frac
         packed = np.packbits(bits)
-    return DilutionGraph(n=n, p=float(p), packed=packed)
+    return DilutionGraph(n=n, packed=packed)
 
 
 def dilution_regime(n: int, a: float) -> float:
@@ -454,7 +458,9 @@ def dilution_regime(n: int, a: float) -> float:
 
 
 def _regime_p(n: int, a: float) -> float:
-    """p = n^(-a), with a checked to lie in [0, 1); never warns."""
+    """p = n^(-a), with n >= 2 and a in [0, 1) checked; never warns."""
+    if n < 2:
+        raise ConfigurationError("a pair statistic needs n >= 2; got n=%r" % n)
     if not 0.0 <= a < 1.0:
         raise ConfigurationError(
             "dilution exponent a=%r outside [0, 1); n*p would not diverge" % a

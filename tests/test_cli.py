@@ -1,6 +1,7 @@
 """CLI behavior: the distribution/config parsers, exit codes for every
 subcommand, flag-over-file precedence, and the module entry point."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -469,6 +470,9 @@ def test_oracle_too_large_exits_3(capsys):
         ["moments", "--kernel", "sign", "--dist", "triangle", "--n", "8", "--p", "1"],
         ["simulate", "--n", "10", "--p", "0.05", "--R", "50"],  # n*p < 1
         CONDITIONS_C3 + ["--expect", "C3"],  # missing =verdict
+        ["conditions", "--eps", "-1", "--n", "50,100", "--a", "0.3"],
+        ["clt-test", "--ks-threshold", "nan", "--n", "50", "--p", "1", "--R", "20"],
+        ["clt-test", "--threads", "0", "--n", "50", "--p", "1", "--R", "20"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -476,6 +480,65 @@ def test_configuration_errors_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "configuration error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["clt-test", "--n", "-5", "--a", "0.3"], ["clt-test", "--n", "1", "--p", "1"]]
+)
+def test_n_below_2_exits_2_without_a_slow_regime_warning(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert "needs n >= 2" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+
+
+# ------------------------------------------------------------------- flags
+
+_SUBCOMMAND_OPTIONS = {
+    "simulate": "--kernel --dist --n --p --a --R --seed --threads --out --format "
+    "--standardization",
+    "moments": "--kernel --dist --n --p --a --seed --out --format --method --m",
+    "conditions": "--kernel --dist --n --p --a --seed --out --format --conditions "
+    "--eps --m --expect",
+    "clt-test": "--kernel --dist --n --p --a --R --seed --threads --out --format "
+    "--standardization --ks-threshold",
+    "counterexample": "--n --R --seed --threads --out --format --ks-threshold",
+    "oracle": "--kernel --dist --n --p --a --out",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_OPTIONS))
+def test_each_subcommand_takes_only_the_flags_it_reads(command):
+    from diluteu.cli import _parser
+
+    (subs,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for a in subs.choices[command]._actions for opt in a.option_strings}
+    assert options == {"-h", "--help", "--config"} | set(_SUBCOMMAND_OPTIONS[command].split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--R", "10"],
+        ["moments", "--threads", "2"],
+        ["conditions", "--R", "10"],
+        ["conditions", "--threads", "2"],
+        ["counterexample", "--kernel", "sign"],
+        ["counterexample", "--dist", "rademacher"],
+        ["counterexample", "--p", "0.5"],
+        ["counterexample", "--a", "0.3"],
+        ["oracle", "--R", "10"],
+        ["oracle", "--threads", "2"],
+        ["oracle", "--seed", "3"],
+        ["oracle", "--format", "csv"],
+    ],
+)
+def test_a_flag_the_subcommand_would_ignore_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[1:]) in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- entry point

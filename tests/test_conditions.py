@@ -462,6 +462,20 @@ def test_sweep_rejects_a_bad_p_before_any_cell(rad, policy, monkeypatch, p_fixed
         d.ExperimentConfig(dist=rad, n_grid=(20, 40), p=p_fixed)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sweep_rejects_a_bad_eps_before_any_cell(rad, policy, monkeypatch, eps):
+    # a nan cut keeps nothing and would read as convergence to 0; eps <= 0
+    # keeps everything, an untruncated moment
+    cells = []
+    monkeypatch.setattr(d.conditions, "estimate_C1", lambda *a: cells.append(a))
+    k = d.sign_kernel(rad)
+    with pytest.raises(d.ConfigurationError, match="C1 needs finite eps > 0"):
+        d.sweep_condition("C1", k, rad, policy, n_grid=(20, 40), eps_grid=(0.5, eps), a=0.3)
+    assert cells == []
+    with pytest.raises(d.ConfigurationError, match="C1 needs finite eps > 0"):
+        d.ExperimentConfig(dist=rad, n_grid=(20, 40), a=0.3, conditions=("C1",), eps_grid=(eps,))
+
+
 def test_default_m_covers_all_conditions():
     assert set(DEFAULT_M) == set(d.CONDITION_IDS)
 

@@ -174,21 +174,21 @@ def recording_ndim(fn, calls):
 @pytest.mark.parametrize("n", [40, 41])
 def test_complete_graph_ustat_matches_row_form(skewed, rad, tri, tri_kernel, n):
     # a graph whose edge list covers every pair is summed by circulant
-    # diagonals (2-D kernel calls), whatever p it records; one pair short
-    # of complete it takes the row-form blocks (1-D calls)
+    # diagonals (2-D kernel calls); one pair short of complete it takes the
+    # row-form blocks (1-D calls)
     full = d.sample_dilution(n, 1.0, 0).packed
     short = full.copy()
     short[0] = 0x7F  # drops the pair (0, 1)
     for k, law in ((tri_kernel, tri), (d.sign_kernel(skewed), skewed),
                    (d.additive_kernel(rad), rad)):
         x = d.sample_row(n, law, n)
-        for p, packed, ndim in ((1.0, full, 2), (0.5, full, 2), (1.0, short, 1)):
-            graph = d.DilutionGraph(n=n, p=p, packed=packed)
+        for packed, ndim in ((full, 2), (short, 1)):
+            graph = d.DilutionGraph(n=n, packed=packed)
             u_ref = unblocked_parts(x, graph, k)[0]
             calls = []
             u = d.compute_ustat(x, graph, replace(k, evaluate=recording_ndim(k.evaluate, calls)))
-            assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300), (k.name, p)
-            assert calls[0] == ndim, (k.name, p)
+            assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300), (k.name, ndim)
+            assert calls[0] == ndim, (k.name, ndim)
 
 
 @given(
@@ -324,13 +324,13 @@ def test_evaluation_memory_is_bounded_by_the_edge_list(skewed):
     k = d.sign_kernel(skewed)
     x = d.sample_row(n, skewed, 1)
     packed = d.sample_dilution(n, p, 2).packed
-    d.compute_ustat(x, d.DilutionGraph(n=n, p=p, packed=packed), k)
+    d.compute_ustat(x, d.DilutionGraph(n=n, packed=packed), k)
     # fresh graphs, so hoeffding_parts also pays the first degrees() call
     ustat = traced_peak(
-        lambda: d.compute_ustat(x, d.DilutionGraph(n=n, p=p, packed=packed), k)
+        lambda: d.compute_ustat(x, d.DilutionGraph(n=n, packed=packed), k)
     )
     parts = traced_peak(
-        lambda: d.hoeffding_parts(x, d.DilutionGraph(n=n, p=p, packed=packed), k)
+        lambda: d.hoeffding_parts(x, d.DilutionGraph(n=n, packed=packed), k)
     )
     assert ustat < 7 * c and parts < 7 * c
 

@@ -162,6 +162,14 @@ def test_config_validation_errors(norm):
         sign_config(p=0.001, n_grid=(60,))  # np < 1
     with pytest.warns(UserWarning, match="slow regime"):
         sign_config(p=0.1, n_grid=(60,))  # np = 6
+    with pytest.raises(d.ConfigurationError, match="threads must be >= 1"):
+        sign_config(threads=0)
+    for bad in (float("nan"), float("inf"), 0.0, 1.0, 2.0, -0.05):
+        with pytest.raises(d.ConfigurationError, match="ks_threshold"):
+            sign_config(ks_threshold=bad)
+    for grid in ((1, 60), (-5,)):
+        with pytest.raises(d.ConfigurationError, match="needs n >= 2"):
+            sign_config(n_grid=grid, p=None, a=0.3)
 
 
 def test_config_rejects_an_empty_eps_grid_for_eps_conditions():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -21,7 +22,10 @@ def test_builtin_names(rad):
     ks = [d.kernel_by_name(k, rad) for k in ("product", "additive", "sign")]
     assert [k.name for k in ks] == ["product", "additive", "sign"]
     assert d.kernel_by_name("zero", rad).name == "zero"
-    with pytest.raises(d.UnsupportedKernelError):
+    with pytest.raises(
+        d.UnsupportedKernelError,
+        match=r"^unknown kernel 'cubic' \(built-ins: additive, product, sign, zero\)$",
+    ):
         d.kernel_by_name("cubic", rad)
 
 
@@ -79,6 +83,16 @@ def test_sign_kernel_degenerate_on_symmetric_laws(rad, norm):
     assert d.sign_kernel(norm).degenerate_flag
 
 
+def test_sign_kernel_on_a_near_symmetric_law_registers_as_degenerate():
+    # E[sign X] = -1e-10 after centering, so E[g^2] = 1e-20: degenerate by
+    # E[g^2] <= 1e-18, though |E[sign X]| is above 1e-15
+    with pytest.warns(UserWarning, match="auto-centering"):
+        law = d.table([-1, 1], [0.5 + 5e-11, 0.5 - 5e-11])
+    k = d.kernel_by_name("sign", law)
+    assert k.g_second_moment == pytest.approx(1e-20, rel=1e-3)
+    assert k.degenerate_flag
+
+
 def test_builtin_centering_by_enumeration(skewed, rad):
     # E[h(X, Y)] must be 0 for every registration
     for dist in (skewed, rad):
@@ -90,9 +104,13 @@ def test_builtin_centering_by_enumeration(skewed, rad):
             assert abs(float(qs @ hm @ qs)) < 1e-12
 
 
-def test_zero_kernel(rad):
-    k = d.kernel_by_name("zero", rad)
-    assert k.degenerate_flag
+def test_zero_kernel(rad, norm, skewed):
+    # registered and checked like the other built-ins, on discrete and
+    # continuous laws alike
+    for law in (rad, norm, skewed):
+        k = d.kernel_by_name("zero", law)
+        assert k.degenerate_flag
+        assert k.second_moment == 0.0
     assert np.all(k.pair_values(np.array([1.0, -1.0]), np.array([1.0, 1.0])) == 0.0)
 
 
@@ -271,15 +289,15 @@ def test_kernel_with_law_but_no_g_is_rejected(call, skewed):
             coef=sign.coef,
             feature_mean=sign.feature_mean,
             feature_moment=sign.feature_moment,
-            degenerate_flag=sign.degenerate_flag,
             dist=skewed,
         )
     _NO_G_CALLS[call](sign, skewed)
 
 
 def test_kernel_without_its_form_or_law_fails_at_construction(rad, tmp_path):
-    # phi, A, mu, Sigma, the degeneracy flag and the law are required, so
-    # a kernel missing any of them cannot be built in the first place
+    # phi, A, mu, Sigma and the law are required, so a kernel missing any
+    # of them cannot be built in the first place; the degeneracy flag is
+    # derived from them
     ref = d.sign_kernel(rad)
     fields = {f.name: getattr(ref, f.name) for f in dataclasses.fields(d.KernelSpec)}
     assert d.KernelSpec(**fields).second_moment == ref.second_moment
@@ -324,3 +342,21 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_each_public_name_is_listed_once():
+    # a module's __all__ names every public function and class it defines,
+    # and the package list is their concatenation
+    modules = (d.errors, d.sampling, d.kernels, d.decomposition, d.moments,
+               d.conditions, d.harness)
+    for mod in modules:
+        defined = {
+            name
+            for name, value in vars(mod).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == mod.__name__
+        }
+        assert defined - set(mod.__all__) == set(), mod.__name__
+    assert d.__all__ == [name for mod in modules for name in mod.__all__]
+    assert len(set(d.__all__)) == len(d.__all__)

@@ -315,7 +315,7 @@ def test_edge_count_matches_table_popcount():
         packed = rng.integers(0, 256, size=-(-c // 8), dtype=np.uint8)
         if c % 8:
             packed[-1] &= (0xFF << (8 - c % 8)) & 0xFF
-        g = d.DilutionGraph(n=n, p=0.5, packed=packed)
+        g = d.DilutionGraph(n=n, packed=packed)
         assert g.edge_count() == int(table[packed].sum())
 
 
@@ -350,7 +350,7 @@ def test_kept_edge_list_is_released_by_the_next_graph():
     # nothing is kept while c is
     n, p = 1000, 0.3
     a, b, c = (
-        d.DilutionGraph(n=n, p=p, packed=d.sample_dilution(n, p, s).packed)
+        d.DilutionGraph(n=n, packed=d.sample_dilution(n, p, s).packed)
         for s in (5, 6, 7)
     )
 
@@ -379,18 +379,18 @@ def test_kept_edge_list_is_released_by_the_next_graph():
 def test_graph_rejects_truncated_or_padded_bits():
     # n=6: 15 bits in 2 bytes, the last bit of the second byte is padding
     ok = np.frombuffer(bytes.fromhex("fffe"), dtype=np.uint8)
-    assert d.DilutionGraph(n=6, p=1.0, packed=ok).edge_count() == 15
+    assert d.DilutionGraph(n=6, packed=ok).edge_count() == 15
     for packed in ("ff", "ffff", "fffe00"):
         bits = np.frombuffer(bytes.fromhex(packed), dtype=np.uint8)
         with pytest.raises(d.ConfigurationError):
-            d.DilutionGraph(n=6, p=1.0, packed=bits)
+            d.DilutionGraph(n=6, packed=bits)
 
 
 def test_graph_rejects_packed_bits_of_another_dtype():
     # length and padding checks: test_graph_rejects_truncated_or_padded_bits
     ok = np.packbits(np.ones(15, dtype=bool))  # n=6: 15 bits in 2 bytes
     with pytest.raises(d.ConfigurationError):
-        d.DilutionGraph(n=6, p=1.0, packed=ok.astype(np.int64))
+        d.DilutionGraph(n=6, packed=ok.astype(np.int64))
 
 
 def test_edges_keep_no_pair_sized_memory():
@@ -421,6 +421,9 @@ def test_dilution_regime_values():
         d.dilution_regime(100, 1.0)
     with pytest.raises(d.ConfigurationError):
         d.dilution_regime(100, -0.1)
+    for n in (1, 0, -5):  # (-5) ** -0.3 would be complex
+        with pytest.raises(d.ConfigurationError, match="needs n >= 2"):
+            d.dilution_regime(n, 0.3)
 
 
 def test_dilution_regime_warns_when_np_small():
