@@ -31,6 +31,7 @@ from .kernels import kernel_by_name
 from .moments import enumerate_exact, moments_closed_form, moments_mc
 from .sampling import (
     DistributionSpec,
+    _read_rows,
     rademacher,
     standard_normal,
     table,
@@ -52,7 +53,7 @@ def parse_dist(text: str) -> DistributionSpec:
         parts = text[len("uniform:"):].split(",")
         if len(parts) != 2:
             raise ConfigurationError("uniform needs two endpoints, e.g. uniform:-1,1")
-        return uniform(float(Fraction(parts[0])), float(Fraction(parts[1])))
+        return uniform(_fraction(parts[0]), _fraction(parts[1]))
     if text.startswith("table:"):
         payload = text[len("table:"):]
         if "=" not in payload:
@@ -64,8 +65,8 @@ def parse_dist(text: str) -> DistributionSpec:
                 raise ConfigurationError(
                     "inline table entries look like value=prob; got %r" % item
                 )
-            values.append(float(Fraction(v)))
-            probs.append(float(Fraction(q)))
+            values.append(_fraction(v))
+            probs.append(_fraction(q))
         return table(values, probs)
     raise ConfigurationError(
         "unknown distribution %r (rademacher, normal, uniform:a,b, "
@@ -75,19 +76,7 @@ def parse_dist(text: str) -> DistributionSpec:
 
 def load_config_file(path: str) -> dict:
     """key=value lines; '#' starts a comment; later keys win."""
-    out = {}
-    with open(path, "r", encoding="utf8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    "config line %r is not key=value" % raw.strip()
-                )
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+    return dict(_read_rows(path, "config", 2, sep="=", convert=str))
 
 
 def _int_list(text: str):
@@ -95,7 +84,7 @@ def _int_list(text: str):
 
 
 def _float_list(text: str):
-    return tuple(float(Fraction(v)) for v in text.split(",") if v.strip())
+    return tuple(_fraction(v) for v in text.split(",") if v.strip())
 
 
 def _name_list(text: str):
@@ -103,13 +92,17 @@ def _name_list(text: str):
 
 
 def _fraction(text: str) -> float:
-    return float(Fraction(text))
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError("%r is not a number" % text) from None
 
 
 # config-file key -> (dest of its flag, ExperimentConfig field, parser of
 # the file's text). Flags arrive parsed and win over the file; dist, from
 # either, goes through parse_dist last. A field that neither sets keeps
-# ExperimentConfig's default.
+# ExperimentConfig's default. A subcommand reads only the keys whose flag
+# it takes (expect.* with --expect); the others are skipped unparsed.
 _CONFIG_KEYS = {
     "kernel": ("kernel", "kernel_name", str),
     "dist": ("dist", "dist", str),
@@ -133,11 +126,14 @@ def _build_config(args) -> ExperimentConfig:
     fields, expected = {}, {}
     for key, text in (load_config_file(args.config) if args.config else {}).items():
         if key.startswith("expect."):
-            expected[key[len("expect."):]] = text
+            if hasattr(args, "expect"):
+                expected[key[len("expect."):]] = text
             continue
         if key not in _CONFIG_KEYS:
             raise ConfigurationError("unknown config key %r" % key)
-        _, name, parse = _CONFIG_KEYS[key]
+        dest, name, parse = _CONFIG_KEYS[key]
+        if not hasattr(args, dest):
+            continue
         try:
             fields[name] = parse(text)
         except ValueError as exc:

@@ -26,10 +26,12 @@ four objects (phi, A, mu, Sigma):
 (H~ in this form uses the centering contract mu^T A mu = E[h] = 0.) The
 four objects and the row law are required fields of every kernel, so
 nothing downstream checks for them or falls back to nested Monte Carlo.
-Table kernels take their law as a required argument too. h itself stays
-a direct closure (evaluate): it is the per-pair inner loop of every
-statistic, and the generic phi^T A phi form is 4 to 7 times slower per
-pair. Registration checks that the two agree pointwise.
+Table kernels take their law as a required argument too. Only the
+built-ins (product, additive, sign, zero) keep a hand-written h
+(evaluate): it is the per-pair inner loop of every statistic, and the
+generic phi^T A phi form is 4 to 7 times slower per pair. A table
+kernel's h is A read at the support index of its one-hot phi
+(kernel_from_table). Registration checks h against phi^T A phi.
 
 Centering contract: every registered kernel satisfies E[h(X, Y)] = 0
 under independent draws from the paired law. For the product and additive
@@ -56,7 +58,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedKernelError
-from .sampling import DistributionSpec, sample_row
+from .sampling import DistributionSpec, _read_rows, sample_row
 
 __all__ = [
     "KernelSpec",
@@ -382,23 +384,16 @@ def _verify_registration(spec: KernelSpec) -> None:
 # custom table kernels
 
 
-def _support_index(support: np.ndarray, x: np.ndarray):
-    """Index of each x in the sorted support, and where x is in it."""
-    idx = np.searchsorted(support, x)
-    found = (idx < support.size) & (support[np.minimum(idx, support.size - 1)] == x)
-    return idx, found
-
-
 def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
     """Discrete kernel from (x, y, value) triples, bound to a discrete row law.
 
-    Symmetry is validated: a pair given in both orders must agree exactly.
-    The lookup matrix is filled in both orientations, so the kernel is
-    symmetric even if only one orientation was supplied.
-
-    The law's support must be covered by the table. The finite-rank form
-    comes by enumeration: phi is the one-hot indicator over the law's
-    support, A the table on that support, mu the probabilities and Sigma
+    Symmetry is validated: a pair given in both orders must agree exactly;
+    one orientation is enough. The table is kept once, as A over the law's
+    support: phi is the one-hot indicator over that support, and h(x, y)
+    = phi(x)^T A phi(y) is read directly as A[i(x), i(y)] at the support
+    index i that phi uses. Every pair of support points needs an entry;
+    entries at other values are ignored, since rows never take them, and
+    h or phi at such a value raises. mu is the probabilities and Sigma
     their diagonal matrix. The kernel then passes the same registration
     check as the built-ins, centering (E[h] = 0) included.
     """
@@ -417,22 +412,25 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
                 % (key, entries[key], v)
             )
         entries[key] = v
-    if not entries:
-        raise ConfigurationError("kernel table is empty")
-    support = np.asarray(sorted({c for key in entries for c in key}))
-    k = support.size
-    mat = np.full((k, k), np.nan)
-    for (x, y), v in entries.items():
-        ix = int(np.searchsorted(support, x))
-        iy = int(np.searchsorted(support, y))
-        mat[ix, iy] = v
-        mat[iy, ix] = v
+    support = dist.support
+    missing = [(x, y) for i, x in enumerate(support) for y in support[i:]
+               if (x, y) not in entries]
+    if missing:
+        raise ConfigurationError(
+            "row-law support pairs %r not covered by the kernel table" % missing
+        )
+    coef = np.array([[entries[(x, y) if x <= y else (y, x)] for y in support]
+                     for x in support])
+    vals = np.asarray(support, np.float64)
+    qs = np.asarray(dist.probs, np.float64)
 
-    def ev(xa, ya, _s=support, _m=mat):
-        xa = np.asarray(xa, np.float64)
-        ya = np.asarray(ya, np.float64)
-        ia, in_a = _support_index(_s, xa)
-        ja, in_b = _support_index(_s, ya)
+    def index(x):  # position of each x in the support, and whether x is there
+        i = np.minimum(np.searchsorted(vals, x), vals.size - 1)
+        return i, vals[i] == x
+
+    def ev(xa, ya):
+        ia, in_a = index(xa)
+        ib, in_b = index(ya)
         ok = in_a & in_b
         if not np.all(ok):
             bad = np.where(in_a, ya, xa)[~ok]
@@ -440,37 +438,23 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
                 "%d pair(s) with a value outside the kernel table support; "
                 "first %r" % (bad.size, float(bad[0]))
             )
-        vals = _m[ia, ja]
-        if np.any(np.isnan(vals)):
-            raise ConfigurationError("kernel table has no entry for a requested pair")
-        return vals
+        return coef[ia, ib]
 
-    missing = set(dist.support) - {float(s) for s in support}
-    if missing:
-        raise ConfigurationError(
-            "row-law support %r not covered by the kernel table" % sorted(missing)
-        )
-    vals = np.asarray(dist.support, np.float64)
-    qs = np.asarray(dist.probs, np.float64)
-    hmat = ev(np.repeat(vals, vals.size), np.tile(vals, vals.size)).reshape(
-        vals.size, vals.size
-    )
-
-    def one_hot(x, _v=vals, _eye=np.eye(vals.size)):
-        idx, found = _support_index(_v, x)
+    def one_hot(x, _eye=np.eye(vals.size)):
+        i, found = index(x)
         if not np.all(found):
             bad = x[~found]
             raise ConfigurationError(
                 "%d value(s) outside the row-law support; first %r"
                 % (bad.size, float(bad.flat[0]))
             )
-        return _eye[idx]
+        return _eye[i]
 
     spec = KernelSpec(
         name=name,
         evaluate=ev,
         features=one_hot,
-        coef=hmat,
+        coef=coef,
         feature_mean=qs,
         feature_moment=np.diag(qs),
         dist=dist,
@@ -485,17 +469,6 @@ def load_kernel_table(path, dist: DistributionSpec) -> KernelSpec:
     dist is the discrete row law the kernel is bound to, as in
     kernel_from_table; the kernel is named after the file.
     """
-    rows = []
-    with open(path, "r", encoding="utf8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    "kernel table line %r: expected three columns" % raw.strip()
-                )
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+    rows = _read_rows(path, "kernel table", 3)
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return kernel_from_table(name, rows, dist)

@@ -197,22 +197,33 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
     )
 
 
-def table_from_file(path) -> DistributionSpec:
-    """Read a two-column text file (value, probability); '#' starts a comment."""
-    vals, qs = [], []
+def _read_rows(path, kind: str, width: int, sep=None, convert=float) -> list:
+    """Rows of `width` fields from a UTF-8 text file; '#' starts a comment.
+
+    Fields are split at sep (default: whitespace) and passed through convert.
+    Blank lines are skipped; a bad line raises ConfigurationError naming kind
+    and the line."""
+    rows = []
     with open(path, "r", encoding="utf8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigurationError(
-                    "distribution table line %r: expected two columns" % raw.strip()
-                )
-            vals.append(float(parts[0]))
-            qs.append(float(parts[1]))
-    return table(vals, qs)
+            try:
+                fields = line.split(sep, width - 1) if sep else line.split()
+                if len(fields) != width:
+                    raise ValueError("expected %d fields" % width)
+                rows.append(tuple(convert(f.strip()) for f in fields))
+            except ValueError as exc:
+                msg = "%s line %r: %s" % (kind, raw.strip(), exc)
+                raise ConfigurationError(msg) from None
+    return rows
+
+
+def table_from_file(path) -> DistributionSpec:
+    """Read a two-column text file (value, probability); '#' starts a comment."""
+    rows = _read_rows(path, "distribution table", 2)
+    return table([v for v, _ in rows], [q for _, q in rows])
 
 
 def _sign(v: float) -> float:

@@ -4,6 +4,8 @@ subcommand, flag-over-file precedence, and the module entry point."""
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -142,8 +144,9 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     [
         ("kernal=product", "unknown config key 'kernal'"),
         ("R=abc", "config key R: invalid literal"),
+        ("p=1/0", "config key p: '1/0' is not a number"),
     ],
-    ids=["unknown-key", "bad-value"],
+    ids=["unknown-key", "bad-value", "zero-denominator"],
 )
 def test_bad_config_key_exits_2_before_any_replicate(line, message, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "typo.cfg"
@@ -180,6 +183,30 @@ def test_conditions_flag_and_config_key_parse_one_list(tmp_path):
     key = _build_config(_parser().parse_args(["conditions", "--config", str(cfg)]))
     assert flag.conditions == key.conditions == ("C1",)
     assert flag.canonical_json() == key.canonical_json()
+
+
+def _first_line_and_code(argv, capsys):
+    code = run_main(argv)
+    return code, capsys.readouterr().out.splitlines()[:1]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["counterexample", "--n", "50", "--R", "10"], "p=0.01\n"),
+        (["counterexample", "--n", "50", "--R", "10"], "kernel=additive\ndist=uniform:-1,1\n"),
+        (["counterexample", "--n", "50", "--R", "10"], "expect.C1=stagnant\n"),
+        (["moments", "--n", "10", "--p", "0.5"], "R=0\nthreads=x\n"),
+    ],
+    ids=["counterexample-p", "counterexample-law", "counterexample-expect", "moments-R"],
+)
+def test_config_keys_the_subcommand_does_not_read_are_ignored(argv, text, tmp_path, capsys):
+    # neither parsed, validated nor hashed: the run matches the one without the file
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(text)
+    plain = _first_line_and_code(argv, capsys)
+    assert plain[1][0].startswith("# config_hash=")
+    assert _first_line_and_code(argv + ["--config", str(cfg)], capsys) == plain
 
 
 # ----------------------------------------------------------------- simulate
@@ -483,6 +510,20 @@ def test_configuration_errors_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "dist",
+    ["table:LAWFILE", "table:a=1/2,1=1/2", "uniform:x,1", "table:-1=1/2,1=0.5x"],
+)
+def test_malformed_dist_text_exits_2(dist, tmp_path, capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("abc 0.5\n")
+    dist = dist.replace("LAWFILE", str(law))
+    code = run_main(["moments", "--n", "10", "--p", "0.5", "--dist", dist])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
     "argv", [["clt-test", "--n", "-5", "--a", "0.3"], ["clt-test", "--n", "1", "--p", "1"]]
 )
 def test_n_below_2_exits_2_without_a_slow_regime_warning(argv, capsys):
@@ -508,13 +549,39 @@ _SUBCOMMAND_OPTIONS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_OPTIONS))
-def test_each_subcommand_takes_only_the_flags_it_reads(command):
+def _subcommand_options(command):
     from diluteu.cli import _parser
 
     (subs,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {opt for a in subs.choices[command]._actions for opt in a.option_strings}
-    assert options == {"-h", "--help", "--config"} | set(_SUBCOMMAND_OPTIONS[command].split())
+    return options - {"-h", "--help", "--config"}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_OPTIONS))
+def test_each_subcommand_takes_only_the_flags_it_reads(command):
+    assert _subcommand_options(command) == set(_SUBCOMMAND_OPTIONS[command].split())
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_command_line_section_matches_the_parser():
+    from diluteu.cli import _parser
+
+    with open(README, encoding="utf8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("diluteu ")
+    ]
+    assert len(commands) == 6
+    for line in commands:
+        _parser().parse_args(shlex.split(line)[1:])  # SystemExit on a bad flag
+    table = dict(re.findall(r"^\| `([\w-]+)` \| `([^`]*)`", section, flags=re.M))
+    assert sorted(table) == sorted(_SUBCOMMAND_OPTIONS)
+    for command, flags in table.items():
+        assert _subcommand_options(command) == set(flags.split()), command
 
 
 @pytest.mark.parametrize(

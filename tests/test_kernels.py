@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import diluteu as d
+from conftest import TRI_TABLE
 
 
 def enum_pairs(dist):
@@ -198,6 +199,34 @@ def test_load_kernel_table(tmp_path, rad):
     f.write_text("# x y h\n-1 -1 1\n-1 1 -1\n1 1 1\n")
     k = d.load_kernel_table(f, dist=rad)
     assert float(k.pair_values(np.array([-1.0]), np.array([1.0]))[0]) == -1.0
+
+
+def test_table_kernel_values_are_the_raw_table(tri_kernel):
+    # an oracle independent of A: the triples as written, in both orders
+    for x, y, v in TRI_TABLE:
+        assert tri_kernel.pair_values([x, y], [y, x]).tolist() == [v, v]
+
+
+def test_table_entries_off_the_law_support_are_ignored(rad):
+    rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
+    base = d.kernel_from_table("tbl", rows, dist=rad)
+    extra = d.kernel_from_table("tbl", rows + [(0, 0, 5.0), (0, 1, 7.0)], dist=rad)
+    x = np.array([-1.0, -1.0, 1.0, 1.0])
+    y = np.array([-1.0, 1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(extra.coef, base.coef)
+    np.testing.assert_array_equal(extra.pair_values(x, y), base.pair_values(x, y))
+    assert extra.second_moment == base.second_moment
+    # 0 has table entries, but rows of this law never take it
+    with pytest.raises(d.ConfigurationError, match=r"^1 pair\(s\).*first 0\.0$"):
+        extra.pair_values([0.0], [1.0])
+    with pytest.raises(d.ConfigurationError, match="outside the row-law support"):
+        extra.conditional_mean([0.0])
+
+
+def test_table_kernel_needs_every_support_pair(rad):
+    # both support points appear, but the pair (-1, 1) has no entry
+    with pytest.raises(d.ConfigurationError, match=r"pairs \[\(-1\.0, 1\.0\)\] not covered"):
+        d.kernel_from_table("gap", [(-1, -1, 1.0), (1, 1, 1.0)], dist=rad)
 
 
 def test_empty_kernel_table(rad):

@@ -105,6 +105,29 @@ def test_table_from_file(tmp_path):
         d.table_from_file(f2)
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("distribution table", "-1 0.5\nabc 0.5\n"),
+        ("kernel table", "# x y h\n-1 -1 x\n"),
+        ("config", "\nkernel product\n"),
+    ],
+)
+def test_text_file_readers_name_the_kind_and_bad_line(kind, text, tmp_path):
+    from diluteu.cli import load_config_file
+
+    read = {
+        "distribution table": d.table_from_file,
+        "kernel table": lambda f: d.load_kernel_table(f, dist=d.rademacher()),
+        "config": load_config_file,
+    }[kind]
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    bad = text.strip().splitlines()[-1]
+    with pytest.raises(d.ConfigurationError, match="^%s line %r: " % (kind, bad)):
+        read(f)
+
+
 def test_sample_row_rejects_bad_n(rad):
     with pytest.raises(d.ConfigurationError):
         d.sample_row(0, rad, 1)
