@@ -94,7 +94,7 @@ def _name_list(text: str):
 def _fraction(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigurationError("%r is not a number" % text) from None
 
 

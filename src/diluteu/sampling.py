@@ -198,11 +198,9 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
 
 
 def _read_rows(path, kind: str, width: int, sep=None, convert=float) -> list:
-    """Rows of `width` fields from a UTF-8 text file; '#' starts a comment.
-
-    Fields are split at sep (default: whitespace) and passed through convert.
-    Blank lines are skipped; a bad line raises ConfigurationError naming kind
-    and the line."""
+    """Rows of `width` fields, split at sep (default: whitespace) and passed
+    through convert, from a UTF-8 text file; '#' starts a comment and blank
+    lines are skipped. A bad line raises ConfigurationError naming kind and it."""
     rows = []
     with open(path, "r", encoding="utf8") as fh:
         for raw in fh:
@@ -212,7 +210,8 @@ def _read_rows(path, kind: str, width: int, sep=None, convert=float) -> list:
             try:
                 fields = line.split(sep, width - 1) if sep else line.split()
                 if len(fields) != width:
-                    raise ValueError("expected %d fields" % width)
+                    what = repr(sep) if sep else "whitespace"
+                    raise ValueError("expected %d fields separated by %s" % (width, what))
                 rows.append(tuple(convert(f.strip()) for f in fields))
             except ValueError as exc:
                 msg = "%s line %r: %s" % (kind, raw.strip(), exc)

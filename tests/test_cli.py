@@ -145,8 +145,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("kernal=product", "unknown config key 'kernal'"),
         ("R=abc", "config key R: invalid literal"),
         ("p=1/0", "config key p: '1/0' is not a number"),
+        ("p=1e400", "config key p: '1e400' is not a number"),
+        ("kernel product", "expected 2 fields separated by '='"),
     ],
-    ids=["unknown-key", "bad-value", "zero-denominator"],
+    ids=["unknown-key", "bad-value", "zero-denominator", "overflow", "no-separator"],
 )
 def test_bad_config_key_exits_2_before_any_replicate(line, message, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "typo.cfg"
@@ -511,7 +513,10 @@ def test_configuration_errors_exit_2(argv, capsys):
 
 @pytest.mark.parametrize(
     "dist",
-    ["table:LAWFILE", "table:a=1/2,1=1/2", "uniform:x,1", "table:-1=1/2,1=0.5x"],
+    [
+        "table:LAWFILE", "table:a=1/2,1=1/2", "uniform:x,1", "table:-1=1/2,1=0.5x",
+        "uniform:1e400,1",
+    ],
 )
 def test_malformed_dist_text_exits_2(dist, tmp_path, capsys):
     law = tmp_path / "law.txt"
@@ -553,13 +558,17 @@ def _subcommand_options(command):
     from diluteu.cli import _parser
 
     (subs,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {opt for a in subs.choices[command]._actions for opt in a.option_strings}
-    return options - {"-h", "--help", "--config"}
+    return {opt for a in subs.choices[command]._actions for opt in a.option_strings}
+
+
+def _expected_options(flags):
+    # every subcommand also takes -h/--help and --config
+    return {"-h", "--help", "--config"} | set(flags.split())
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_OPTIONS))
 def test_each_subcommand_takes_only_the_flags_it_reads(command):
-    assert _subcommand_options(command) == set(_SUBCOMMAND_OPTIONS[command].split())
+    assert _subcommand_options(command) == _expected_options(_SUBCOMMAND_OPTIONS[command])
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -581,7 +590,7 @@ def test_readme_command_line_section_matches_the_parser():
     table = dict(re.findall(r"^\| `([\w-]+)` \| `([^`]*)`", section, flags=re.M))
     assert sorted(table) == sorted(_SUBCOMMAND_OPTIONS)
     for command, flags in table.items():
-        assert _subcommand_options(command) == set(flags.split()), command
+        assert _subcommand_options(command) == _expected_options(flags), command
 
 
 @pytest.mark.parametrize(
