@@ -98,6 +98,19 @@ def _fraction(text: str) -> float:
         raise ConfigurationError("%r is not a number" % text) from None
 
 
+def _flag_type(parse):
+    """parse as an argparse type: a bad value's error is parse's own
+    message after the flag, not 'invalid <function name> value'."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 # config-file key -> (dest of its flag, ExperimentConfig field, parser of
 # the file's text). Flags arrive parsed and win over the file; dist, from
 # either, goes through parse_dist last. A field that neither sets keeps
@@ -158,9 +171,9 @@ _SHARED_FLAGS = {
     "--config": dict(help="key=value config file"),
     "--kernel": dict(help="product | additive | sign | zero"),
     "--dist": dict(help="rademacher | normal | uniform:a,b | table:..."),
-    "--n": dict(type=_int_list, help="n grid, comma-separated"),
-    "--p": dict(type=_fraction, help="fixed dilution p"),
-    "--a": dict(type=_fraction, help="dilution exponent: p = n^-a"),
+    "--n": dict(type=_flag_type(_int_list), help="n grid, comma-separated"),
+    "--p": dict(type=_flag_type(_fraction), help="fixed dilution p"),
+    "--a": dict(type=_flag_type(_fraction), help="dilution exponent: p = n^-a"),
     "--R": dict(type=int, help="replication count"),
     "--seed": dict(type=int, help="master seed"),
     "--threads": dict(
@@ -202,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--conditions", type=_name_list, help="subset of " + ",".join(CONDITION_IDS)
     )
-    s.add_argument("--eps", type=_float_list, help="eps grid, comma-separated")
+    s.add_argument("--eps", type=_flag_type(_float_list), help="eps grid, comma-separated")
     s.add_argument("--m", type=int, help="replicates per grid cell")
     s.add_argument(
         "--expect",

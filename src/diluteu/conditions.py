@@ -23,11 +23,13 @@ projection term (degree counts times E[g^2]), a pair term (the centered
 pair conditional H~ over pairs of known bits in one row) and a mixed
 cross term. The kernel's finite-rank form h = phi^T A phi makes H~ and
 the cross conditional rank r, so the pair term is sum_i v_i^T B v_i with
-V = L (phi(x) - mu), L the strictly-lower dilution matrix: O(n^2 r) work
-per replicate, no n x n conditional matrix. At p = 1, V is a prefix sum
-over the rows: O(n r) work and no n x n matrix at all. eta1's mean is
-bounded above by the S1 + T1 truncation split; the estimator reports
-that bound and flags it as one.
+V = L Psi, Psi = phi(x) - mu and L the strictly-lower dilution matrix.
+eta1's mean is bounded above by the S1 + T1 truncation split; the
+estimator reports that bound and flags it as one. T1's row sums of
+h~ = Psi^T A Psi over the past are the rows of (Psi A) * (L Psi).
+
+Both read L only through DilutionGraph.lower(cols), the product L @ cols:
+O((n + E) r) work per replicate, O(n r) at p = 1, and no n x n array.
 
 Dilution bits are always sampled, never folded into p analytically, so
 each estimator is a plain mean of the defining integrand.
@@ -42,12 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateNormalizationError,
-    ResourceBudgetError,
-)
-from .decomposition import _centered_row_sums
+from .errors import ConfigurationError, DegenerateNormalizationError
 from .kernels import KernelSpec
 from .moments import moments_closed_form
 from .sampling import (
@@ -81,12 +78,10 @@ __all__ = [
     "DEFAULT_EPS_GRID",
     "DEFAULT_N_GRID",
     "DEFAULT_M",
-    "ETA2_MAX_N",
 ]
 
 DEFAULT_EPS_GRID = (0.01, 0.05, 0.1, 0.5)
 DEFAULT_N_GRID = (50, 100, 200, 400, 800)
-ETA2_MAX_N = 2000  # dense n x n float64 dilution matrix: 32 MB
 ABSOLUTE_FLOOR = 1e-3
 
 # replicates per cell when m is not given; the keys are the known condition ids
@@ -247,16 +242,6 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estima
 # eta quantities of the martingale CLT
 
 
-def _check_eta2_n(n: int) -> None:
-    """Reject an eta2 size whose dense dilution matrix is over the cap."""
-    if n > ETA2_MAX_N:
-        raise ResourceBudgetError(
-            "eta2 holds the dense n x n dilution matrix, 8 n^2 bytes (%.0f MB "
-            "at n = %d); n is capped at %d (%.0f MB)"
-            % (8e-6 * n * n, n, ETA2_MAX_N, 8e-6 * ETA2_MAX_N**2)
-        )
-
-
 def _realizations(n, dist, p, seed, m):
     """m (row, dilution graph) draws; draw r comes from child r of seed."""
     for child in as_seed_sequence(seed).spawn(m):
@@ -283,18 +268,13 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
       term 4: cross part, 2 (c + f p) . L (K(x) - E[g^2]) with
         K(x) = E[g(Y) h(Y, x)].
 
-    One product of L with the n x (r + 2) matrix [phi(x) - mu, K(x) -
-    E[g^2], 1] gives V, L (K(x) - E[g^2]) and c, so a replicate costs
-    O(n^2 r) time. At p = 1, L is all ones below the diagonal, so the
-    product is the exclusive prefix sum over the matrix's rows: O(n r)
-    time and no n x n matrix. Otherwise L is dense, 8 n^2 bytes, so n is
-    capped at ETA2_MAX_N (32 MB); the cap holds for every p, p = 1
-    included, and larger n raises a resource error rather than silently
-    thinning.
+    One product graph.lower(cols) with the n x (r + 2) matrix [phi(x) -
+    mu, K(x) - E[g^2], 1] gives V, L (K(x) - E[g^2]) and c. L is never
+    built, so a replicate costs O((n + E) r) time beyond its draw, O(n r)
+    at p = 1 (a prefix sum), and n has no cap.
     """
     m = _check_m("ETA2", m)
     n = int(n)
-    _check_eta2_n(n)
     t2 = _theta2(kernel, dist, n, p)
     eg2 = float(kernel.g_second_moment)
     mu = np.asarray(kernel.feature_mean, np.float64)
@@ -307,13 +287,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
         cols[:, :rank] = np.asarray(kernel.features(x), np.float64) - mu
         cols[:, rank] = np.asarray(kernel.cross_conditional(x), np.float64) - eg2
         cols[:, rank + 1] = 1.0
-        if p == 1.0:
-            # L is all ones below the diagonal: row i sums the rows j < i
-            prod = np.empty_like(cols)
-            prod[0] = 0.0
-            np.cumsum(cols[:-1], axis=0, out=prod[1:])
-        else:
-            prod = graph.lower() @ cols
+        prod = graph.lower(cols)
         v = prod[:, :rank]
         c = prod[:, rank + 1]
         t1_counts = c * c + 2.0 * c * fut * p + fut * p * (1.0 - p + fut * p)
@@ -330,7 +304,10 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
     S1 = (4/(n theta^2)) E[S^2 1{|S| >= eps theta n / 2}] reuses the C1
     integrand at eps/2; T1 averages the per-row truncated second moments
     of the centered-pair partial sums over full sampled realizations.
-    The result is an upper bound on the target, and is flagged as such.
+    Row j's sum, sum_{i<j} Z_ij h~(x_i, x_j), is Psi_j^T A (L Psi)_j with
+    Psi = phi(x) - mu, since h~ = Psi^T A Psi under the centering
+    contract. The result is an upper bound on the target, and is flagged
+    as such.
     """
     m = _check_m("ETA1", m)
     t2 = _theta2(kernel, dist, n, p)
@@ -342,10 +319,12 @@ def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
     s1 = estimate_C1(kernel, dist, n, p, 0.5 * eps, max(m, 4096), s_seed)
 
     # T1 part: per-replicate realizations
+    a = np.asarray(kernel.coef, np.float64)
+    mu = np.asarray(kernel.feature_mean, np.float64)
     t_vals = np.empty(m)
     for r, (x, graph) in enumerate(_realizations(n, dist, p, t_seed, m)):
-        counts, jj = graph.edges()
-        rows = _centered_row_sums(x, counts, jj, kernel.conditional_mean(x), kernel)
+        psi = np.asarray(kernel.features(x), np.float64) - mu
+        rows = np.sum((psi @ a) * graph.lower(psi), axis=1)
         kept = np.abs(rows) >= cut
         t_vals[r] = float((rows * rows * kept).sum())
     t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))
@@ -517,8 +496,6 @@ def _check_sweep(condition_id, n_grid, eps_grid, m):
             % (condition_id, ", ".join(CONDITION_IDS))
         )
     n_grid = _check_n_grid(n_grid)
-    if condition_id == "ETA2":
-        _check_eta2_n(n_grid[-1])
     eps_free = condition_id in ("C4", "C4'", "ETA2")
     eps_cols = () if eps_free else tuple(float(e) for e in eps_grid)
     if not eps_free and not eps_cols:
@@ -558,7 +535,7 @@ def sweep_condition(
 
     The dilution is p = n^-a per grid point, or the constant p_fixed
     when given; a grid point with n*p < 10 warns once either way. The
-    plan (id, n and eps grids, m, ETA2 cap, and p at every grid point) is
+    plan (id, n and eps grids, m, and p at every grid point) is
     checked before any cell runs. Every cell has its own derived seed, so
     cells can be recomputed in isolation and the grid is the same in any
     evaluation order.

@@ -137,23 +137,6 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     return total / math.comb(n, 2)
 
 
-def _centered_row_sums(x, counts, jj, gvals, kernel: KernelSpec) -> np.ndarray:
-    """Per-index sums of h~(x_i, x_j) over the row-form edges (counts, jj).
-
-    Each pair is charged to its larger index jj; gvals is g on the row.
-    The edges are evaluated in blocks of _BLOCK, each edge once, and the
-    centered terms added in edge order, as one bincount over all E
-    weights would add them, so the sums are bit-identical to it.
-    """
-    out = np.zeros(x.size)
-    for rows, reps, bj in _edge_blocks(counts, jj):
-        ht = kernel.pair_values(np.repeat(x[rows], reps), x[bj])
-        ht -= np.repeat(gvals[rows], reps)
-        ht -= gvals[bj]
-        np.add.at(out, bj, ht)
-    return out
-
-
 def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     """Per-index (psi_part, phi_tilde_part) whose total is binom(n,2)*U.
 
@@ -162,14 +145,21 @@ def hoeffding_parts(x, graph: DilutionGraph, kernel: KernelSpec):
     its larger index, so phi_tilde_part[i] sums over j < i. The identity
     holds for every realization, not just in expectation. g is evaluated
     once, on the row, and read per edge; h once per edge, in blocks of
-    _BLOCK. The degrees and the sums read the same kept edge list.
+    _BLOCK, with the centered terms added in edge order, as one bincount
+    over all E weights would add them. The degrees and the sums read the
+    same kept edge list.
     """
     x = _check_row_graph(x, graph)
     deg = graph.degrees()
     counts, jj = graph.edges()
     gvals = np.asarray(kernel.conditional_mean(x), dtype=np.float64)
-    psi_part = gvals * deg
-    return psi_part, _centered_row_sums(x, counts, jj, gvals, kernel)
+    phi_tilde_part = np.zeros(x.size)
+    for rows, reps, bj in _edge_blocks(counts, jj):
+        ht = kernel.pair_values(np.repeat(x[rows], reps), x[bj])
+        ht -= np.repeat(gvals[rows], reps)
+        ht -= gvals[bj]
+        np.add.at(phi_tilde_part, bj, ht)
+    return gvals * deg, phi_tilde_part
 
 
 @dataclass(frozen=True)

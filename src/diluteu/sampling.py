@@ -296,7 +296,10 @@ class DilutionGraph:
     in O(C) byte work plus O(E) index work. The module keeps the lists of
     the last extracted incomplete graph and of the last two complete-graph
     sizes, and no per-n pair-index table. The degree vector, 8n bytes, is
-    computed on the first call to degrees() and kept on the graph.
+    computed on the first call to degrees() and kept on the graph. No
+    n x n form exists: lower(cols) applies the strictly-lower matrix to
+    columns over the rows from the edge list, or by a prefix sum when the
+    graph is complete.
     """
 
     n: int
@@ -355,13 +358,7 @@ class DilutionGraph:
         kept = _kept
         if kept is not None and kept[0] is self:
             return kept[1], kept[2]
-        # complete: every full byte 0xFF and the last one's pair bits set,
-        # read from the packed bytes so the C-byte unpack is skipped
-        full, rest = divmod(self.pair_count, 8)
-        packed = self.packed
-        if packed[:full].min(initial=0xFF) == 0xFF and (
-            not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
-        ):
+        if self._complete():
             return _complete_edges(self.n)
         # free the kept list (both references) before this one is built
         kept = _kept = None
@@ -369,21 +366,36 @@ class DilutionGraph:
         _kept = (self, counts, jj)
         return counts, jj
 
-    def dense(self) -> np.ndarray:
-        """Full symmetric boolean matrix (diagonal False)."""
-        m = np.zeros((self.n, self.n), dtype=bool)
-        counts, jj = self.edges()
-        ii = np.repeat(np.arange(self.n), counts)
-        m[ii, jj] = True
-        m[jj, ii] = True
-        return m
+    def _complete(self) -> bool:
+        """Every pair kept: each full byte 0xFF and the last one's pair bits
+        set, read from the packed bytes so the C-byte unpack is skipped."""
+        full, rest = divmod(self.pair_count, 8)
+        packed = self.packed
+        return packed[:full].min(initial=0xFF) == 0xFF and (
+            not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
+        )
 
-    def lower(self) -> np.ndarray:
-        """Strict lower triangle as float64: L[i, j] = Z_ij for j < i."""
-        m = np.zeros((self.n, self.n), dtype=np.float64)
+    def lower(self, cols) -> np.ndarray:
+        """L @ cols for the strict lower triangle L (L[i, j] = Z_ij, j < i).
+
+        cols has n rows (1-D or 2-D) and the float64 result has its shape:
+        row i sums the rows j < i of cols whose pair is kept. L is never
+        built. A complete graph takes the exclusive prefix sum over rows,
+        O(n k) for k columns with no edge list; any other graph one
+        bincount per column over its kept edges(), O(n + E) each.
+        """
+        cols = np.asarray(cols, dtype=np.float64)
+        if self._complete():
+            out = np.zeros_like(cols)
+            np.cumsum(cols[:-1], axis=0, out=out[1:])
+            return out
         counts, jj = self.edges()
-        m[jj, np.repeat(np.arange(self.n), counts)] = 1.0
-        return m
+        flat = cols.reshape(self.n, -1)
+        out = np.empty_like(flat)
+        for c in range(flat.shape[1]):
+            weights = np.repeat(flat[:, c], counts)
+            out[:, c] = np.bincount(jj, weights=weights, minlength=self.n)
+        return out.reshape(cols.shape)
 
     def degrees(self) -> np.ndarray:
         """Number of Z=1 pairs touching each vertex: read-only int64, length n.

@@ -54,3 +54,13 @@ def policy():
 
 def rng_of(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def dense_of(graph):
+    """The graph's symmetric boolean n x n matrix (diagonal False), read
+    from its pair bits in storage order, not from its edge list."""
+    iu, ju = np.triu_indices(graph.n, k=1)
+    keep = graph.bits()
+    m = np.zeros((graph.n, graph.n), dtype=bool)
+    m[iu[keep], ju[keep]] = True
+    return m | m.T

@@ -163,6 +163,26 @@ def test_bad_config_key_exits_2_before_any_replicate(line, message, tmp_path, mo
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--p", "abc"], "argument --p: 'abc' is not a number"),
+        (["moments", "--p", "1/0"], "argument --p: '1/0' is not a number"),
+        (["conditions", "--eps", "x"], "argument --eps: 'x' is not a number"),
+        (["clt-test", "--n", "20,x"], "argument --n: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["p-word", "p-zero-denominator", "eps-word", "n-word"],
+)
+def test_bad_flag_value_names_the_flag_and_the_text(argv, message, capsys):
+    # argparse exits 2; the message names no parser function
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err
+    assert "invalid _" not in err
+
+
 def test_bare_command_keeps_the_config_defaults():
     # the CLI sets a = 0 when neither p nor a is given and nothing else
     from diluteu.cli import _build_config, _parser
@@ -363,24 +383,6 @@ def test_conditions_expect_on_unswept_condition_exits_2_before_any_cell(
     assert captured.out == ""
     assert cells == []
     assert "unswept conditions: %s" % extra[-1].split("=")[0] in captured.err
-
-
-def test_conditions_eta2_grid_above_the_cap_exits_3_before_any_cell(monkeypatch, capsys):
-    from diluteu.conditions import ETA2_MAX_N
-
-    cells = []
-    monkeypatch.setattr(d.harness, "sweep_condition", lambda cid, *a, **kw: cells.append(cid))
-    code = run_main(
-        [
-            "conditions", "--conditions", "C1,ETA2", "--dist", "table:-1=5/6,5=1/6",
-            "--a", "0.3", "--n", "50,%d" % (ETA2_MAX_N + 1),
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert cells == []
-    assert "resource budget" in captured.err and "8 n^2 bytes" in captured.err
 
 
 def test_conditions_too_small_m_exits_2_before_any_cell(monkeypatch, capsys):

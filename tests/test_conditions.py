@@ -8,6 +8,7 @@ for the summed conditional variance.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from scipy.integrate import quad
 from scipy.stats import norm as normal_law
 
 import diluteu as d
-from diluteu.conditions import ABSOLUTE_FLOOR, DEFAULT_M, ETA2_MAX_N
+from conftest import dense_of
+from diluteu.conditions import ABSOLUTE_FLOOR, DEFAULT_M
 
 # frozen oracle values; recomputed below and compared before use
 C1_SIGN_SKEWED_N10 = 0.4223172169811322  # n=10 p=0.5 eps=0.5
@@ -174,12 +176,13 @@ def brute_conditional_variance(x, low, kernel, n, p, theta2):
 
 
 def replay_realizations(dist, n, p, m, seed):
-    seq = np.random.SeedSequence(seed)
+    """The estimators' m draws of (row, dense strictly-lower L)."""
+    seq = d.as_seed_sequence(seed)
     out = []
     for child in seq.spawn(m):
         sx, sz = child.spawn(2)
         x = d.sample_row(n, dist, sx)
-        low = d.sample_dilution(n, p, sz).lower()
+        low = np.tril(dense_of(d.sample_dilution(n, p, sz))).astype(np.float64)
         out.append((x, low))
     return out
 
@@ -254,25 +257,30 @@ def test_eta2_undiluted_product_partial_sum_identity(norm):
         assert val == pytest.approx(expect, rel=1e-12)
 
 
-def test_eta2_undiluted_needs_no_dilution_matrix(norm, skewed, monkeypatch):
-    # at p = 1 the product with L is a prefix sum over rows, so lower() is
-    # never built; the skewed sign kernel (rank 2, nonzero cross term)
-    # still matches the dense reference. Below p = 1, lower() is built
-    n, m, seed = 50, 3, 4
+def test_undiluted_eta_estimators_extract_no_edges(norm, skewed, monkeypatch):
+    # at p = 1 lower(cols) is a prefix sum over rows, so neither eta2 nor
+    # ETA1 extracts an edge list; the skewed sign kernel (rank 2, nonzero
+    # cross term) still matches the references. Below p = 1, edges() is read
+    n, m, seed, eps = 50, 3, 4, 0.2
     sign = d.sign_kernel(skewed)
     t2 = d.moments_closed_form(sign, skewed, n, 1.0).theta2
     refs = [dense_eta2(sign, x, low, n, 1.0, t2)
             for x, low in replay_realizations(skewed, n, 1.0, m, seed)]
+    eta1_ref = sum(pairwise_eta1(sign, skewed, n, 1.0, eps, m, seed))
 
     def refuse(self):
-        raise AssertionError("lower() called")
+        raise AssertionError("edges() called")
 
-    monkeypatch.setattr(d.DilutionGraph, "lower", refuse)
+    monkeypatch.setattr(d.DilutionGraph, "edges", refuse)
     got = d.estimate_eta2(sign, skewed, n, 1.0, m=m, seed=seed)
     assert got == pytest.approx(refs, rel=1e-12)
     assert np.all(np.isfinite(d.estimate_eta2(d.product_kernel(norm), norm, n, 1.0, m=m, seed=seed)))
-    with pytest.raises(AssertionError, match="lower"):
+    eta1 = d.estimate_eta1_mean(sign, skewed, n, 1.0, eps, m, seed)
+    assert eta1.value == pytest.approx(eta1_ref, rel=1e-12)
+    with pytest.raises(AssertionError, match="edges"):
         d.estimate_eta2(sign, skewed, n, 0.5, m=2, seed=seed)
+    with pytest.raises(AssertionError, match="edges"):
+        d.estimate_eta1_mean(sign, skewed, n, 0.5, eps, m, seed)
 
 
 def test_eta2_mean_matches_exact_formula(skewed):
@@ -286,26 +294,37 @@ def test_eta2_mean_matches_exact_formula(skewed):
     assert abs(samples.mean() - exact) < 4 * se
 
 
-def test_eta2_guards(skewed, monkeypatch):
+def test_eta2_guards(skewed):
     k = d.sign_kernel(skewed)
-    with pytest.raises(d.ResourceBudgetError, match="8 n\\^2 bytes"):
-        d.estimate_eta2(k, skewed, n=ETA2_MAX_N + 1, p=0.5, m=4, seed=0)
-    # a grid above the cap is rejected before any cell runs
-    cells = []
-    monkeypatch.setattr(d.conditions, "estimate_eta2", lambda *a: cells.append(a))
-    with pytest.raises(d.ResourceBudgetError):
-        d.sweep_condition(
-            "ETA2", k, skewed, d.SeedPolicy(6), n_grid=(50, ETA2_MAX_N + 1), a=0.3
-        )
-    assert cells == []
     with pytest.raises(d.ConfigurationError, match="nonempty"):
         d.sweep_condition("ETA2", k, skewed, d.SeedPolicy(6), n_grid=(), a=0.3)
-    with pytest.raises(d.ResourceBudgetError):
-        d.ExperimentConfig(
-            dist=skewed, n_grid=(50, ETA2_MAX_N + 1), a=0.3, conditions=("C1", "ETA2")
-        )
     with pytest.raises(d.ConfigurationError):
         d.estimate_eta2(k, skewed, n=20, p=0.5, m=1, seed=0)
+
+
+def test_eta2_has_no_size_cap(skewed):
+    # no n x n matrix is built, so a grid past n = 2000 is a valid plan
+    cfg = d.ExperimentConfig(
+        dist=skewed, n_grid=(50, 2001), a=0.3, conditions=("ETA2",)
+    )
+    assert cfg.n_grid == (50, 2001)
+
+
+def test_eta2_memory_stays_below_the_pair_bytes(skewed):
+    # the peak is the dilution draw (about 3 bytes per pair) and the edge
+    # list; the n x n float64 L alone would be 16 bytes per pair
+    n = 2500
+    c = n * (n - 1) // 2
+    k = d.sign_kernel(skewed)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        d.estimate_eta2(k, skewed, n, 0.02, m=2, seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * c
 
 
 def test_eta2_requires_closed_structure(rad):
@@ -322,6 +341,42 @@ def test_eta2_requires_closed_structure(rad):
 
 
 # ----------------------------------------------------------------- eta1
+
+
+def pairwise_eta1(kernel, dist, n, p, eps, m, seed):
+    """(4 S1, T1) of estimate_eta1_mean, with T1's rows summed pair by
+    pair from centered_values over the dense L and S1 from estimate_C1."""
+    t2 = d.moments_closed_form(kernel, dist, n, p).theta2
+    cut = 0.5 * eps * math.sqrt(t2) * n
+    s_seed, t_seed = d.as_seed_sequence(seed).spawn(2)
+    s1 = d.estimate_C1(kernel, dist, n, p, 0.5 * eps, max(m, 4096), s_seed)
+    t_vals = []
+    for x, low in replay_realizations(dist, n, p, m, t_seed):
+        rows = np.zeros(n)
+        for j in range(n):
+            for i in range(j):
+                if low[j, i]:
+                    rows[j] += float(kernel.centered_values(x[i : i + 1], x[j : j + 1])[0])
+        t_vals.append(float((rows * rows * (np.abs(rows) >= cut)).sum()))
+    return 4.0 * s1.value, 4.0 / (n * n * t2) * float(np.mean(t_vals))
+
+
+@pytest.mark.parametrize("p", [0.4, 1.0])
+@pytest.mark.parametrize("which", ["sign", "product", "additive", "table"])
+def test_eta1_t1_rows_match_pairwise_centered_sums(which, p, skewed, norm, rad, tri, tri_kernel):
+    # T1's rows come from lower(phi(x) - mu); the reference sums h~ pair by pair
+    k, law = {
+        "sign": (d.sign_kernel(skewed), skewed),
+        "product": (d.product_kernel(norm), norm),
+        "additive": (d.additive_kernel(rad), rad),
+        "table": (tri_kernel, tri),
+    }[which]
+    n, eps, m, seed = 30, 0.05, 3, 12
+    s1, t1 = pairwise_eta1(k, law, n, p, eps, m, seed)
+    # h~ vanishes for the additive kernel; the others keep most rows
+    assert (t1 == 0.0) == (which == "additive")
+    est = d.estimate_eta1_mean(k, law, n, p, eps, m, seed)
+    assert est.value - s1 == pytest.approx(t1, rel=1e-12, abs=1e-15)
 
 
 def test_eta1_bound_flag_and_large_eps_zero(skewed):

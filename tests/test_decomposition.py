@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import diluteu as d
+from conftest import dense_of
 
 
 def build(name, dist, n, p, seed):
@@ -231,7 +232,7 @@ def test_hoeffding_parts_manual_small_case(skewed):
     x = d.sample_row(n, skewed, 11)
     g = d.sample_dilution(n, 0.5, 12)
     psi, phi = d.hoeffding_parts(x, g, k)
-    dense = g.dense()
+    dense = dense_of(g)
     gv = k.conditional_mean(x)
     assert np.allclose(psi, gv * dense.sum(axis=1), atol=1e-12)
     # phi charges each centered pair to its larger index

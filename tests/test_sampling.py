@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import diluteu as d
-from conftest import rng_of
+from conftest import dense_of, rng_of
 
 
 def test_rademacher_spec(rad):
@@ -139,8 +139,8 @@ def test_sample_row_rejects_bad_n(rad):
 def test_dilution_determinism_and_symmetry():
     g = d.sample_dilution(12, 0.4, 99)
     h = d.sample_dilution(12, 0.4, 99)
-    assert np.array_equal(g.dense(), h.dense())
-    m = g.dense()
+    assert np.array_equal(dense_of(g), dense_of(h))
+    m = dense_of(g)
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0)
     for i in range(g.n):
@@ -180,10 +180,11 @@ def test_dilution_edge_count_concentrates():
 
 def test_dilution_lower_and_degrees_agree():
     g = d.sample_dilution(9, 0.5, 21)
-    low = g.lower()
+    # 0/1 columns sum exactly, so L applied to the identity is L itself
+    low = g.lower(np.eye(9))
     assert np.all(np.triu(low) == 0)
-    assert np.array_equal(low + low.T, g.dense())
-    assert np.array_equal(g.degrees(), g.dense().sum(axis=1).astype(int))
+    assert np.array_equal(low + low.T, dense_of(g))
+    assert np.array_equal(g.degrees(), dense_of(g).sum(axis=1).astype(int))
     counts, jj = g.edges()
     ii = np.repeat(np.arange(g.n), counts)
     assert len(ii) == g.edge_count()
@@ -208,7 +209,7 @@ def test_dilution_pair_independence():
 @settings(max_examples=60, deadline=None)
 def test_dilution_bitset_roundtrip(n, p, seed):
     g = d.sample_dilution(n, p, seed)
-    m = g.dense()
+    m = dense_of(g)
     # dense view, bit probes, edge list, and degree vector all consistent
     counts, jj = g.edges()
     ii = np.repeat(np.arange(n), counts)
@@ -314,11 +315,21 @@ def test_edges_match_triu_mask_reference(n, p):
     assert not kept.flags.writeable and g.degrees() is kept
     dense = np.zeros((n, n), dtype=bool)
     dense[ri, rj] = dense[rj, ri] = True
-    assert np.array_equal(g.dense(), dense)
-    low = g.lower()
-    assert low.dtype == np.float64
-    assert np.array_equal(np.flatnonzero(low), np.sort(rj * n + ri))
-    assert np.all(low[rj, ri] == 1.0)
+    assert np.array_equal(dense_of(g), dense)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_lower_applies_the_strict_lower_matrix(n, p):
+    # L[i, j] = Z_ij for j < i, from the bits; p = 1 takes the prefix sum
+    g = d.sample_dilution(n, p, 40 + n)
+    low = np.tril(dense_of(g)).astype(np.float64)
+    cols = rng_of(n).standard_normal((n, 3))
+    for c in (cols[:, 0], cols):
+        got = g.lower(c)
+        assert got.shape == c.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, low @ c, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(g.lower(np.eye(n)), low)
 
 
 def test_degenerate_dilution_packed_bytes():
