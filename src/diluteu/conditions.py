@@ -6,7 +6,8 @@ Notation (theta2 from the moment set):
     PhiT(i,j) = Z_ij h~(X_i, X_j)
     G_k(i,j)  = Z_ik Z_jk H(X_i, X_j)     (and G~ with H~)
 
-The estimated quantities, each Monte Carlo over m replicates:
+The estimated quantities, each Monte Carlo over m replicates. Those with
+an eps (and eta1) are drawn once and cut at every eps of a grid:
 
     C1   (1/(n theta^2)) E[ S^2 1{|S| >= eps theta n} ],
          S = sum_{j>=2} Psi_j(1)         (fresh row-1 dilution bits)
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,6 +127,12 @@ def _mean_se(vals: np.ndarray, factor: float = 1.0) -> Estimate:
     return Estimate(value=mean, se=se)
 
 
+def _cut(vals: np.ndarray, size: np.ndarray, cuts, factor: float) -> List[Estimate]:
+    """One Estimate per cut: the mean of vals over |size| >= cut, 0 elsewhere."""
+    mag = np.abs(size)
+    return [_mean_se(vals * (mag >= cut), factor) for cut in cuts]
+
+
 def _check_m(condition_id: str, m: int) -> int:
     """m, checked against the condition's minimum replicate count.
 
@@ -145,43 +152,40 @@ def _check_m(condition_id: str, m: int) -> int:
 # Truncated-moment condition estimators
 
 
-def estimate_C1(kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """Truncated second moment of the summed projection column."""
+def estimate_C1(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
+    """Truncated second moment of the summed projection column, per eps."""
     m = _check_m("C1", m)
     t2 = _theta2(kernel, dist, n, p)
-    theta = math.sqrt(t2)
     sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(m, dist, sx)
     counts = as_generator(sz).binomial(n - 1, p, size=m).astype(np.float64)
     big_s = np.asarray(kernel.conditional_mean(x), np.float64) * counts
-    keep = np.abs(big_s) >= eps * theta * n
-    vals = big_s * big_s * keep
-    return _mean_se(vals, factor=1.0 / (n * t2))
+    cuts = [eps * math.sqrt(t2) * n for eps in eps_grid]
+    return _cut(big_s * big_s, big_s, cuts, 1.0 / (n * t2))
 
 
-def _estimate_pair(kernel, dist, n, p, eps, m, seed, centered: bool) -> Estimate:
-    """Truncated second moment of one diluted pair, h~ (C2) or h (C2'')."""
+def _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered: bool) -> List[Estimate]:
+    """Truncated second moment of one diluted pair, h~ (C2) or h (C2''), per eps."""
     t2 = _theta2(kernel, dist, n, p)
-    theta = math.sqrt(t2)
     sx, sy, sz = as_seed_sequence(seed).spawn(3)
     xa = sample_row(m, dist, sx)
     xb = sample_row(m, dist, sy)
     bits = (as_generator(sz).random(m) < p).astype(np.float64)
     fn = kernel.centered_values if centered else kernel.pair_values
     pair = bits * fn(xa, xb)
-    keep = np.abs(pair) >= eps * theta * n
-    return _mean_se(pair * pair * keep, factor=1.0 / t2)
+    cuts = [eps * math.sqrt(t2) * n for eps in eps_grid]
+    return _cut(pair * pair, pair, cuts, 1.0 / t2)
 
 
-def _estimate_diag(kernel, dist, n, p, eps, m, seed, centered: bool) -> Estimate:
-    """Truncated first moment of the diagonal conditional, H~ (C3) or H (C3'')."""
+def _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered: bool) -> List[Estimate]:
+    """Truncated first moment of the diagonal conditional, H~ (C3) or H (C3''), per eps."""
     t2 = _theta2(kernel, dist, n, p)
     (sx,) = as_seed_sequence(seed).spawn(1)
     x = sample_row(m, dist, sx)
     fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
     diag = np.asarray(fn(x, x), np.float64)
-    keep = np.abs(diag) >= eps * t2 * n / p
-    return _mean_se(diag * keep, factor=p / t2)
+    cuts = [eps * t2 * n / p for eps in eps_grid]
+    return _cut(diag, diag, cuts, p / t2)
 
 
 def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
@@ -198,14 +202,14 @@ def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
     return _mean_se(g * g, factor=1.0 / (t2 * t2))
 
 
-def estimate_C2(kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """Truncated second moment of a single centered pair."""
-    return _estimate_pair(kernel, dist, n, p, eps, _check_m("C2", m), seed, centered=True)
+def estimate_C2(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
+    """Truncated second moment of a single centered pair, per eps."""
+    return _estimate_pair(kernel, dist, n, p, eps_grid, _check_m("C2", m), seed, centered=True)
 
 
-def estimate_C3(kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """Truncated first moment of the centered diagonal conditional."""
-    return _estimate_diag(kernel, dist, n, p, eps, _check_m("C3", m), seed, centered=True)
+def estimate_C3(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
+    """Truncated first moment of the centered diagonal conditional, per eps."""
+    return _estimate_diag(kernel, dist, n, p, eps_grid, _check_m("C3", m), seed, centered=True)
 
 
 def estimate_C4(kernel, dist, n, p, m, seed) -> Estimate:
@@ -218,24 +222,24 @@ def estimate_C4prime(kernel, dist, n, p, m, seed) -> Estimate:
     return _estimate_G2(kernel, dist, n, p, _check_m("C4'", m), seed, centered=True)
 
 
-def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """The un-tilded single-object conditions C1'', C2'', C3''."""
+def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
+    """The un-tilded single-object conditions C1'', C2'', C3'', per eps."""
     if condition not in ("C1''", "C2''", "C3''"):
         raise ConfigurationError(
             "condition must be C1'', C2'' or C3''; got %r" % (condition,)
         )
     m = _check_m(condition, m)
     if condition == "C2''":
-        return _estimate_pair(kernel, dist, n, p, eps, m, seed, centered=False)
+        return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=False)
     if condition == "C3''":
-        return _estimate_diag(kernel, dist, n, p, eps, m, seed, centered=False)
+        return _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered=False)
     t2 = _theta2(kernel, dist, n, p)
     sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(m, dist, sx)
     bits = (as_generator(sz).random(m) < p).astype(np.float64)
     psi = bits * np.asarray(kernel.conditional_mean(x), np.float64)
-    keep = np.abs(psi) >= eps * math.sqrt(t2)
-    return _mean_se(psi * psi * keep, factor=n * n / t2)
+    cuts = [eps * math.sqrt(t2) for eps in eps_grid]
+    return _cut(psi * psi, psi, cuts, n * n / t2)
 
 
 # --------------------------------------------------------------------------
@@ -298,41 +302,40 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     return out
 
 
-def estimate_eta1_mean(kernel, dist, n, p, eps, m, seed) -> Estimate:
-    """Upper bound on E[eta1] via the S1 + T1 truncation split.
+def estimate_eta1_mean(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
+    """Upper bound on E[eta1] via the S1 + T1 truncation split, per eps.
 
     S1 = (4/(n theta^2)) E[S^2 1{|S| >= eps theta n / 2}] reuses the C1
     integrand at eps/2; T1 averages the per-row truncated second moments
     of the centered-pair partial sums over full sampled realizations.
     Row j's sum, sum_{i<j} Z_ij h~(x_i, x_j), is Psi_j^T A (L Psi)_j with
     Psi = phi(x) - mu, since h~ = Psi^T A Psi under the centering
-    contract. The result is an upper bound on the target, and is flagged
-    as such.
+    contract. Both parts are drawn once and cut at every eps. The result
+    is an upper bound on the target, and is flagged as such.
     """
     m = _check_m("ETA1", m)
     t2 = _theta2(kernel, dist, n, p)
-    cut = 0.5 * eps * math.sqrt(t2) * n
+    cuts = [0.5 * eps * math.sqrt(t2) * n for eps in eps_grid]
     s_seed, t_seed = as_seed_sequence(seed).spawn(2)
 
     # S1 part: 4 C1 at eps/2, vectorized and cheap, so with a larger
     # replicate count; scaling by 4, a power of two, adds no rounding
-    s1 = estimate_C1(kernel, dist, n, p, 0.5 * eps, max(m, 4096), s_seed)
+    s1 = estimate_C1(kernel, dist, n, p, [0.5 * eps for eps in eps_grid], max(m, 4096), s_seed)
 
-    # T1 part: per-replicate realizations
+    # T1 part: per-replicate realizations, one row of sums per cut
     a = np.asarray(kernel.coef, np.float64)
     mu = np.asarray(kernel.feature_mean, np.float64)
-    t_vals = np.empty(m)
+    t_vals = np.empty((len(cuts), m))
     for r, (x, graph) in enumerate(_realizations(n, dist, p, t_seed, m)):
         psi = np.asarray(kernel.features(x), np.float64) - mu
         rows = np.sum((psi @ a) * graph.lower(psi), axis=1)
-        kept = np.abs(rows) >= cut
-        t_vals[r] = float((rows * rows * kept).sum())
-    t1 = _mean_se(t_vals, factor=4.0 / (n * n * t2))
-    return Estimate(
-        value=4.0 * s1.value + t1.value,
-        se=math.hypot(4.0 * s1.se, t1.se),
-        upper_bound=True,
-    )
+        sq, mag = rows * rows, np.abs(rows)
+        t_vals[:, r] = [float((sq * (mag >= cut)).sum()) for cut in cuts]
+    t1 = [_mean_se(vals, factor=4.0 / (n * n * t2)) for vals in t_vals]
+    return [
+        Estimate(4.0 * s.value + t.value, math.hypot(4.0 * s.se, t.se), upper_bound=True)
+        for s, t in zip(s1, t1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -536,50 +539,47 @@ def sweep_condition(
     The dilution is p = n^-a per grid point, or the constant p_fixed
     when given; a grid point with n*p < 10 warns once either way. The
     plan (id, n and eps grids, m, and p at every grid point) is
-    checked before any cell runs. Every cell has its own derived seed, so
-    cells can be recomputed in isolation and the grid is the same in any
-    evaluation order.
+    checked before any cell runs. Each n makes one draw, cut at every eps
+    column, so each row is nonincreasing in eps. Its seed derives from the
+    first column's label, cond/<id>/n<n>/eps<first eps> (epsNone if
+    eps-free): a row can be recomputed in isolation, and a one-column
+    sweep draws what the first column of a wider one does.
     """
     n_grid, eps_cols, m = _check_sweep(condition_id, n_grid, eps_grid, m)
     ps = [
         _check_p(n, p_fixed if p_fixed is not None else _regime_p(n, a))
         for n in n_grid
     ]
-    ncol = max(1, len(eps_cols))
-    est = np.zeros((len(n_grid), ncol))
-    ses = np.zeros((len(n_grid), ncol))
+    est = np.zeros((len(n_grid), max(1, len(eps_cols))))
+    ses = np.zeros_like(est)
     spread = np.zeros(len(n_grid)) if condition_id == "ETA2" else None
     for r, (n, p) in enumerate(zip(n_grid, ps)):
         _warn_if_slow(n, p, stacklevel=3)
-        for c in range(ncol):
-            eps = eps_cols[c] if eps_cols else None
-            label = "cond/%s/n%d/eps%r" % (condition_id, n, eps)
-            seed = policy.child(label, 0)
-            if condition_id == "C1":
-                e = estimate_C1(kernel, dist, n, p, eps, m, seed)
-            elif condition_id == "C2":
-                e = estimate_C2(kernel, dist, n, p, eps, m, seed)
-            elif condition_id == "C3":
-                e = estimate_C3(kernel, dist, n, p, eps, m, seed)
-            elif condition_id == "C4":
-                e = estimate_C4(kernel, dist, n, p, m, seed)
-            elif condition_id == "C4'":
-                e = estimate_C4prime(kernel, dist, n, p, m, seed)
-            elif condition_id.endswith("''"):
-                e = estimate_Cdoubleprime(condition_id, kernel, dist, n, p, eps, m, seed)
-            elif condition_id == "ETA1":
-                e = estimate_eta1_mean(kernel, dist, n, p, eps, m, seed)
-            else:  # ETA2
-                sample = estimate_eta2(kernel, dist, n, p, m, seed)
-                sd = float(sample.std(ddof=1)) if sample.size > 1 else 0.0
-                e = Estimate(value=float(sample.mean()), se=sd / math.sqrt(sample.size))
-                spread[r] = sd
-            est[r, c] = e.value
-            ses[r, c] = e.se
+        label = "cond/%s/n%d/eps%r" % (condition_id, n, eps_cols[0] if eps_cols else None)
+        seed = policy.child(label, 0)
+        if condition_id == "C1":
+            row = estimate_C1(kernel, dist, n, p, eps_cols, m, seed)
+        elif condition_id == "C2":
+            row = estimate_C2(kernel, dist, n, p, eps_cols, m, seed)
+        elif condition_id == "C3":
+            row = estimate_C3(kernel, dist, n, p, eps_cols, m, seed)
+        elif condition_id in ("C4", "C4'"):
+            fn = estimate_C4 if condition_id == "C4" else estimate_C4prime
+            row = [fn(kernel, dist, n, p, m, seed)]
+        elif condition_id.endswith("''"):
+            row = estimate_Cdoubleprime(condition_id, kernel, dist, n, p, eps_cols, m, seed)
+        elif condition_id == "ETA1":
+            row = estimate_eta1_mean(kernel, dist, n, p, eps_cols, m, seed)
+        else:  # ETA2
+            sample = estimate_eta2(kernel, dist, n, p, m, seed)
+            sd = float(sample.std(ddof=1)) if sample.size > 1 else 0.0
+            row = [Estimate(value=float(sample.mean()), se=sd / math.sqrt(sample.size))]
+            spread[r] = sd
+        est[r], ses[r] = [e.value for e in row], [e.se for e in row]
     if condition_id == "ETA2":
         verdicts = (eta2_verdict(est[:, 0], ses[:, 0], spread),)
     else:
-        verdicts = tuple(trend_verdict(est[:, c], ses[:, c]) for c in range(ncol))
+        verdicts = tuple(trend_verdict(est[:, c], ses[:, c]) for c in range(est.shape[1]))
     return ConditionReport(
         condition_id=condition_id,
         n_grid=n_grid,

@@ -106,6 +106,7 @@ class ExperimentConfig:
             raise ConfigurationError("replication count must be >= 1")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1; got %r" % self.threads)
+        self.policy()  # SeedPolicy rejects a negative master seed
         if not 0.0 < self.ks_threshold < 1.0:
             raise ConfigurationError(
                 "ks_threshold must be finite and in (0, 1); got %r" % self.ks_threshold

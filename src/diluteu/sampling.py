@@ -516,6 +516,10 @@ class SeedPolicy:
 
     master_seed: int
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise ConfigurationError("master seed must be >= 0; got %r" % (self.master_seed,))
+
     def child(self, stream_label: str, replication_index: int = 0) -> SeedSequence:
         digest = hashlib.sha256(stream_label.encode("utf8")).digest()
         label_key = int.from_bytes(digest[:8], "little")

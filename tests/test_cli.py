@@ -147,8 +147,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("p=1/0", "config key p: '1/0' is not a number"),
         ("p=1e400", "config key p: '1e400' is not a number"),
         ("kernel product", "expected 2 fields separated by '='"),
+        ("seed=-1", "master seed must be >= 0; got -1"),
     ],
-    ids=["unknown-key", "bad-value", "zero-denominator", "overflow", "no-separator"],
+    ids=[
+        "unknown-key", "bad-value", "zero-denominator", "overflow", "no-separator",
+        "negative-seed",
+    ],
 )
 def test_bad_config_key_exits_2_before_any_replicate(line, message, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "typo.cfg"
@@ -504,6 +508,8 @@ def test_oracle_too_large_exits_3(capsys):
         ["conditions", "--eps", "-1", "--n", "50,100", "--a", "0.3"],
         ["clt-test", "--ks-threshold", "nan", "--n", "50", "--p", "1", "--R", "20"],
         ["clt-test", "--threads", "0", "--n", "50", "--p", "1", "--R", "20"],
+        ["clt-test", "--seed", "-1", "--n", "50", "--p", "0.5", "--R", "10"],
+        ["moments", "--method", "mc", "--seed", "-1", "--n", "50", "--p", "0.5"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):

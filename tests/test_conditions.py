@@ -7,6 +7,7 @@ cases with zero Monte Carlo error, and a direct conditional enumeration
 for the summed conditional variance.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -44,7 +45,7 @@ def test_c1_binomial_enumeration_oracle(skewed):
                 total += w * pb * s * s
     exact = total / (n * ms.theta2)
     assert exact == pytest.approx(C1_SIGN_SKEWED_N10, abs=1e-12)
-    est = d.estimate_C1(k, skewed, n, p, eps, m=200_000, seed=42)
+    est = d.estimate_C1(k, skewed, n, p, (eps,), m=200_000, seed=42)[0]
     assert est.se > 0
     assert abs(est.value - exact) < 4 * est.se
 
@@ -70,10 +71,10 @@ def test_c2_quadrature_oracle(norm):
     tail = xy2_tail(cut)
     assert tail == pytest.approx(XY2_TAIL_AT_1, abs=1e-8)
     exact = p * tail / ms.theta2
-    est = d.estimate_C2(k, norm, n, p, eps, m=400_000, seed=43)
+    est = d.estimate_C2(k, norm, n, p, (eps,), m=400_000, seed=43)[0]
     assert abs(est.value - exact) < 4 * est.se
     # the kernel is degenerate, so the centered and plain versions agree
-    est2 = d.estimate_Cdoubleprime("C2''", k, norm, n, p, eps, m=400_000, seed=44)
+    est2 = d.estimate_Cdoubleprime("C2''", k, norm, n, p, (eps,), m=400_000, seed=44)[0]
     assert abs(est2.value - exact) < 4 * est2.se
 
 
@@ -83,10 +84,10 @@ def test_c3_constant_integrand_is_exact(rad):
     k = d.sign_kernel(rad)
     p = 0.5
     for n, expected in ((10, 2.0), (50, 0.0)):  # cutoff eps n / 2 vs 1
-        est = d.estimate_C3(k, rad, n, p, eps=0.1, m=1000, seed=7)
+        est = d.estimate_C3(k, rad, n, p, eps_grid=(0.1,), m=1000, seed=7)[0]
         assert est.value == expected
         assert est.se == 0.0
-        est2 = d.estimate_Cdoubleprime("C3''", k, rad, n, p, eps=0.1, m=1000, seed=8)
+        est2 = d.estimate_Cdoubleprime("C3''", k, rad, n, p, eps_grid=(0.1,), m=1000, seed=8)[0]
         assert est2.value == expected
 
 
@@ -126,10 +127,10 @@ def test_structural_zero_beyond_kernel_bound(skewed):
     k = d.sign_kernel(skewed)
     n, p = 30, 0.4
     for fn in (d.estimate_C1, d.estimate_C2):
-        est = fn(k, skewed, n, p, eps=100.0, m=500, seed=1)
+        est = fn(k, skewed, n, p, eps_grid=(100.0,), m=500, seed=1)[0]
         assert est.value == 0.0 and est.se == 0.0
     for cond in ("C1''", "C2''"):
-        est = d.estimate_Cdoubleprime(cond, k, skewed, n, p, eps=100.0, m=500, seed=2)
+        est = d.estimate_Cdoubleprime(cond, k, skewed, n, p, eps_grid=(100.0,), m=500, seed=2)[0]
         assert est.value == 0.0 and est.se == 0.0
 
 
@@ -275,12 +276,12 @@ def test_undiluted_eta_estimators_extract_no_edges(norm, skewed, monkeypatch):
     got = d.estimate_eta2(sign, skewed, n, 1.0, m=m, seed=seed)
     assert got == pytest.approx(refs, rel=1e-12)
     assert np.all(np.isfinite(d.estimate_eta2(d.product_kernel(norm), norm, n, 1.0, m=m, seed=seed)))
-    eta1 = d.estimate_eta1_mean(sign, skewed, n, 1.0, eps, m, seed)
+    eta1 = d.estimate_eta1_mean(sign, skewed, n, 1.0, (eps,), m, seed)[0]
     assert eta1.value == pytest.approx(eta1_ref, rel=1e-12)
     with pytest.raises(AssertionError, match="edges"):
         d.estimate_eta2(sign, skewed, n, 0.5, m=2, seed=seed)
     with pytest.raises(AssertionError, match="edges"):
-        d.estimate_eta1_mean(sign, skewed, n, 0.5, eps, m, seed)
+        d.estimate_eta1_mean(sign, skewed, n, 0.5, (eps,), m, seed)
 
 
 def test_eta2_mean_matches_exact_formula(skewed):
@@ -349,7 +350,7 @@ def pairwise_eta1(kernel, dist, n, p, eps, m, seed):
     t2 = d.moments_closed_form(kernel, dist, n, p).theta2
     cut = 0.5 * eps * math.sqrt(t2) * n
     s_seed, t_seed = d.as_seed_sequence(seed).spawn(2)
-    s1 = d.estimate_C1(kernel, dist, n, p, 0.5 * eps, max(m, 4096), s_seed)
+    s1 = d.estimate_C1(kernel, dist, n, p, (0.5 * eps,), max(m, 4096), s_seed)[0]
     t_vals = []
     for x, low in replay_realizations(dist, n, p, m, t_seed):
         rows = np.zeros(n)
@@ -375,13 +376,13 @@ def test_eta1_t1_rows_match_pairwise_centered_sums(which, p, skewed, norm, rad, 
     s1, t1 = pairwise_eta1(k, law, n, p, eps, m, seed)
     # h~ vanishes for the additive kernel; the others keep most rows
     assert (t1 == 0.0) == (which == "additive")
-    est = d.estimate_eta1_mean(k, law, n, p, eps, m, seed)
+    est = d.estimate_eta1_mean(k, law, n, p, (eps,), m, seed)[0]
     assert est.value - s1 == pytest.approx(t1, rel=1e-12, abs=1e-15)
 
 
 def test_eta1_bound_flag_and_large_eps_zero(skewed):
     k = d.sign_kernel(skewed)
-    est = d.estimate_eta1_mean(k, skewed, n=30, p=0.4, eps=100.0, m=8, seed=3)
+    est = d.estimate_eta1_mean(k, skewed, n=30, p=0.4, eps_grid=(100.0,), m=8, seed=3)[0]
     assert est.upper_bound
     assert est.value == 0.0
     assert est.se == 0.0
@@ -391,15 +392,15 @@ def test_eta1_bound_decreases_along_n(rad):
     k = d.additive_kernel(rad)
     vals = []
     for n in (30, 120):
-        est = d.estimate_eta1_mean(k, rad, n=n, p=0.5, eps=0.25, m=64, seed=21)
+        est = d.estimate_eta1_mean(k, rad, n=n, p=0.5, eps_grid=(0.25,), m=64, seed=21)[0]
         vals.append(est.value)
     assert vals[1] < vals[0]
 
 
 def test_eta1_monotone_in_eps(skewed):
     k = d.sign_kernel(skewed)
-    a = d.estimate_eta1_mean(k, skewed, n=40, p=0.5, eps=0.05, m=32, seed=9)
-    b = d.estimate_eta1_mean(k, skewed, n=40, p=0.5, eps=0.4, m=32, seed=9)
+    a = d.estimate_eta1_mean(k, skewed, n=40, p=0.5, eps_grid=(0.05,), m=32, seed=9)[0]
+    b = d.estimate_eta1_mean(k, skewed, n=40, p=0.5, eps_grid=(0.4,), m=32, seed=9)[0]
     assert b.value <= a.value
 
 
@@ -529,6 +530,57 @@ def test_sweep_rejects_a_bad_eps_before_any_cell(rad, policy, monkeypatch, eps):
     assert cells == []
     with pytest.raises(d.ConfigurationError, match="C1 needs finite eps > 0"):
         d.ExperimentConfig(dist=rad, n_grid=(20, 40), a=0.3, conditions=("C1",), eps_grid=(eps,))
+
+
+# the eps conditions, each on a (kernel, law) whose integrand is unbounded,
+# so every eps of (0.3, 0.6, 1.2) cuts something at n = 16 or 32
+EPS_CASES = {
+    "C1": "additive", "C1''": "additive", "C2": "product", "C3": "product",
+    "C2''": "product", "C3''": "product", "ETA1": "product",
+}
+
+
+def eps_sweep(cond, norm, policy, eps_grid):
+    k = d.kernel_by_name(EPS_CASES[cond], norm)
+    m = 64 if cond == "ETA1" else 4096
+    return d.sweep_condition(
+        cond, k, norm, policy, n_grid=(16, 32), eps_grid=eps_grid, p_fixed=0.7, m=m
+    )
+
+
+@pytest.mark.parametrize("cond", sorted(EPS_CASES))
+def test_first_eps_column_matches_the_one_column_sweep(cond, norm, policy):
+    # the draw's seed is the first column's label, so a one-column sweep
+    # is the first column of a wider one, bit for bit
+    wide = eps_sweep(cond, norm, policy, (0.3, 0.6, 1.2))
+    one = eps_sweep(cond, norm, policy, (0.3,))
+    assert np.array_equal(wide.estimates[:, :1], one.estimates)
+    assert np.array_equal(wide.ses[:, :1], one.ses)
+
+
+@pytest.mark.parametrize("cond", sorted(EPS_CASES))
+def test_sweep_rows_are_nonincreasing_in_eps(cond, norm, policy):
+    # every column cuts one draw per n, and a higher cut keeps less
+    est = eps_sweep(cond, norm, policy, (0.3, 0.6, 1.2)).estimates
+    assert np.all(np.diff(est, axis=1) <= 0.0), est
+    assert np.any(est[:, 1:] > 0.0), est
+
+
+@pytest.mark.parametrize("cond", sorted(EPS_CASES))
+def test_a_later_eps_column_is_a_cut_of_the_same_draw(cond, norm):
+    # estimate(..., (e1, e2), seed)[1] is estimate(..., (e2,), seed)[0]
+    k = d.kernel_by_name(EPS_CASES[cond], norm)
+    if cond.endswith("''"):
+        fn = functools.partial(d.estimate_Cdoubleprime, cond)
+    else:
+        fn = {"C1": d.estimate_C1, "C2": d.estimate_C2, "C3": d.estimate_C3,
+              "ETA1": d.estimate_eta1_mean}[cond]
+    m = 16 if cond == "ETA1" else 4096
+    pair = fn(k, norm, 16, 0.7, (0.3, 0.6), m, 5)
+    later = fn(k, norm, 16, 0.7, (0.6,), m, 5)
+    assert len(pair) == 2 and len(later) == 1
+    assert pair[1] == later[0]
+    assert pair[0].value >= pair[1].value > 0.0
 
 
 def test_default_m_covers_all_conditions():

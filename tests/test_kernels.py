@@ -298,7 +298,7 @@ _NO_G_CALLS = {
         np.array([-1.0, 5.0, -1.0]), d.sample_dilution(3, 1.0, 0), k
     ),
     "moments_mc": lambda k, law: d.moments_mc(k, law, 10, 0.5, m=200, seed=0),
-    "estimate_C1": lambda k, law: d.estimate_C1(k, law, 10, 0.5, 0.1, 200, 0),
+    "estimate_C1": lambda k, law: d.estimate_C1(k, law, 10, 0.5, (0.1,), 200, 0)[0],
     "sweep_condition": lambda k, law: d.sweep_condition(
         "C2", k, law, d.SeedPolicy(6), n_grid=(10,), eps_grid=(0.1,), m=200
     ),

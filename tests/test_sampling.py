@@ -491,6 +491,16 @@ def test_seed_policy_differs_across_masters():
     assert not np.array_equal(ra, rb)
 
 
+def test_negative_master_seed_is_rejected_when_built(rad):
+    # numpy's SeedSequence takes no negative entropy; the error comes at
+    # construction, not at the first child()
+    with pytest.raises(d.ConfigurationError, match="master seed must be >= 0; got -1"):
+        d.SeedPolicy(master_seed=-1)
+    with pytest.raises(d.ConfigurationError, match="master seed must be >= 0"):
+        d.ExperimentConfig(dist=rad, n_grid=(20,), p=0.5, master_seed=-1)
+    assert d.SeedPolicy(master_seed=0).child("x", 0).entropy == 0
+
+
 def test_as_generator_accepts_common_seed_types():
     g1 = d.as_generator(5)
     g2 = d.as_generator(np.random.SeedSequence(5))
