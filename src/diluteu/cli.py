@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .conditions import CONDITION_IDS
 from .errors import ConfigurationError, ResourceBudgetError
@@ -31,6 +30,7 @@ from .kernels import kernel_by_name
 from .moments import enumerate_exact, moments_closed_form, moments_mc
 from .sampling import (
     DistributionSpec,
+    _number,
     _read_rows,
     rademacher,
     standard_normal,
@@ -53,7 +53,7 @@ def parse_dist(text: str) -> DistributionSpec:
         parts = text[len("uniform:"):].split(",")
         if len(parts) != 2:
             raise ConfigurationError("uniform needs two endpoints, e.g. uniform:-1,1")
-        return uniform(_fraction(parts[0]), _fraction(parts[1]))
+        return uniform(_number(parts[0]), _number(parts[1]))
     if text.startswith("table:"):
         payload = text[len("table:"):]
         if "=" not in payload:
@@ -65,8 +65,8 @@ def parse_dist(text: str) -> DistributionSpec:
                 raise ConfigurationError(
                     "inline table entries look like value=prob; got %r" % item
                 )
-            values.append(_fraction(v))
-            probs.append(_fraction(q))
+            values.append(_number(v))
+            probs.append(_number(q))
         return table(values, probs)
     raise ConfigurationError(
         "unknown distribution %r (rademacher, normal, uniform:a,b, "
@@ -79,23 +79,9 @@ def load_config_file(path: str) -> dict:
     return dict(_read_rows(path, "config", 2, sep="=", convert=str))
 
 
-def _int_list(text: str):
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _float_list(text: str):
-    return tuple(_fraction(v) for v in text.split(",") if v.strip())
-
-
-def _name_list(text: str):
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
-def _fraction(text: str) -> float:
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigurationError("%r is not a number" % text) from None
+def _list_of(parse):
+    """A parser of comma-separated items; blank items are skipped."""
+    return lambda text: tuple(parse(v) for v in text.split(",") if v.strip())
 
 
 def _flag_type(parse):
@@ -111,28 +97,42 @@ def _flag_type(parse):
     return convert
 
 
-# config-file key -> (dest of its flag, ExperimentConfig field, parser of
-# the file's text). Flags arrive parsed and win over the file; dist, from
-# either, goes through parse_dist last. A field that neither sets keeps
-# ExperimentConfig's default. A subcommand reads only the keys whose flag
-# it takes (expect.* with --expect); the others are skipped unparsed.
-_CONFIG_KEYS = {
-    "kernel": ("kernel", "kernel_name", str),
-    "dist": ("dist", "dist", str),
-    "n_grid": ("n", "n_grid", _int_list),
-    "p": ("p", "p", _fraction),
-    "a": ("a", "a", _fraction),
-    "R": ("R", "R", int),
-    "seed": ("seed", "master_seed", int),
-    "standardization": ("standardization", "standardization", str),
-    "eps_grid": ("eps", "eps_grid", _float_list),
-    "conditions": ("conditions", "conditions", _name_list),
-    "m": ("m", "m", int),
-    "ks_threshold": ("ks_threshold", "ks_threshold", float),
-    "threads": ("threads", "threads", int),
-    "out": ("out", "out_path", str),
-    "format": ("format", "out_format", str),
+# config-file key -> (flag, ExperimentConfig field, parser of the text, the
+# flag's other argparse options). Flags arrive parsed and win over the file;
+# dist, from either, goes through parse_dist last. A field that neither sets
+# keeps ExperimentConfig's default. A subcommand reads only the keys whose
+# flag it takes (expect.* with --expect); the others are skipped unparsed.
+_SETTINGS = {
+    "kernel": ("--kernel", "kernel_name", str,
+               dict(help="product | additive | sign | zero")),
+    "dist": ("--dist", "dist", str,
+             dict(help="rademacher | normal | uniform:a,b | table:...")),
+    "n_grid": ("--n", "n_grid", _list_of(int), dict(help="n grid, comma-separated")),
+    "p": ("--p", "p", _number, dict(help="fixed dilution p")),
+    "a": ("--a", "a", _number, dict(help="dilution exponent: p = n^-a")),
+    "R": ("--R", "R", int, dict(help="replication count")),
+    "seed": ("--seed", "master_seed", int, dict(help="master seed")),
+    "threads": ("--threads", "threads", int,
+                dict(help="replicate worker threads (default 1); pays only on large "
+                     "replicates, see README")),
+    "out": ("--out", "out_path", str, dict(help="output file (default stdout)")),
+    "format": ("--format", "out_format", str,
+               dict(choices=("csv", "json"), help="output format")),
+    "standardization": ("--standardization", "standardization", str,
+                        dict(choices=("exact", "mc", "asymptotic"))),
+    "ks_threshold": ("--ks-threshold", "ks_threshold", float, {}),
+    "conditions": ("--conditions", "conditions", _list_of(str.strip),
+                   dict(help="subset of " + ",".join(CONDITION_IDS))),
+    "eps_grid": ("--eps", "eps_grid", _list_of(_number),
+                 dict(help="eps grid, comma-separated")),
+    "m": ("--m", "m", int, dict(help="MC replicates for --method mc, or per grid cell")),
 }
+_LAW = ("kernel", "dist", "n_grid", "p", "a")
+_REPLICATES = ("R", "seed", "threads")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -142,17 +142,17 @@ def _build_config(args) -> ExperimentConfig:
             if hasattr(args, "expect"):
                 expected[key[len("expect."):]] = text
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigurationError("unknown config key %r" % key)
-        dest, name, parse = _CONFIG_KEYS[key]
-        if not hasattr(args, dest):
+        flag, name, parse, _ = _SETTINGS[key]
+        if not hasattr(args, _dest(flag)):
             continue
         try:
             fields[name] = parse(text)
         except ValueError as exc:
             raise ConfigurationError("config key %s: %s" % (key, exc)) from None
-    for dest, name, _ in _CONFIG_KEYS.values():
-        if (value := getattr(args, dest, None)) is not None:
+    for flag, name, _, _ in _SETTINGS.values():
+        if (value := getattr(args, _dest(flag), None)) is not None:
             fields[name] = value
     for item in getattr(args, "expect", None) or ():
         cid, _, verdict = item.partition("=")
@@ -166,33 +166,20 @@ def _build_config(args) -> ExperimentConfig:
     return ExperimentConfig(expected_verdicts=expected, **fields)
 
 
-# flags that several subcommands take; each subcommand adds only the ones it reads
-_SHARED_FLAGS = {
-    "--config": dict(help="key=value config file"),
-    "--kernel": dict(help="product | additive | sign | zero"),
-    "--dist": dict(help="rademacher | normal | uniform:a,b | table:..."),
-    "--n": dict(type=_flag_type(_int_list), help="n grid, comma-separated"),
-    "--p": dict(type=_flag_type(_fraction), help="fixed dilution p"),
-    "--a": dict(type=_flag_type(_fraction), help="dilution exponent: p = n^-a"),
-    "--R": dict(type=int, help="replication count"),
-    "--seed": dict(type=int, help="master seed"),
-    "--threads": dict(
-        type=int,
-        help="replicate worker threads (default 1); pays only on large "
-        "replicates, see README",
-    ),
-    "--out": dict(help="output file (default stdout)"),
-    "--format": dict(choices=("csv", "json"), help="output format"),
-    "--standardization": dict(choices=("exact", "mc", "asymptotic")),
-    "--ks-threshold": dict(dest="ks_threshold", type=float),
-}
-_LAW = ("--kernel", "--dist", "--n", "--p", "--a")
-_REPLICATES = ("--R", "--seed", "--threads")
+def _add_flags(sub, *keys) -> None:
+    """Add the flags of these config keys; int and float keep argparse's message."""
+    for key in keys:
+        flag, _, parse, options = _SETTINGS[key]
+        if parse is not str:
+            options = dict(options, type=parse if parse in (int, float) else _flag_type(parse))
+        sub.add_argument(flag, **options)
 
 
-def _add_flags(sub, *flags) -> None:
-    for flag in ("--config",) + flags:
-        sub.add_argument(flag, **_SHARED_FLAGS[flag])
+def _subcommand(subs, name: str, summary: str, *keys):
+    sub = subs.add_parser(name, help=summary)
+    sub.add_argument("--config", help="key=value config file")
+    _add_flags(sub, *keys)
+    return sub
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -201,42 +188,31 @@ def _parser() -> argparse.ArgumentParser:
         description="diluted pair-statistic simulation and normal-limit diagnostics",
     )
     subs = ap.add_subparsers(dest="command", required=True)
+    _subcommand(subs, "simulate", "emit standardized statistic samples",
+                *_LAW, *_REPLICATES, "out", "format", "standardization")
 
-    s = subs.add_parser("simulate", help="emit standardized statistic samples")
-    _add_flags(s, *_LAW, *_REPLICATES, "--out", "--format", "--standardization")
-
-    s = subs.add_parser("moments", help="moment set for one (n, p) point")
-    _add_flags(s, *_LAW, "--seed", "--out", "--format")
+    s = _subcommand(subs, "moments", "moment set for one (n, p) point",
+                    *_LAW, "seed", "out", "format")
     s.add_argument("--method", choices=("closed", "mc"), default="closed")
-    s.add_argument("--m", type=int, help="MC replicates for --method mc")
+    _add_flags(s, "m")
 
-    s = subs.add_parser("conditions", help="sweep condition estimates over the grid")
-    _add_flags(s, *_LAW, "--seed", "--out", "--format")
-    s.add_argument(
-        "--conditions", type=_name_list, help="subset of " + ",".join(CONDITION_IDS)
-    )
-    s.add_argument("--eps", type=_flag_type(_float_list), help="eps grid, comma-separated")
-    s.add_argument("--m", type=int, help="replicates per grid cell")
+    s = _subcommand(subs, "conditions", "sweep condition estimates over the grid",
+                    *_LAW, "seed", "out", "format", "conditions", "eps_grid", "m")
     s.add_argument(
         "--expect",
         action="append",
         help="COND=verdict; exit 1 unless every verdict matches (repeatable)",
     )
 
-    s = subs.add_parser("clt-test", help="KS test of standardized samples vs normal")
-    _add_flags(
-        s, *_LAW, *_REPLICATES, "--out", "--format", "--standardization", "--ks-threshold"
-    )
+    _subcommand(subs, "clt-test", "KS test of standardized samples vs normal",
+                *_LAW, *_REPLICATES, "out", "format", "standardization", "ks_threshold")
 
     # the counterexample pins the product kernel, normal rows and p = 1
-    s = subs.add_parser(
-        "counterexample",
-        help="undiluted product statistic vs normal and vs the shifted square law",
-    )
-    _add_flags(s, "--n", *_REPLICATES, "--out", "--format", "--ks-threshold")
+    _subcommand(subs, "counterexample",
+                "undiluted product statistic vs normal and vs the shifted square law",
+                "n_grid", *_REPLICATES, "out", "format", "ks_threshold")
 
-    s = subs.add_parser("oracle", help="exhaustive enumeration of a tiny instance")
-    _add_flags(s, *_LAW, "--out")
+    _subcommand(subs, "oracle", "exhaustive enumeration of a tiny instance", *_LAW, "out")
     return ap
 
 

@@ -444,14 +444,15 @@ class ConditionReport:
     verdicts: Tuple[str, ...]
     spread: Optional[np.ndarray] = None
     theta_provenance = "closed_form"
+    CSV_HEADER = ("condition_id", "n", "eps", "estimate", "se", "verdict")
 
     @property
     def upper_bound(self) -> bool:
         return self.condition_id == "ETA1"
 
     def csv_rows(self):
-        """Rows (condition_id, n, eps, estimate, se, verdict); eps blank
-        for eps-free conditions."""
+        """Rows under CSV_HEADER, one per (n, eps); eps blank for eps-free
+        conditions."""
         cols = self.eps_grid if self.eps_grid else (None,)
         for r, n in enumerate(self.n_grid):
             for c, eps in enumerate(cols):

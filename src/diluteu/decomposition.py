@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateNormalizationError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _same_law
 from .sampling import (
     DilutionGraph,
     DistributionSpec,
@@ -222,10 +222,13 @@ def sample_realization(
 ) -> Realization:
     """Draw a row and its own dilution graph, then decompose.
 
+    dist must be the law the kernel was registered against (its g and
+    centering hold only there); another law raises ConfigurationError.
     The graph is always drawn here. The seed is split into independent
     child streams, the first for the row and the second for the graph,
     so the two sources cannot alias even for equal n.
     """
+    _same_law(kernel, dist)
     row_seed, graph_seed = as_seed_sequence(seed).spawn(2)
     graph = sample_dilution(n, p, graph_seed)
     x = sample_row(n, dist, row_seed)

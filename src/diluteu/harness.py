@@ -26,7 +26,6 @@ from scipy.special import erf, gammaincinv, ndtr, roots_legendre
 from .conditions import (
     DEFAULT_EPS_GRID,
     DEFAULT_N_GRID,
-    ConditionReport,
     _check_n_grid,
     _check_p,
     _check_sweep,
@@ -39,7 +38,7 @@ from .errors import (
     ResourceBudgetError,
 )
 from .kernels import KernelSpec, kernel_by_name
-from .moments import MomentSet, moments_closed_form, moments_mc
+from .moments import moments_closed_form, moments_mc
 from .sampling import (
     DistributionSpec,
     SeedPolicy,
@@ -186,9 +185,16 @@ class DistTestResult:
     note: str = ""
     runtime_seconds: float = 0.0
 
+    CSV_HEADER = ("target", "n", "R", "ks_statistic", "threshold", "decision", "eval_count")
+
     @property
     def decision(self) -> str:
         return "pass" if self.ks_statistic < self.threshold else "fail"
+
+    def csv_rows(self):
+        """One row: the to_json fields named in CSV_HEADER."""
+        payload = json.loads(self.to_json())
+        yield tuple(payload[k] for k in self.CSV_HEADER)
 
     def to_json(self) -> str:
         payload = {
@@ -482,52 +488,18 @@ def run_condition_sweep(config: ExperimentConfig):
 # report emission
 
 
-def _csv_text(results, config_hash: str, seed) -> str:
+def _csv_text(flat, config_hash: str, seed) -> str:
     buf = io.StringIO()
     buf.write("# config_hash=%s seed=%s\n" % (config_hash, seed))
     writer = csv.writer(buf, lineterminator="\n")
-    flat = results if isinstance(results, (list, tuple)) else [results]
-    if all(isinstance(r, ConditionReport) for r in flat):
-        writer.writerow(["condition_id", "n", "eps", "estimate", "se", "verdict"])
-        for rep in flat:
-            for row in rep.csv_rows():
-                writer.writerow(row)
-    elif all(isinstance(r, DistTestResult) for r in flat):
-        writer.writerow(
-            ["target", "n", "R", "ks_statistic", "threshold", "decision", "eval_count"]
-        )
-        for r in flat:
-            writer.writerow(
-                [
-                    r.target,
-                    r.n,
-                    r.R,
-                    repr(float(r.ks_statistic)),
-                    repr(float(r.threshold)),
-                    r.decision,
-                    r.eval_count,
-                ]
-            )
-    elif all(isinstance(r, MomentSet) for r in flat):
-        writer.writerow(
-            ["n", "p", "beta2", "gamma2", "theta2", "var_u_exact", "provenance"]
-        )
-        for r in flat:
-            writer.writerow(
-                [
-                    r.n,
-                    repr(float(r.p)),
-                    repr(float(r.beta2)),
-                    repr(float(r.gamma2)),
-                    repr(float(r.theta2)),
-                    repr(float(r.var_u_exact)),
-                    r.provenance,
-                ]
-            )
-    elif len(flat) == 1 and isinstance(flat[0], np.ndarray):
+    if len(flat) == 1 and isinstance(flat[0], np.ndarray):
         writer.writerow(["sample"])
         for v in flat[0]:
             writer.writerow([repr(float(v))])
+    elif len({type(r) for r in flat}) == 1 and hasattr(flat[0], "CSV_HEADER"):
+        writer.writerow(flat[0].CSV_HEADER)
+        for r in flat:
+            writer.writerows(r.csv_rows())
     else:
         raise ConfigurationError(
             "cannot emit a CSV for mixed or unsupported result types"
@@ -535,8 +507,7 @@ def _csv_text(results, config_hash: str, seed) -> str:
     return buf.getvalue()
 
 
-def _json_text(results, config_hash: str, seed) -> str:
-    flat = results if isinstance(results, (list, tuple)) else [results]
+def _json_text(flat, config_hash: str, seed) -> str:
     body = []
     for r in flat:
         if isinstance(r, np.ndarray):
@@ -555,14 +526,20 @@ def _json_text(results, config_hash: str, seed) -> str:
 def emit_report(results, out_format: str, path, config_hash: str = "", seed=None) -> str:
     """Write results as CSV or JSON; returns the emitted text.
 
-    Output is a pure function of the inputs (floats via repr, keys
-    sorted), so identical runs give byte-identical files. path None
-    skips writing and just returns the text.
+    results is one result or a nonempty list. A CSV holds one sample array
+    or results of one type, whose CSV_HEADER and csv_rows() it writes;
+    JSON takes any mix of to_json() results and sample arrays. Output is
+    a pure function of the inputs (floats via repr, keys sorted), so
+    identical runs give byte-identical files. path None skips writing
+    and just returns the text.
     """
+    flat = results if isinstance(results, (list, tuple)) else [results]
+    if not flat:
+        raise ConfigurationError("no results to emit")
     if out_format == "csv":
-        text = _csv_text(results, config_hash, seed)
+        text = _csv_text(flat, config_hash, seed)
     elif out_format == "json":
-        text = _json_text(results, config_hash, seed)
+        text = _json_text(flat, config_hash, seed)
     else:
         raise ConfigurationError("format must be csv or json; got %r" % out_format)
     if path is not None:

@@ -184,6 +184,15 @@ class KernelSpec:
         return self.pair_values(xa, xb) - self.conditional_mean(xa) - self.conditional_mean(xb)
 
 
+def _same_law(kernel: KernelSpec, dist: DistributionSpec) -> None:
+    """Refuse a row law other than the one the kernel was registered against."""
+    if kernel.dist.describe() != dist.describe():
+        raise ConfigurationError(
+            "kernel %r was registered against %s, not %s"
+            % (kernel.name, kernel.dist.describe(), dist.describe())
+        )
+
+
 def _require_mean_zero(dist: DistributionSpec, kernel_name: str) -> None:
     if abs(dist.mean) > _EXACT_TOL:
         raise ConfigurationError(
@@ -346,7 +355,8 @@ def _verify_registration(spec: KernelSpec) -> None:
     a = np.asarray(spec.coef, np.float64)
     hv = spec.pair_values(xa, xb)
     hf = _quadratic(spec._phi(xa), a, spec._phi(xb))
-    bad = np.abs(hv - hf) > 1e-9 * np.maximum(1.0, np.abs(hv))
+    # written as not (gap <= tol) here and below, so that a NaN fails
+    bad = ~(np.abs(hv - hf) <= 1e-9 * np.maximum(1.0, np.abs(hv)))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ConfigurationError(
@@ -366,7 +376,7 @@ def _verify_registration(spec: KernelSpec) -> None:
             tol = 1e-9 * np.maximum(1.0, np.abs(value))
         else:
             tol = 4.0 * draws.std(axis=0, ddof=1) / math.sqrt(w.size) + 1e-12
-        if np.any(np.abs(np.asarray(declared, np.float64) - value) > tol):
+        if not np.all(np.abs(np.asarray(declared, np.float64) - value) <= tol):
             raise ConfigurationError(
                 "kernel %r: declared %s = %s differs from the %s value %s"
                 % (spec.name, label, np.asarray(declared).tolist(),
@@ -374,7 +384,7 @@ def _verify_registration(spec: KernelSpec) -> None:
                    np.round(value, 12).tolist())
             )
     mean_h = float(spec._products.mu @ spec._products.a_mu)
-    if abs(mean_h) > 1e-9:
+    if not abs(mean_h) <= 1e-9:
         raise ConfigurationError(
             "kernel %r is not centered for this law: E[h] = %.3e" % (spec.name, mean_h)
         )
@@ -406,6 +416,8 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
     for row in rows:
         x, y, v = float(row[0]), float(row[1]), float(row[2])
         key = (x, y) if x <= y else (y, x)
+        if not math.isfinite(v):
+            raise ConfigurationError("kernel table entry at pair %r is %r" % (key, v))
         if key in entries and entries[key] != v:
             raise ConfigurationError(
                 "kernel table breaks symmetry at pair %r: %r vs %r"
@@ -464,7 +476,8 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
 
 
 def load_kernel_table(path, dist: DistributionSpec) -> KernelSpec:
-    """Kernel from a three-column text file (x, y, h); '#' starts a comment.
+    """Kernel from a three-column text file (x, y, h); '#' starts a comment
+    and numbers are read as flags read them (5/6 is allowed, nan is not).
 
     dist is the discrete row law the kernel is bound to, as in
     kernel_from_table; the kernel is named after the file.

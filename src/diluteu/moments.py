@@ -28,7 +28,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationSizeError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _same_law
 from .sampling import DistributionSpec, as_seed_sequence, sample_row
 
 __all__ = [
@@ -64,6 +64,8 @@ class MomentSet:
     n: int = 0
     p: float = 1.0
 
+    CSV_HEADER = ("n", "p", "beta2", "gamma2", "theta2", "var_u_exact", "provenance")
+
     @property
     def theta2(self) -> float:
         """n p gamma2 + beta2 / 2."""
@@ -72,6 +74,11 @@ class MomentSet:
     @property
     def theta(self) -> float:
         return math.sqrt(max(self.theta2, 0.0))
+
+    def csv_rows(self):
+        """One row: the to_json fields named in CSV_HEADER."""
+        payload = json.loads(self.to_json())
+        yield tuple(payload[k] for k in self.CSV_HEADER)
 
     def to_json(self) -> str:
         payload = {
@@ -82,22 +89,9 @@ class MomentSet:
             "standard_errors": {k: repr(v) for k, v in sorted(self.standard_errors.items())},
             "provenance": self.provenance,
             "n": self.n,
-            "p": repr(self.p),
+            "p": repr(float(self.p)),
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentSet":
-        d = json.loads(text)
-        return cls(
-            beta2=float(d["beta2"]),
-            gamma2=float(d["gamma2"]),
-            var_u_exact=float(d["var_u_exact"]),
-            standard_errors={k: float(v) for k, v in d["standard_errors"].items()},
-            provenance=d["provenance"],
-            n=int(d["n"]),
-            p=float(d["p"]),
-        )
 
 
 def _check_np(n: int, p: float) -> Tuple[int, float]:
@@ -114,14 +108,6 @@ def variance_exact(n: int, p: float, beta2: float, gamma2: float) -> float:
     """binom(n,2)^{-1} (beta2 + 2(n-2) p gamma2); at n=2 just beta2."""
     n, p = _check_np(n, p)
     return (beta2 + 2.0 * (n - 2) * p * gamma2) / math.comb(n, 2)
-
-
-def _same_law(kernel: KernelSpec, dist: DistributionSpec) -> None:
-    if kernel.dist.describe() != dist.describe():
-        raise ConfigurationError(
-            "kernel %r was registered against %s, not %s"
-            % (kernel.name, kernel.dist.describe(), dist.describe())
-        )
 
 
 def moments_closed_form(

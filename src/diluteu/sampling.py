@@ -131,6 +131,10 @@ def standard_normal() -> DistributionSpec:
 def uniform(a: float, b: float) -> DistributionSpec:
     """Uniform on (a, b), shifted to mean zero if the midpoint is not 0."""
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigurationError(
+            "uniform law needs finite endpoints, got (%r, %r)" % (a, b)
+        )
     if not a < b:
         raise ConfigurationError("uniform law needs a < b, got (%r, %r)" % (a, b))
     mid = 0.5 * (a + b)
@@ -162,6 +166,8 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
     qs = [float(q) for q in probs]
     if len(vals) != len(qs) or not vals:
         raise ConfigurationError("table law needs matching, nonempty value/prob lists")
+    if not all(map(math.isfinite, vals + qs)):
+        raise ConfigurationError("table law has a non-finite value or probability")
     if any(q < 0 for q in qs):
         raise ConfigurationError("table law has a negative probability")
     total = math.fsum(qs)
@@ -197,10 +203,22 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
     )
 
 
-def _read_rows(path, kind: str, width: int, sep=None, convert=float) -> list:
+def _number(text: str) -> float:
+    """A decimal or fraction (0.3, 1e-2, 5/6) as a float: the number grammar of
+    every text input. nan, inf and 1e400 raise ConfigurationError."""
+    from fractions import Fraction  # imported on first use, not by `import diluteu`
+
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigurationError("%r is not a number" % text) from None
+
+
+def _read_rows(path, kind: str, width: int, sep=None, convert=_number) -> list:
     """Rows of `width` fields, split at sep (default: whitespace) and passed
-    through convert, from a UTF-8 text file; '#' starts a comment and blank
-    lines are skipped. A bad line raises ConfigurationError naming kind and it."""
+    through convert (default: _number), from a UTF-8 text file; '#' starts a
+    comment and blank lines are skipped. A bad line raises
+    ConfigurationError naming kind and it."""
     rows = []
     with open(path, "r", encoding="utf8") as fh:
         for raw in fh:
@@ -220,7 +238,8 @@ def _read_rows(path, kind: str, width: int, sep=None, convert=float) -> list:
 
 
 def table_from_file(path) -> DistributionSpec:
-    """Read a two-column text file (value, probability); '#' starts a comment."""
+    """Read a two-column text file (value, probability); '#' starts a comment
+    and numbers are read as flags read them (5/6 is allowed, nan is not)."""
     rows = _read_rows(path, "distribution table", 2)
     return table([v for v, _ in rows], [q for _, q in rows])
 

@@ -536,6 +536,24 @@ def test_malformed_dist_text_exits_2(dist, tmp_path, capsys):
     assert captured.err.startswith("configuration error: ")
 
 
+def test_law_file_takes_the_flags_number_grammar(tmp_path, capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("-1 5/6\n5 1/6\n")
+    assert parse_dist("table:%s" % law) == parse_dist("table:-1=5/6,5=1/6")
+    assert run_main(["moments", "--n", "10", "--p", "0.5", "--dist", "table:%s" % law]) == 0
+
+
+@pytest.mark.parametrize("row, bad", [("-1 nan", "nan"), ("-inf 0.5", "-inf"), ("1e400 0.5", "1e400")])
+def test_non_finite_law_file_number_exits_2(row, bad, tmp_path, capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("5 1/6\n%s\n" % row)
+    code = run_main(["moments", "--n", "10", "--p", "0.5", "--dist", "table:%s" % law])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "%r is not a number" % bad in captured.err
+
+
 @pytest.mark.parametrize(
     "argv", [["clt-test", "--n", "-5", "--a", "0.3"], ["clt-test", "--n", "1", "--p", "1"]]
 )
@@ -599,6 +617,16 @@ def test_readme_command_line_section_matches_the_parser():
     assert sorted(table) == sorted(_SUBCOMMAND_OPTIONS)
     for command, flags in table.items():
         assert _subcommand_options(command) == _expected_options(flags), command
+
+
+def test_readme_python_blocks_run_in_order():
+    with open(README, encoding="utf8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)
+    assert namespace["rep"].verdicts == ("decreasing-toward-0",)  # as the README prints
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,16 @@ def test_martingale_rejects_degenerate_theta(skewed):
         d.martingale_differences(x, g, k, 0.0)
 
 
+def test_sample_realization_refuses_a_row_law_other_than_the_kernels(skewed, rad):
+    # the sign kernel's shift and g belong to the skewed law; rows from
+    # another law would give a U that is not centered
+    k = d.sign_kernel(skewed)
+    with pytest.raises(d.ConfigurationError) as exc:
+        d.sample_realization(200, rad, k, 0.3, 0)
+    assert skewed.describe() in str(exc.value)
+    assert rad.describe() in str(exc.value)
+
+
 def test_sample_realization_accepts_numpy_integer_seeds(skewed):
     k = d.sign_kernel(skewed)
     r = d.sample_realization(14, skewed, k, 0.35, 77)

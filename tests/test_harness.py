@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from textwrap import dedent
 
 import numpy as np
 import pytest
@@ -377,6 +378,153 @@ def test_emit_report_csv_layout(tmp_path, skewed, policy):
     assert out.read_text() == text
 
 
+def test_emit_report_bytes_per_result_type():
+    # one result of each emitted type, built from literal numbers, pinned
+    # byte for byte as CSV and as JSON
+    cases = [
+        (
+            d.DistTestResult(
+                samples=np.array([0.1, 0.2]), target="normal", ks_statistic=0.125,
+                threshold=0.05, n=10, R=2, eval_count=45, standardization="exact",
+                note="a, note",
+            ),
+            dedent('''\
+            # config_hash=abc123 seed=6
+            target,n,R,ks_statistic,threshold,decision,eval_count
+            normal,10,2,0.125,0.05,fail,45
+            '''),
+            dedent('''\
+            {
+             "config_hash": "abc123",
+             "reports": [
+              {
+               "R": 2,
+               "decision": "fail",
+               "eval_count": 45,
+               "ks_statistic": "0.125",
+               "n": 10,
+               "note": "a, note",
+               "standardization": "exact",
+               "target": "normal",
+               "threshold": "0.05"
+              }
+             ],
+             "seed": 6
+            }'''),
+        ),
+        (
+            d.MomentSet(
+                beta2=0.5, gamma2=0.25, var_u_exact=0.0375, provenance="mc", n=10, p=0.5,
+                standard_errors={"beta2": 0.01, "gamma2": 0.002, "theta2": 0.03,
+                                 "var_u_exact": 0.0004},
+            ),
+            dedent('''\
+            # config_hash=abc123 seed=6
+            n,p,beta2,gamma2,theta2,var_u_exact,provenance
+            10,0.5,0.5,0.25,1.5,0.0375,mc
+            '''),
+            dedent('''\
+            {
+             "config_hash": "abc123",
+             "reports": [
+              {
+               "beta2": "0.5",
+               "gamma2": "0.25",
+               "n": 10,
+               "p": "0.5",
+               "provenance": "mc",
+               "standard_errors": {
+                "beta2": "0.01",
+                "gamma2": "0.002",
+                "theta2": "0.03",
+                "var_u_exact": "0.0004"
+               },
+               "theta2": "1.5",
+               "var_u_exact": "0.0375"
+              }
+             ],
+             "seed": 6
+            }'''),
+        ),
+        (
+            d.ConditionReport(
+                condition_id="C1", n_grid=(20,), eps_grid=(0.5, 0.75),
+                estimates=np.array([[0.25, 0.125]]), ses=np.array([[0.01, 0.02]]),
+                verdicts=("decreasing-toward-0", "stagnant"),
+            ),
+            dedent('''\
+            # config_hash=abc123 seed=6
+            condition_id,n,eps,estimate,se,verdict
+            C1,20,0.5,0.25,0.01,decreasing-toward-0
+            C1,20,0.75,0.125,0.02,stagnant
+            '''),
+            dedent('''\
+            {
+             "config_hash": "abc123",
+             "reports": [
+              {
+               "condition_id": "C1",
+               "eps_grid": [
+                "0.5",
+                "0.75"
+               ],
+               "estimates": [
+                [
+                 "0.25",
+                 "0.125"
+                ]
+               ],
+               "n_grid": [
+                20
+               ],
+               "ses": [
+                [
+                 "0.01",
+                 "0.02"
+                ]
+               ],
+               "spread": null,
+               "theta_provenance": "closed_form",
+               "upper_bound": false,
+               "verdicts": [
+                "decreasing-toward-0",
+                "stagnant"
+               ]
+              }
+             ],
+             "seed": 6
+            }'''),
+        ),
+        (
+            np.array([0.25, -1.5, 3.0]),
+            dedent('''\
+            # config_hash=abc123 seed=6
+            sample
+            0.25
+            -1.5
+            3.0
+            '''),
+            dedent('''\
+            {
+             "config_hash": "abc123",
+             "reports": [
+              {
+               "samples": [
+                "0.25",
+                "-1.5",
+                "3.0"
+               ]
+              }
+             ],
+             "seed": 6
+            }'''),
+        ),
+    ]
+    for result, csv_text, json_text in cases:
+        assert d.emit_report([result], "csv", None, config_hash="abc123", seed=6) == csv_text
+        assert d.emit_report([result], "json", None, config_hash="abc123", seed=6) == json_text
+
+
 def test_emit_report_per_type_csv_and_mixed_json(tmp_path, skewed):
     cfg = sign_config(R=50)
     res = d.run_clt_experiment(cfg)
@@ -395,6 +543,12 @@ def test_emit_report_per_type_csv_and_mixed_json(tmp_path, skewed):
     assert payload["config_hash"] == "x"
     assert payload["seed"] == 1
     assert len(payload["reports"]) == 3
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_emit_report_refuses_an_empty_result_list(out_format):
+    with pytest.raises(d.ConfigurationError, match="no results"):
+        d.emit_report([], out_format, None)
 
 
 def test_emit_report_json_deterministic(tmp_path):

@@ -201,6 +201,42 @@ def test_load_kernel_table(tmp_path, rad):
     assert float(k.pair_values(np.array([-1.0]), np.array([1.0]))[0]) == -1.0
 
 
+def test_kernel_table_file_takes_the_flags_number_grammar(tmp_path, rad):
+    f = tmp_path / "k.txt"
+    f.write_text("-1 -1 1/2\n-1 1 -1/2\n1 1 1/2\n")
+    k = d.load_kernel_table(f, dist=rad)
+    assert k.pair_values(np.array([-1.0, 1.0]), np.array([1.0, 1.0])).tolist() == [-0.5, 0.5]
+    f.write_text("-1 -1 1\n-1 1 nan\n1 1 1\n")
+    with pytest.raises(d.ConfigurationError, match="'nan' is not a number"):
+        d.load_kernel_table(f, dist=rad)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: d.table([-1, 1], [math.nan, 1.0]), "non-finite"),
+        (lambda: d.table([-1, math.inf], [0.5, 0.5]), "non-finite"),
+        (lambda: d.uniform(-math.inf, 1.0), "finite endpoints"),
+        (
+            lambda: d.kernel_from_table(
+                "t", [(-1, -1, 1), (-1, 1, math.nan), (1, 1, 1)], d.rademacher()
+            ),
+            r"pair \(-1\.0, 1\.0\) is nan",
+        ),
+        (
+            lambda: d.kernels._verify_registration(
+                dataclasses.replace(d.product_kernel(d.rademacher()), feature_mean=np.array([math.nan]))
+            ),
+            "declared E\\[phi\\]",
+        ),
+    ],
+    ids=["table-prob", "table-value", "uniform-endpoint", "kernel-entry", "declared-mean"],
+)
+def test_non_finite_python_inputs_are_refused(build, message):
+    with pytest.raises(d.ConfigurationError, match=message):
+        build()
+
+
 def test_table_kernel_values_are_the_raw_table(tri_kernel):
     # an oracle independent of A: the triples as written, in both orders
     for x, y, v in TRI_TABLE:
