@@ -305,12 +305,12 @@ def main(argv=None) -> int:
                     for key, v in sorted(res.products.items())
                 },
             }
-            text = json.dumps(payload, sort_keys=True, indent=1)
+            text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
             if config.out_path:
                 with open(config.out_path, "w", encoding="utf8") as fh:
                     fh.write(text)
             else:
-                sys.stdout.write(text + "\n")
+                sys.stdout.write(text)
             return 0
         raise ConfigurationError("unknown command %r" % args.command)
     except ResourceBudgetError as exc:

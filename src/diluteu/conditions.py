@@ -53,7 +53,6 @@ from .sampling import (
     SeedPolicy,
     as_generator,
     as_seed_sequence,
-    sample_dilution,
     sample_row,
     _regime_p,
     _warn_if_slow,
@@ -246,13 +245,6 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> L
 # eta quantities of the martingale CLT
 
 
-def _realizations(n, dist, p, seed, m):
-    """m (row, dilution graph) draws; draw r comes from child r of seed."""
-    for child in as_seed_sequence(seed).spawn(m):
-        sx, sz = child.spawn(2)
-        yield sample_row(n, dist, sx), sample_dilution(n, p, sz)
-
-
 def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     """m draws of the summed conditional variance of the differences.
 
@@ -277,6 +269,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     built, so a replicate costs O((n + E) r) time beyond its draw, O(n r)
     at p = 1 (a prefix sum), and n has no cap.
     """
+    from .harness import _each_replicate  # not at the top: harness imports this module
     m = _check_m("ETA2", m)
     n = int(n)
     t2 = _theta2(kernel, dist, n, p)
@@ -286,7 +279,8 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     rank = mu.size
     out = np.empty(m)
     fut = (n - 1) - np.arange(n, dtype=np.float64)  # vertices after i
-    for r, (x, graph) in enumerate(_realizations(n, dist, p, seed, m)):
+
+    def body(r, x, graph):
         cols = np.empty((n, rank + 2))
         cols[:, :rank] = np.asarray(kernel.features(x), np.float64) - mu
         cols[:, rank] = np.asarray(kernel.cross_conditional(x), np.float64) - eg2
@@ -299,6 +293,8 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
         eta223 = float(np.sum((v @ b) * v))
         eta24 = 2.0 * float((c + fut * p) @ prod[:, rank])
         out[r] = (eta21 + eta223 + eta24) / (n * n * t2)
+
+    _each_replicate(seed, m, n, dist, p, body)
     return out
 
 
@@ -313,6 +309,7 @@ def estimate_eta1_mean(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     contract. Both parts are drawn once and cut at every eps. The result
     is an upper bound on the target, and is flagged as such.
     """
+    from .harness import _each_replicate  # see estimate_eta2
     m = _check_m("ETA1", m)
     t2 = _theta2(kernel, dist, n, p)
     cuts = [0.5 * eps * math.sqrt(t2) * n for eps in eps_grid]
@@ -326,11 +323,14 @@ def estimate_eta1_mean(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     a = np.asarray(kernel.coef, np.float64)
     mu = np.asarray(kernel.feature_mean, np.float64)
     t_vals = np.empty((len(cuts), m))
-    for r, (x, graph) in enumerate(_realizations(n, dist, p, t_seed, m)):
+
+    def body(r, x, graph):
         psi = np.asarray(kernel.features(x), np.float64) - mu
         rows = np.sum((psi @ a) * graph.lower(psi), axis=1)
         sq, mag = rows * rows, np.abs(rows)
         t_vals[:, r] = [float((sq * (mag >= cut)).sum()) for cut in cuts]
+
+    _each_replicate(t_seed, m, n, dist, p, body)
     t1 = [_mean_se(vals, factor=4.0 / (n * n * t2)) for vals in t_vals]
     return [
         Estimate(4.0 * s.value + t.value, math.hypot(4.0 * s.se, t.se), upper_bound=True)

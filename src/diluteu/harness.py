@@ -42,6 +42,7 @@ from .moments import moments_closed_form, moments_mc
 from .sampling import (
     DistributionSpec,
     SeedPolicy,
+    as_seed_sequence,
     sample_dilution,
     sample_row,
     _regime_p,
@@ -303,6 +304,26 @@ def _standardizer(config: ExperimentConfig, kernel: KernelSpec, dist, n: int, p:
     return math.sqrt(var), prov
 
 
+def _each_replicate(seed, m: int, n: int, dist, p: float, body: Callable, threads: int = 1) -> None:
+    """Call body(r, x, graph) for r < m, drawing replicate r's row and graph from
+    seed's spawn key plus (r, 0) and (r, 1). threads > 1 runs contiguous ranges
+    of r concurrently, so body must write only slot r."""
+    seed = as_seed_sequence(seed)
+    entropy, key, pool = seed.entropy, seed.spawn_key, seed.pool_size
+
+    def run_range(lo: int, hi: int) -> None:
+        for r in range(lo, hi):
+            sx = np.random.SeedSequence(entropy, spawn_key=key + (r, 0), pool_size=pool)
+            sz = np.random.SeedSequence(entropy, spawn_key=key + (r, 1), pool_size=pool)
+            body(r, sample_row(n, dist, sx), sample_dilution(n, p, sz))
+
+    if threads <= 1 or m < 2 * threads:
+        return run_range(0, m)
+    step = -(-m // threads)
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        list(executor.map(lambda lo: run_range(lo, min(lo + step, m)), range(0, m, step)))
+
+
 def _run_replicates(
     config: ExperimentConfig,
     dist,
@@ -311,12 +332,7 @@ def _run_replicates(
     label: str,
     statistic: Callable,
 ) -> Tuple[np.ndarray, int]:
-    """R independent statistic values plus the summed kernel-eval count.
-
-    Each replicate draws a fresh (row, graph) pair from its own derived
-    seed; results land in replication-index slots, so any thread
-    schedule reduces identically.
-    """
+    """R statistic values of the label's replicates and their summed kernel-eval count."""
     R = config.R
     expected = R * math.comb(n, 2) * p
     if expected > DEFAULT_MAX_PAIR_EVALS:
@@ -324,30 +340,14 @@ def _run_replicates(
             "about %.3g kernel evaluations expected (R=%d, n=%d, p=%.3g), "
             "over the %d budget" % (expected, R, n, p, DEFAULT_MAX_PAIR_EVALS)
         )
-    # replicate r's two streams are the spawn(2) children of
-    # policy.child(label, r); build them from the label's key directly
-    base = config.policy().child(label, 0)
-    entropy, key = base.entropy, base.spawn_key[0]
     out = np.empty(R)
     evals = np.zeros(R, dtype=np.int64)
 
-    def run_range(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            sx = np.random.SeedSequence(entropy, spawn_key=(key, r, 0))
-            sz = np.random.SeedSequence(entropy, spawn_key=(key, r, 1))
-            x = sample_row(n, dist, sx)
-            graph = sample_dilution(n, p, sz)
-            out[r] = statistic(x, graph)
-            evals[r] = graph.edge_count()
+    def body(r, x, graph):
+        out[r] = statistic(x, graph)
+        evals[r] = graph.edge_count()
 
-    workers = config.threads
-    if workers <= 1 or R < 2 * workers:
-        run_range(0, R)
-    else:
-        step = -(-R // workers)
-        spans = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda s: run_range(*s), spans))
+    _each_replicate(config.policy().child(label), R, n, dist, p, body, config.threads)
     return out, int(evals.sum())
 
 

@@ -86,7 +86,7 @@ class MomentSet:
             "gamma2": repr(float(self.gamma2)),
             "theta2": repr(float(self.theta2)),
             "var_u_exact": repr(float(self.var_u_exact)),
-            "standard_errors": {k: repr(v) for k, v in sorted(self.standard_errors.items())},
+            "standard_errors": {k: repr(float(v)) for k, v in sorted(self.standard_errors.items())},
             "provenance": self.provenance,
             "n": self.n,
             "p": repr(float(self.p)),

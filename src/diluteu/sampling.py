@@ -6,10 +6,11 @@ dilution matrix Z deciding which pairs enter the statistic. Both samplers
 are pure functions of (parameters, seed), so any replication can be
 regenerated in isolation, out of order, on any worker.
 
-Seed derivation is counter-based: a master seed plus a (stream label,
-replication index) pair is mixed into a child seed by a fixed public
-function (SHA-256 of the label, folded into a numpy SeedSequence spawn
-key). Distinct labels and indices give independent streams.
+Seed derivation is counter-based: a master seed plus a stream label and
+indices is mixed into a child seed by a fixed public function (SHA-256 of
+the label, folded into a numpy SeedSequence spawn key). Distinct labels
+and indices give independent streams. A SeedSequence argument is copied,
+never advanced, so every call with it spawns the same children.
 
 Within a stream, a dilution graph with 0 < p < 1 spends one byte of the
 generator's raw 64-bit words per pair (little-endian byte order, pair k
@@ -68,9 +69,9 @@ def as_generator(seed) -> Generator:
 
 
 def as_seed_sequence(seed) -> SeedSequence:
-    """Turn an int (Python or numpy) or SeedSequence into a SeedSequence."""
+    """A new SeedSequence from an int or a SeedSequence, which is copied, not advanced."""
     if isinstance(seed, SeedSequence):
-        return seed
+        return SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
     return SeedSequence(seed)
 
 
@@ -217,23 +218,30 @@ def _number(text: str) -> float:
 def _read_rows(path, kind: str, width: int, sep=None, convert=_number) -> list:
     """Rows of `width` fields, split at sep (default: whitespace) and passed
     through convert (default: _number), from a UTF-8 text file; '#' starts a
-    comment and blank lines are skipped. A bad line raises
-    ConfigurationError naming kind and it."""
+    comment and blank lines are skipped. A file that cannot be opened or is
+    not UTF-8, or a bad line, raises ConfigurationError naming kind and the
+    path or the line."""
+    try:
+        with open(path, "r", encoding="utf8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigurationError("%s file %s: %s" % (kind, path, exc.strerror)) from None
+    except UnicodeDecodeError:
+        raise ConfigurationError("%s file %s is not UTF-8 text" % (kind, path)) from None
     rows = []
-    with open(path, "r", encoding="utf8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                fields = line.split(sep, width - 1) if sep else line.split()
-                if len(fields) != width:
-                    what = repr(sep) if sep else "whitespace"
-                    raise ValueError("expected %d fields separated by %s" % (width, what))
-                rows.append(tuple(convert(f.strip()) for f in fields))
-            except ValueError as exc:
-                msg = "%s line %r: %s" % (kind, raw.strip(), exc)
-                raise ConfigurationError(msg) from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            fields = line.split(sep, width - 1) if sep else line.split()
+            if len(fields) != width:
+                what = repr(sep) if sep else "whitespace"
+                raise ValueError("expected %d fields separated by %s" % (width, what))
+            rows.append(tuple(convert(f.strip()) for f in fields))
+        except ValueError as exc:
+            msg = "%s line %r: %s" % (kind, raw.strip(), exc)
+            raise ConfigurationError(msg) from None
     return rows
 
 
@@ -527,10 +535,10 @@ def _warn_if_slow(n: int, p: float, stacklevel: int = 2) -> None:
 class SeedPolicy:
     """Counter-based child-seed derivation from one master seed.
 
-    child(label, r) hashes the label with SHA-256, takes the first 8 bytes
-    as a stream key, and builds SeedSequence(master, spawn_key=(key, r)).
-    The mixing is pure and platform-independent; distinct (label, r) pairs
-    give distinct, statistically independent child streams.
+    child(label, *index) hashes the label with SHA-256, takes the first 8 bytes
+    as a stream key, and builds SeedSequence(master, spawn_key=(key, *index)).
+    The mixing is pure and platform-independent; distinct (label, index)
+    tuples give distinct, statistically independent child streams.
     """
 
     master_seed: int
@@ -539,9 +547,9 @@ class SeedPolicy:
         if self.master_seed < 0:
             raise ConfigurationError("master seed must be >= 0; got %r" % (self.master_seed,))
 
-    def child(self, stream_label: str, replication_index: int = 0) -> SeedSequence:
+    def child(self, stream_label: str, *index: int) -> SeedSequence:
         digest = hashlib.sha256(stream_label.encode("utf8")).digest()
         label_key = int.from_bytes(digest[:8], "little")
         return SeedSequence(
-            self.master_seed, spawn_key=(label_key, int(replication_index))
+            self.master_seed, spawn_key=(label_key,) + tuple(int(i) for i in index)
         )

@@ -487,6 +487,17 @@ def test_oracle_json_payload(capsys):
     assert "PhiTilde(0,1) PhiTilde(0,1)" in products
 
 
+def test_oracle_out_file_holds_the_printed_report(tmp_path, capsys):
+    argv = ["oracle", "--kernel", "sign", "--dist", "rademacher", "--n", "3", "--p", "0.5"]
+    assert run_main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "oracle.json"
+    assert run_main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf8") == printed
+    assert printed.endswith("}\n")
+
+
 def test_oracle_too_large_exits_3(capsys):
     code = run_main(
         ["oracle", "--kernel", "sign", "--dist", "rademacher", "--n", "12", "--p", "0.5"]
@@ -510,6 +521,7 @@ def test_oracle_too_large_exits_3(capsys):
         ["clt-test", "--threads", "0", "--n", "50", "--p", "1", "--R", "20"],
         ["clt-test", "--seed", "-1", "--n", "50", "--p", "0.5", "--R", "10"],
         ["moments", "--method", "mc", "--seed", "-1", "--n", "50", "--p", "0.5"],
+        ["moments", "--config", "no-such-file.cfg"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -523,17 +535,24 @@ def test_configuration_errors_exit_2(argv, capsys):
     "dist",
     [
         "table:LAWFILE", "table:a=1/2,1=1/2", "uniform:x,1", "table:-1=1/2,1=0.5x",
-        "uniform:1e400,1",
+        "uniform:1e400,1", "table:MISSING", "table:DIR", "table:NOTUTF8",
     ],
 )
 def test_malformed_dist_text_exits_2(dist, tmp_path, capsys):
     law = tmp_path / "law.txt"
     law.write_text("abc 0.5\n")
-    dist = dist.replace("LAWFILE", str(law))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xff 1\n")
+    files = {"LAWFILE": law, "MISSING": tmp_path / "missing.txt", "DIR": tmp_path, "NOTUTF8": latin1}
+    path = files.get(dist[len("table:"):])
+    if path is not None:
+        dist = "table:%s" % path
     code = run_main(["moments", "--n", "10", "--p", "0.5", "--dist", dist])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("configuration error: ")
+    if path not in (None, law):  # a file that cannot be read is named with its kind
+        assert "distribution table file %s" % path in captured.err
 
 
 def test_law_file_takes_the_flags_number_grammar(tmp_path, capsys):

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm as normal_law
 
@@ -378,6 +380,74 @@ def test_eta1_t1_rows_match_pairwise_centered_sums(which, p, skewed, norm, rad, 
     assert (t1 == 0.0) == (which == "additive")
     est = d.estimate_eta1_mean(k, law, n, p, (eps,), m, seed)[0]
     assert est.value - s1 == pytest.approx(t1, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def table_kernels(draw):
+    """(k support values in -5..5 shifted to mean zero, their rational
+    probabilities, the symmetric integer table over them shifted by q^T M q
+    so that E[h] = 0), for k in {2, 3}."""
+    k = draw(st.integers(2, 3))
+    values = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    upper = iter(draw(st.lists(st.integers(-5, 5), min_size=k * (k + 1) // 2,
+                               max_size=k * (k + 1) // 2)))
+    qs = np.array(weights) / sum(weights)
+    values = np.array(values) - float(np.dot(values, qs))
+    order = np.argsort(values)
+    values, qs = values[order], qs[order]
+    table = np.zeros((k, k))
+    for a in range(k):
+        for b in range(a, k):
+            table[a, b] = table[b, a] = next(upper)
+    return values, qs, table - float(qs @ table @ qs)
+
+
+@given(
+    table_kernels(),
+    st.sampled_from([(3, 0.5), (4, 1.0), (4, 0.3)]),
+    st.integers(5, 59),
+    st.sampled_from([0.2, 0.6, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_random_table_kernels_agree_across_routes(tk, tiny, n, p, seed):
+    # the closed form against enumeration; one realization's U, split and
+    # L product against references read from the table; one eta2 replicate
+    # against the dense-L form and ETA1's T1 against pairwise centered sums
+    values, qs, table = tk
+    assume(np.any(np.abs(table) > 1e-9))  # h = 0 has theta^2 = 0
+    law = d.table(values, qs)
+    k = d.kernel_from_table("random", [(a, b, table[i, j]) for i, a in enumerate(values)
+                                       for j, b in enumerate(values)], dist=law)
+    exact = d.moments_closed_form(k, law, *tiny)
+    enum = d.enumerate_exact(k, law, *tiny).moment_set
+    for field in ("beta2", "gamma2", "theta2", "var_u_exact"):
+        assert getattr(enum, field) == pytest.approx(getattr(exact, field), abs=1e-12)
+
+    real = d.sample_realization(n, law, k, p, seed)
+    idx = np.searchsorted(law.support, real.x)
+    h = table[idx][:, idx]
+    g = (table @ qs)[idx]
+    low = np.tril(dense_of(real.z)).astype(np.float64)
+    assert real.u_value == pytest.approx(
+        float((low * h).sum()) / math.comb(n, 2), rel=1e-12, abs=1e-12
+    )
+    np.testing.assert_allclose(real.psi_part, g * (low + low.T).sum(axis=1), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        real.phi_tilde_part, (low * (h - g[:, None] - g[None, :])).sum(axis=1), rtol=0, atol=1e-10
+    )
+    assert real.identity_gap() <= 1e-10 * max(1.0, abs(real.u_value))
+    cols = np.eye(len(values))[idx] - qs
+    np.testing.assert_allclose(real.z.lower(cols), low @ cols, rtol=1e-12, atol=1e-12)
+
+    t2 = d.moments_closed_form(k, law, n, p).theta2
+    (x0, low0), _ = replay_realizations(law, n, p, 2, seed)
+    eta2 = d.estimate_eta2(k, law, n, p, m=2, seed=seed)[0]
+    assert eta2 == pytest.approx(dense_eta2(k, x0, low0, n, p, t2), rel=1e-12)
+    s1, t1 = pairwise_eta1(k, law, n, p, 0.05, 2, seed)
+    eta1 = d.estimate_eta1_mean(k, law, n, p, (0.05,), 2, seed)[0]
+    assert eta1.value - s1 == pytest.approx(t1, rel=1e-12, abs=1e-15)
 
 
 def test_eta1_bound_flag_and_large_eps_zero(skewed):

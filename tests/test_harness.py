@@ -228,20 +228,23 @@ def test_replicates_deterministic_and_thread_independent():
 
 
 def test_replicate_streams_are_the_spawned_children_of_the_label():
-    # _run_replicates builds replicate r's row and graph streams from the
-    # label's entropy and key; they must be policy.child(label, r).spawn(2)
+    # _run_replicates draws replicate r's row and graph from the label's
+    # prefix child(label) plus (r, 0) and (r, 1); they must be
+    # policy.child(label, r).spawn(2)
     pol = d.SeedPolicy(master_seed=6)
     for label in ("replicate/n60", "counterexample/n500", "x"):
-        base = pol.child(label, 0)
+        prefix = pol.child(label)
+        assert prefix.spawn_key == pol.child(label, 0).spawn_key[:1]
         for r in (0, 1, 2, 1999):
             spawned = pol.child(label, r).spawn(2)
             for i in (0, 1):
                 direct = np.random.SeedSequence(
-                    base.entropy, spawn_key=(base.spawn_key[0], r, i)
+                    prefix.entropy, spawn_key=prefix.spawn_key + (r, i)
                 )
                 assert np.array_equal(
                     direct.generate_state(4), spawned[i].generate_state(4)
                 )
+                assert pol.child(label, r, i).spawn_key == direct.spawn_key
     # and the replicates themselves replay from the spawned children
     cfg = sign_config(R=20)
     kernel = d.kernel_by_name("sign", cfg.dist)
@@ -252,6 +255,24 @@ def test_replicate_streams_are_the_spawned_children_of_the_label():
         u.append(d.compute_ustat(d.sample_row(60, cfg.dist, sx), graph, kernel))
     s = d.replicate_standardized(cfg)
     assert np.allclose(s * (u[0] / s[0]), u, rtol=1e-14, atol=0.0)
+
+
+def test_each_replicate_fills_the_same_slots_at_any_thread_count(skewed):
+    # 10 replicates over 3 threads split unevenly (4, 4, 2); every slot is
+    # written once, with the draw the sequential loop gives it
+    seed = d.SeedPolicy(master_seed=6).child("slots")
+    slots = {}
+    for threads in (1, 3):
+        out = np.full((10, 2), np.nan)
+
+        def body(r, x, graph):
+            out[r] = x.sum(), graph.edge_count()
+
+        d.harness._each_replicate(seed, 10, 30, skewed, 0.3, body, threads)
+        slots[threads] = out
+    assert not np.isnan(slots[1]).any()
+    assert np.array_equal(slots[1], slots[3])
+    assert len(set(slots[1][:, 1])) > 1
 
 
 def test_replicates_single_run():

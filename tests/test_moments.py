@@ -136,6 +136,13 @@ def test_momentset_json_round_trip(skewed):
     assert (payload["provenance"], payload["n"]) == (ms.provenance, ms.n)
 
 
+def test_momentset_json_writes_numpy_standard_errors_as_plain_floats():
+    ms = d.MomentSet(
+        beta2=1.0, gamma2=0.0, var_u_exact=0.1, standard_errors={"beta2": np.float64(0.01)}, n=5, p=0.5
+    )
+    assert json.loads(ms.to_json())["standard_errors"] == {"beta2": "0.01"}
+
+
 def test_neumaier_compensation():
     acc = _Neumaier()
     for v in (1e16, 1.0, -1e16):

@@ -501,6 +501,26 @@ def test_negative_master_seed_is_rejected_when_built(rad):
     assert d.SeedPolicy(master_seed=0).child("x", 0).entropy == 0
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda s, k, law: d.sample_realization(50, law, k, 0.3, s).u_value,
+        lambda s, k, law: d.estimate_eta2(k, law, 50, 0.3, 4, s),
+        lambda s, k, law: [e.value for e in d.estimate_eta1_mean(k, law, 50, 0.3, [0.01], 4, s)],
+        lambda s, k, law: [e.value for e in d.estimate_C2(k, law, 50, 0.3, [0.01], 200, s)],
+        lambda s, k, law: d.moments_mc(k, law, 50, 0.3, 200, s).beta2,
+    ],
+    ids=["sample_realization", "estimate_eta2", "estimate_eta1_mean", "estimate_C2", "moments_mc"],
+)
+def test_a_seedsequence_argument_is_copied_not_advanced(draw, skewed):
+    # spawn() advances the SeedSequence it is called on; the package spawns
+    # from a copy, so one seed object gives the same draw on every call
+    k = d.sign_kernel(skewed)
+    seq = d.SeedPolicy(master_seed=6).child("twice", 0)
+    assert np.array_equal(draw(seq, k, skewed), draw(seq, k, skewed))
+    assert seq.n_children_spawned == 0
+
+
 def test_as_generator_accepts_common_seed_types():
     g1 = d.as_generator(5)
     g2 = d.as_generator(np.random.SeedSequence(5))
