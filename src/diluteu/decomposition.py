@@ -28,8 +28,11 @@ share it.
 When the list covers every pair (a complete graph, as at p = 1), U reads
 only its length: h runs over the circulant diagonals
 (x_i, x_{(i+k) mod n}), whose two sides are a broadcast of x and a window
-of (x, x), so no index array is built or gathered. The pairs and their
-count are the same; only the order of the sum differs.
+of (x, x), so no index array is built or gathered. Both views are built
+once per call and sliced per block. The pairs and their count are the
+same; only the order of the sum differs. At p = 1 the graph itself is
+the shared constant that sample_dilution keeps per n, with its edge
+count and completeness computed once.
 """
 
 from __future__ import annotations
@@ -100,16 +103,23 @@ def _complete_sum(x: np.ndarray, kernel: KernelSpec) -> float:
     every i, and for even n diagonal n/2 over i < n/2, meet each unordered
     pair once: binom(n, 2) evaluations. Row k of the windows of (x, x) is
     diagonal k's partner side, so a call takes max(1, _BLOCK // n) whole
-    diagonals against a broadcast of x, and no index array is built.
+    diagonals against a broadcast of x, and no index array is built. The
+    window view and the broadcast are built once per call (read-only
+    strided views, no copy) and sliced per block.
     """
     n = x.size
     stop = (n - 1) // 2 + 1  # one past the last diagonal taken whole
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x)), n)
     step = max(1, _BLOCK // n)
+    xx = np.concatenate((x, x))
+    # row k is xx[k : k + n]; rows past the last whole diagonal are not needed
+    windows = np.lib.stride_tricks.as_strided(
+        xx, shape=(stop, n), strides=(xx.strides[0],) * 2, writeable=False
+    )
+    rows = np.broadcast_to(x, (step, n))
     total = 0.0
     for k0 in range(1, stop, step):
-        b = windows[k0 : min(k0 + step, stop)]
-        total += float(kernel.pair_values(np.broadcast_to(x, b.shape), b).sum())
+        b = windows[k0 : k0 + step]
+        total += float(kernel.pair_values(rows[: b.shape[0]], b).sum())
     if n % 2 == 0:
         total += float(kernel.pair_values(x[: n // 2], x[n // 2 :]).sum())
     return total

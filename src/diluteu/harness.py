@@ -306,15 +306,22 @@ def _standardizer(config: ExperimentConfig, kernel: KernelSpec, dist, n: int, p:
 
 def _each_replicate(seed, m: int, n: int, dist, p: float, body: Callable, threads: int = 1) -> None:
     """Call body(r, x, graph) for r < m, drawing replicate r's row and graph from
-    seed's spawn key plus (r, 0) and (r, 1). threads > 1 runs contiguous ranges
-    of r concurrently, so body must write only slot r."""
+    seed's spawn key plus (r, 0) and (r, 1). At p = 0 or 1 the graph draws
+    nothing (every replicate gets the same shared graph), so no graph seed is
+    derived. threads > 1 runs contiguous ranges of r concurrently, so body
+    must write only slot r."""
     seed = as_seed_sequence(seed)
     entropy, key, pool = seed.entropy, seed.spawn_key, seed.pool_size
+    draws_graph = 0.0 < p < 1.0
 
     def run_range(lo: int, hi: int) -> None:
         for r in range(lo, hi):
             sx = np.random.SeedSequence(entropy, spawn_key=key + (r, 0), pool_size=pool)
-            sz = np.random.SeedSequence(entropy, spawn_key=key + (r, 1), pool_size=pool)
+            sz = (
+                np.random.SeedSequence(entropy, spawn_key=key + (r, 1), pool_size=pool)
+                if draws_graph
+                else None
+            )
             body(r, sample_row(n, dist, sx), sample_dilution(n, p, sz))
 
     if threads <= 1 or m < 2 * threads:

@@ -24,6 +24,13 @@ The row side of a pair list is np.repeat over counts, so no E-length
 array of row indices is built. The last incomplete graph's extraction is
 kept read-only, so the several passes over one realization (U, its
 Hoeffding split, the degrees) extract its edges once.
+
+A graph's packed bytes do not change once it is built: sample_dilution
+returns them read-only, so the facts a graph computes from them (edge
+count, completeness, degrees) are computed once and kept on the graph.
+A graph with p = 0 or p = 1 is a constant of n: sample_dilution returns
+one shared graph per (n, p) for the last two such pairs, so a replicate
+loop at p = 1 builds and counts its graph once.
 """
 
 from __future__ import annotations
@@ -318,15 +325,17 @@ class DilutionGraph:
     upper-triangle order, packed big-endian into ceil(C/8) bytes with zero
     padding bits (checked at construction; edge_count() relies on them).
     The diagonal does not exist. The packed bytes are the graph's only
-    stored form of the pairs, O(n^2/8) bytes. The edge list, in row form
+    stored form of the pairs, O(n^2/8) bytes, and must not change once
+    the graph is built (sample_dilution's are read-only): the edge count,
+    the completeness test and the degree vector (8n bytes) are computed
+    on first use and kept on the graph. The edge list, in row form
     (per-row counts and partners, 8(n + E) bytes), is extracted by edges()
     in O(C) byte work plus O(E) index work. The module keeps the lists of
     the last extracted incomplete graph and of the last two complete-graph
-    sizes, and no per-n pair-index table. The degree vector, 8n bytes, is
-    computed on the first call to degrees() and kept on the graph. No
-    n x n form exists: lower(cols) applies the strictly-lower matrix to
-    columns over the rows from the edge list, or by a prefix sum when the
-    graph is complete.
+    sizes, and no per-n pair-index table. No n x n form exists:
+    lower(cols) applies the strictly-lower matrix to columns over the
+    rows from the edge list, or by a prefix sum when the graph is
+    complete.
     """
 
     n: int
@@ -354,7 +363,13 @@ class DilutionGraph:
         return np.unpackbits(self.packed, count=self.pair_count).view(bool)
 
     def edge_count(self) -> int:
-        return int(np.bitwise_count(self.packed).sum(dtype=np.int64))
+        """Number of kept pairs: a popcount of the packed bytes on the first
+        call, kept on the graph for later calls."""
+        count = self.__dict__.get("_edge_count")
+        if count is None:
+            count = int(np.bitwise_count(self.packed).sum(dtype=np.int64))
+            self.__dict__["_edge_count"] = count
+        return count
 
     def bit(self, i: int, j: int) -> int:
         n = self.n
@@ -395,12 +410,17 @@ class DilutionGraph:
 
     def _complete(self) -> bool:
         """Every pair kept: each full byte 0xFF and the last one's pair bits
-        set, read from the packed bytes so the C-byte unpack is skipped."""
-        full, rest = divmod(self.pair_count, 8)
-        packed = self.packed
-        return packed[:full].min(initial=0xFF) == 0xFF and (
-            not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
-        )
+        set, read from the packed bytes so the C-byte unpack is skipped.
+        Computed on the first call and kept on the graph."""
+        complete = self.__dict__.get("_is_complete")
+        if complete is None:
+            full, rest = divmod(self.pair_count, 8)
+            packed = self.packed
+            complete = bool(packed[:full].min(initial=0xFF) == 0xFF and (
+                not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
+            ))
+            self.__dict__["_is_complete"] = complete
+        return complete
 
     def lower(self, cols) -> np.ndarray:
         """L @ cols for the strict lower triangle L (L[i, j] = Z_ij, j < i).
@@ -451,9 +471,12 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
     call over the ties in storage order, after all the words, and are
     skipped when frac = 0. So P(keep) = p within 2^-61, pairs are
     independent, and the stream depends on neither the internal chunk
-    size nor the platform's byte order. p = 0 and p = 1 draw nothing and
-    build the packed bytes directly (all bits clear or set, padding bits
-    zero).
+    size nor the platform's byte order. The packed bytes are read-only.
+
+    p = 0 and p = 1 draw nothing and ignore the seed: they return one
+    shared graph per (n, p), built once from the packed bytes directly
+    (all bits clear or set, padding bits zero) and kept for the last two
+    (n, p) pairs, so its edge count and completeness are computed once.
     """
     if n < 1:
         raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
@@ -461,35 +484,41 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
     global _kept
     _kept = None  # free the last graph's edge list before drawing a new one
+    if p == 0.0 or p == 1.0:
+        return _constant_graph(int(n), bool(p))
     c = n * (n - 1) // 2
-    nbytes = -(-c // 8)
-    if p == 0.0:
-        packed = np.zeros(nbytes, dtype=np.uint8)
-    elif p == 1.0:
-        packed = np.full(nbytes, 0xFF, dtype=np.uint8)
-        if c % 8:
-            packed[-1] = (0xFF << (8 - c % 8)) & 0xFF
-    else:
-        rng = as_generator(seed)
-        # both exact in float64: 256p only shifts the exponent
-        top = int(p * 256.0)
-        frac = p * 256.0 - top
-        bits = np.empty(c, dtype=bool)
-        ties = []
-        chunk = 1 << 22  # a multiple of 8, so a chunk starts on a word
-        for start in range(0, c, chunk):
-            stop = min(start + chunk, c)
-            words = rng.bit_generator.random_raw(-(-(stop - start) // 8))
-            byte = words.astype("<u8", copy=False).view(np.uint8)[: stop - start]
-            np.less(byte, top, out=bits[start:stop])
-            if frac:
-                tie = np.flatnonzero(byte == top)
-                tie += start
-                ties.append(tie)
-        if ties:
-            tie = np.concatenate(ties)
-            bits[tie] = rng.random(tie.size) < frac
-        packed = np.packbits(bits)
+    rng = as_generator(seed)
+    # both exact in float64: 256p only shifts the exponent
+    top = int(p * 256.0)
+    frac = p * 256.0 - top
+    bits = np.empty(c, dtype=bool)
+    ties = []
+    chunk = 1 << 22  # a multiple of 8, so a chunk starts on a word
+    for start in range(0, c, chunk):
+        stop = min(start + chunk, c)
+        words = rng.bit_generator.random_raw(-(-(stop - start) // 8))
+        byte = words.astype("<u8", copy=False).view(np.uint8)[: stop - start]
+        np.less(byte, top, out=bits[start:stop])
+        if frac:
+            tie = np.flatnonzero(byte == top)
+            tie += start
+            ties.append(tie)
+    if ties:
+        tie = np.concatenate(ties)
+        bits[tie] = rng.random(tie.size) < frac
+    packed = np.packbits(bits)
+    packed.setflags(write=False)
+    return DilutionGraph(n=n, packed=packed)
+
+
+@lru_cache(maxsize=2)
+def _constant_graph(n: int, full: bool) -> DilutionGraph:
+    """The empty (full false) or complete graph on n vertices, read-only bytes."""
+    c = n * (n - 1) // 2
+    packed = np.full(-(-c // 8), 0xFF if full else 0, dtype=np.uint8)
+    if full and c % 8:
+        packed[-1] = (0xFF << (8 - c % 8)) & 0xFF
+    packed.setflags(write=False)
     return DilutionGraph(n=n, packed=packed)
 
 

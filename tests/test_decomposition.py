@@ -162,34 +162,43 @@ def test_blocked_evaluation_edge_list_sizes(skewed):
     assert 0 < e % block and e > block  # the last graph's final block is ragged
 
 
-def recording_ndim(fn, calls):
-    """fn wrapped to record the number of axes of its first argument."""
+def recording_shape(fn, calls):
+    """fn wrapped to record the shape of its first argument."""
 
     def wrapped(*args):
-        calls.append(np.ndim(args[0]))
+        calls.append(np.shape(args[0]))
         return fn(*args)
 
     return wrapped
 
 
-@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("n", [40, 41, 300, 301])
 def test_complete_graph_ustat_matches_row_form(skewed, rad, tri, tri_kernel, n):
     # a graph whose edge list covers every pair is summed by circulant
-    # diagonals (2-D kernel calls); one pair short of complete it takes the
-    # row-form blocks (1-D calls)
+    # diagonals, _BLOCK // n whole diagonals per 2-D kernel call, then for
+    # even n the half diagonal in one 1-D call: at n=300 diagonals 1..149
+    # take calls of 109 and 40, at n=301 diagonals 1..150 calls of 108 and
+    # 42. One pair short of complete it takes the row-form blocks (1-D)
+    step = d.decomposition._BLOCK // n
+    last = (n - 1) // 2
+    diagonals = [(step, n)] * (last // step) + [(last % step, n)] * (last % step > 0)
+    diagonals += [(n // 2,)] * (n % 2 == 0)
     full = d.sample_dilution(n, 1.0, 0).packed
     short = full.copy()
     short[0] = 0x7F  # drops the pair (0, 1)
     for k, law in ((tri_kernel, tri), (d.sign_kernel(skewed), skewed),
                    (d.additive_kernel(rad), rad)):
         x = d.sample_row(n, law, n)
-        for packed, ndim in ((full, 2), (short, 1)):
+        for packed, want in ((full, diagonals), (short, None)):
             graph = d.DilutionGraph(n=n, packed=packed)
             u_ref = unblocked_parts(x, graph, k)[0]
-            calls = []
-            u = d.compute_ustat(x, graph, replace(k, evaluate=recording_ndim(k.evaluate, calls)))
-            assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300), (k.name, ndim)
-            assert calls[0] == ndim, (k.name, ndim)
+            shapes = []
+            u = d.compute_ustat(x, graph, replace(k, evaluate=recording_shape(k.evaluate, shapes)))
+            assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-300), (k.name, want)
+            if want:
+                assert shapes == want, k.name
+            else:
+                assert {len(s) for s in shapes} == {1}, k.name
 
 
 @given(

@@ -275,6 +275,63 @@ def test_each_replicate_fills_the_same_slots_at_any_thread_count(skewed):
     assert len(set(slots[1][:, 1])) > 1
 
 
+def test_graph_seed_is_derived_only_where_a_graph_is_drawn(skewed, monkeypatch):
+    # rows always come from key + (r, 0); at p = 0.3 replicate r's graph is
+    # sample_dilution(n, p, key + (r, 1)), while at p = 0 and 1 every
+    # replicate gets the one shared graph and no (r, 1) seed is made
+    seed = d.SeedPolicy(master_seed=6).child("graphs")
+    n, m = 30, 6
+    made = []
+    real = np.random.SeedSequence
+
+    def recording(*args, **kw):
+        made.append(kw["spawn_key"][-2:])
+        return real(*args, **kw)
+
+    def child(r, i):
+        return real(seed.entropy, spawn_key=seed.spawn_key + (r, i))
+
+    for p in (0.3, 1.0, 0.0):
+        rows, graphs = {}, {}
+
+        def body(r, x, graph):
+            rows[r], graphs[r] = x, graph
+
+        made.clear()
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        d.harness._each_replicate(seed, m, n, skewed, p, body)
+        monkeypatch.undo()
+        for r in range(m):
+            assert np.array_equal(rows[r], d.sample_row(n, skewed, child(r, 0)))
+            want = d.sample_dilution(n, p, child(r, 1))
+            assert graphs[r].packed.tobytes() == want.packed.tobytes(), (p, r)
+        graph_seeds = [key for key in made if key[1] == 1]
+        if p == 0.3:
+            assert graph_seeds == [(r, 1) for r in range(m)]
+            assert len({g.packed.tobytes() for g in graphs.values()}) == m
+        else:
+            assert graph_seeds == []
+            assert all(g is graphs[0] for g in graphs.values())
+
+
+def test_counterexample_is_thread_independent_on_the_shared_graph(monkeypatch):
+    n, R = 60, 40
+    seen = []
+    draw = d.harness.sample_dilution
+
+    def recording(*args):
+        seen.append(draw(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(d.harness, "sample_dilution", recording)
+    runs = [d.run_counterexample(sign_config(R=R, n_grid=(n,), threads=t)) for t in (1, 2)]
+    for vs_normal, vs_chi in runs:
+        assert vs_normal.eval_count == vs_chi.eval_count == R * math.comb(n, 2)
+    assert np.array_equal(runs[0][0].samples, runs[1][0].samples)
+    assert len(seen) == 2 * R and all(g is seen[0] for g in seen)
+    assert seen[0].edge_count() == seen[0].pair_count
+
+
 def test_replicates_single_run():
     cfg = sign_config(R=1)
     s = d.replicate_standardized(cfg)

@@ -361,6 +361,69 @@ def test_complete_graph_edges_are_read_only():
         jj[0] = 3
 
 
+@pytest.mark.parametrize("n", [1, 2, 37])  # 37: 666 pairs, a padded last byte
+def test_constant_graphs_are_shared_and_read_only(n):
+    # p = 0 and p = 1 draw nothing: one graph per (n, p), whatever the seed
+    full = d.sample_dilution(n, 1.0, 1)
+    assert d.sample_dilution(n, 1.0, 2) is full
+    assert d.sample_dilution(n, 1, None) is full
+    assert full.edge_count() == full.pair_count
+    assert np.array_equal(full.degrees(), np.full(n, n - 1))
+    empty = d.sample_dilution(n, 0.0, 1)
+    assert d.sample_dilution(n, 0.0, 2) is empty and empty is not full
+    assert empty.edge_count() == 0 and not empty.degrees().any()
+    assert empty.edges()[1].size == 0
+    for g in (full, empty):
+        assert not g.packed.flags.writeable
+        if g.packed.size:
+            with pytest.raises(ValueError):
+                g.packed[0] = 0x0F
+
+
+def test_constant_graph_cache_keeps_the_last_two():
+    a, b, c = (d.sample_dilution(n, 1.0, 0) for n in (10, 11, 12))
+    assert d.sample_dilution(12, 1.0, 5) is c
+    assert d.sample_dilution(11, 1.0, 5) is b
+    # the third size evicted the first; it is built again, equal
+    again = d.sample_dilution(10, 1.0, 0)
+    assert again is not a and again.packed.tobytes() == a.packed.tobytes()
+
+
+def test_repeated_constant_graphs_allocate_no_packed_bytes():
+    # a replicate loop at p = 1 (or 0) reuses one graph and its counts
+    n = 2000
+    nbytes = -(-(n * (n - 1) // 2) // 8)
+    for p in (1.0, 0.0):
+        d.sample_dilution(n, p, 0).edge_count()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for s in range(20):
+                g = d.sample_dilution(n, p, s)
+                g.edge_count()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes // 100, (p, peak)
+
+
+def test_drawn_graphs_have_read_only_bytes_and_kept_counts(monkeypatch):
+    # the bytes cannot change, so the first popcount is kept on the graph
+    g = d.sample_dilution(40, 0.3, 9)
+    assert not g.packed.flags.writeable
+    with pytest.raises(ValueError):
+        g.packed[0] = 0
+    count = g.edge_count()
+    assert count == int(np.unpackbits(g.packed).sum())
+
+    def no_popcount(*args, **kw):
+        raise AssertionError("edge count computed twice")
+
+    monkeypatch.setattr(np, "bitwise_count", no_popcount)
+    assert g.edge_count() == count
+
+
 def test_kept_edge_list_belongs_to_its_graph():
     # same (n, p), different bits: alternate calls never cross arrays
     n, p = 60, 0.4
