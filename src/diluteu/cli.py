@@ -10,7 +10,6 @@ statistical-test failure or verdict mismatch, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -120,7 +119,7 @@ _SETTINGS = {
                dict(choices=("csv", "json"), help="output format")),
     "standardization": ("--standardization", "standardization", str,
                         dict(choices=("exact", "mc", "asymptotic"))),
-    "ks_threshold": ("--ks-threshold", "ks_threshold", float, {}),
+    "ks_threshold": ("--ks-threshold", "ks_threshold", _number, {}),
     "conditions": ("--conditions", "conditions", _list_of(str.strip),
                    dict(help="subset of " + ",".join(CONDITION_IDS))),
     "eps_grid": ("--eps", "eps_grid", _list_of(_number),
@@ -167,11 +166,11 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _add_flags(sub, *keys) -> None:
-    """Add the flags of these config keys; int and float keep argparse's message."""
+    """Add the flags of these config keys; int keeps argparse's message."""
     for key in keys:
         flag, _, parse, options = _SETTINGS[key]
         if parse is not str:
-            options = dict(options, type=parse if parse in (int, float) else _flag_type(parse))
+            options = dict(options, type=parse if parse is int else _flag_type(parse))
         sub.add_argument(flag, **options)
 
 
@@ -295,21 +294,10 @@ def main(argv=None) -> int:
             p = config.p_at(n)
             kernel = kernel_by_name(config.kernel_name, config.dist)
             res = enumerate_exact(kernel, config.dist, n, p)
-            payload = {
-                "moment_set": json.loads(res.moment_set.to_json()),
-                "e_h2": repr(res.e_h2),
-                "e_g2": repr(res.e_g2),
-                "e_htilde2": repr(res.e_htilde2),
-                "products": {
-                    " ".join("%s(%d,%d)" % f for f in key): repr(v)
-                    for key, v in sorted(res.products.items())
-                },
-            }
-            text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-            if config.out_path:
-                with open(config.out_path, "w", encoding="utf8") as fh:
-                    fh.write(text)
-            else:
+            # the oracle draws nothing, so its report names no seed
+            text = emit_report(res, "json", config.out_path,
+                               config_hash=config.config_hash(), seed=None)
+            if config.out_path is None:
                 sys.stdout.write(text)
             return 0
         raise ConfigurationError("unknown command %r" % args.command)

@@ -30,9 +30,9 @@ only its length: h runs over the circulant diagonals
 (x_i, x_{(i+k) mod n}), whose two sides are a broadcast of x and a window
 of (x, x), so no index array is built or gathered. Both views are built
 once per call and sliced per block. The pairs and their count are the
-same; only the order of the sum differs. At p = 1 the graph itself is
-the shared constant that sample_dilution keeps per n, with its edge
-count and completeness computed once.
+same; only the order of the sum differs. At p = 1 the graph is the
+constant that sample_dilution keeps per n, so a replicate loop extracts
+its list once.
 """
 
 from __future__ import annotations

@@ -538,7 +538,8 @@ def emit_report(results, out_format: str, path, config_hash: str = "", seed=None
     JSON takes any mix of to_json() results and sample arrays. Output is
     a pure function of the inputs (floats via repr, keys sorted), so
     identical runs give byte-identical files. path None skips writing
-    and just returns the text.
+    and just returns the text; a path that cannot be written raises
+    ConfigurationError.
     """
     flat = results if isinstance(results, (list, tuple)) else [results]
     if not flat:
@@ -550,6 +551,9 @@ def emit_report(results, out_format: str, path, config_hash: str = "", seed=None
     else:
         raise ConfigurationError("format must be csv or json; got %r" % out_format)
     if path is not None:
-        with open(path, "w", encoding="utf8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError("report file %s: %s" % (path, exc.strerror)) from None
     return text

@@ -219,6 +219,21 @@ class EnumerationResult:
     e_htilde2: float
     products: Dict[Tuple[Factor, ...], float]
 
+    def to_json(self) -> str:
+        """Each expectation via repr; a product keyed by its factors, as
+        "Phi(0,1) Psi(1,2)"."""
+        payload = {
+            "moment_set": json.loads(self.moment_set.to_json()),
+            "e_h2": repr(float(self.e_h2)),
+            "e_g2": repr(float(self.e_g2)),
+            "e_htilde2": repr(float(self.e_htilde2)),
+            "products": {
+                " ".join("%s(%d,%d)" % f for f in key): repr(float(v))
+                for key, v in sorted(self.products.items())
+            },
+        }
+        return json.dumps(payload, sort_keys=True)
+
 
 def _normalize_factor(f: Factor, n: int) -> Tuple[str, int, int]:
     kind, i, j = f

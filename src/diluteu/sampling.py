@@ -21,16 +21,12 @@ sample_dilution. The draw does not depend on how the pairs are chunked.
 A graph's kept pairs are read in row form, (counts, jj): the number of
 pairs (i, j), j > i, of each row i, and their partners j in storage order.
 The row side of a pair list is np.repeat over counts, so no E-length
-array of row indices is built. The last incomplete graph's extraction is
-kept read-only, so the several passes over one realization (U, its
-Hoeffding split, the degrees) extract its edges once.
+array of row indices is built. The module keeps one extraction, the last
+graph's, so the passes over one realization extract its edges once.
 
-A graph's packed bytes do not change once it is built: sample_dilution
-returns them read-only, so the facts a graph computes from them (edge
-count, completeness, degrees) are computed once and kept on the graph.
-A graph with p = 0 or p = 1 is a constant of n: sample_dilution returns
-one shared graph per (n, p) for the last two such pairs, so a replicate
-loop at p = 1 builds and counts its graph once.
+A graph's packed bytes do not change once it is built, so its edge count
+and degrees are computed once and kept on the graph. A graph with p = 0
+or p = 1 is a constant of n that sample_dilution builds once per (n, p).
 """
 
 from __future__ import annotations
@@ -305,15 +301,9 @@ def _row_form(k: np.ndarray, n: int):
     return counts, k
 
 
-@lru_cache(maxsize=2)
-def _complete_edges(n: int):
-    """The row-form edge list of every complete graph on n vertices."""
-    return _row_form(np.arange(n * (n - 1) // 2), n)
-
-
-# (graph, counts, jj) of the last incomplete graph whose edges() was
-# extracted, or None. Replaced as one tuple and read once per call, so
-# concurrent callers never see a graph with another graph's arrays.
+# (graph, counts, jj) of the last graph whose edges() was extracted, or
+# None. Replaced as one tuple and read once per call, so concurrent
+# callers never see a graph with another graph's arrays.
 _kept = None
 
 
@@ -325,23 +315,18 @@ class DilutionGraph:
     upper-triangle order, packed big-endian into ceil(C/8) bytes with zero
     padding bits (checked at construction; edge_count() relies on them).
     The diagonal does not exist. The packed bytes are the graph's only
-    stored form of the pairs, O(n^2/8) bytes, and must not change once
-    the graph is built (sample_dilution's are read-only): the edge count,
-    the completeness test and the degree vector (8n bytes) are computed
-    on first use and kept on the graph. The edge list, in row form
-    (per-row counts and partners, 8(n + E) bytes), is extracted by edges()
-    in O(C) byte work plus O(E) index work. The module keeps the lists of
-    the last extracted incomplete graph and of the last two complete-graph
-    sizes, and no per-n pair-index table. No n x n form exists:
-    lower(cols) applies the strictly-lower matrix to columns over the
-    rows from the edge list, or by a prefix sum when the graph is
-    complete.
+    stored form of the pairs and must not change once the graph is built:
+    the edge count and degrees are computed on first use and kept on the
+    graph. edges() extracts the row-form edge list, 8(n + E) bytes. No
+    n x n form exists: lower(cols) applies the strictly-lower matrix.
     """
 
     n: int
     packed: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ConfigurationError("a dilution graph needs n >= 1, got %r" % self.n)
         c = self.pair_count
         nbytes = -(-c // 8)
         if self.packed.dtype != np.uint8 or self.packed.shape != (nbytes,):
@@ -390,49 +375,37 @@ class DilutionGraph:
         counts[i] is the number of kept pairs (i, j), and jj holds the
         partners j > i row after row, ascending within a row, so the pair
         list is (repeat(arange(n), counts), jj). Both are read-only intp
-        arrays. A complete graph returns the cached arrays of its size. An
-        incomplete graph is extracted in O(C) byte work plus O(E) index
-        work; the arrays of the last extraction are kept (one graph in the
-        process) until the next extraction or sample_dilution call, so
-        repeated calls on the same graph return them without work.
+        arrays, extracted in O(C) byte work plus O(E) index work and kept
+        (one graph in the process) until another graph is extracted or
+        drawn, so repeated calls return them without work.
         """
         global _kept
         kept = _kept
         if kept is not None and kept[0] is self:
             return kept[1], kept[2]
-        if self._complete():
-            return _complete_edges(self.n)
         # free the kept list (both references) before this one is built
         kept = _kept = None
         counts, jj = _row_form(np.flatnonzero(self.bits()), self.n)
         _kept = (self, counts, jj)
         return counts, jj
 
-    def _complete(self) -> bool:
-        """Every pair kept: each full byte 0xFF and the last one's pair bits
-        set, read from the packed bytes so the C-byte unpack is skipped.
-        Computed on the first call and kept on the graph."""
-        complete = self.__dict__.get("_is_complete")
-        if complete is None:
-            full, rest = divmod(self.pair_count, 8)
-            packed = self.packed
-            complete = bool(packed[:full].min(initial=0xFF) == 0xFF and (
-                not rest or packed[-1] == (0xFF << (8 - rest)) & 0xFF
-            ))
-            self.__dict__["_is_complete"] = complete
-        return complete
-
     def lower(self, cols) -> np.ndarray:
         """L @ cols for the strict lower triangle L (L[i, j] = Z_ij, j < i).
 
-        cols has n rows (1-D or 2-D) and the float64 result has its shape:
+        cols has n rows (1-D or 2-D; any other row count raises
+        ConfigurationError) and the float64 result has its shape:
         row i sums the rows j < i of cols whose pair is kept. L is never
-        built. A complete graph takes the exclusive prefix sum over rows,
-        O(n k) for k columns with no edge list; any other graph one
-        bincount per column over its kept edges(), O(n + E) each.
+        built. A complete graph (edge_count() == pair_count) takes the
+        exclusive prefix sum over rows, O(n k) for k columns with no edge
+        list; any other graph one bincount per column over its kept
+        edges(), O(n + E) each.
         """
         cols = np.asarray(cols, dtype=np.float64)
-        if self._complete():
+        if cols.shape[:1] != (self.n,):
+            raise ConfigurationError(
+                "lower() needs %d rows, got an array of shape %s" % (self.n, cols.shape)
+            )
+        if self.edge_count() == self.pair_count:
             out = np.zeros_like(cols)
             np.cumsum(cols[:-1], axis=0, out=out[1:])
             return out
@@ -472,20 +445,19 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
     skipped when frac = 0. So P(keep) = p within 2^-61, pairs are
     independent, and the stream depends on neither the internal chunk
     size nor the platform's byte order. The packed bytes are read-only.
+    A draw first frees the kept edge list.
 
     p = 0 and p = 1 draw nothing and ignore the seed: they return one
-    shared graph per (n, p), built once from the packed bytes directly
-    (all bits clear or set, padding bits zero) and kept for the last two
-    (n, p) pairs, so its edge count and completeness are computed once.
+    shared graph per (n, p) for the last two such pairs.
     """
     if n < 1:
         raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
-    global _kept
-    _kept = None  # free the last graph's edge list before drawing a new one
     if p == 0.0 or p == 1.0:
         return _constant_graph(int(n), bool(p))
+    global _kept
+    _kept = None  # free the last graph's edge list before drawing a new one
     c = n * (n - 1) // 2
     rng = as_generator(seed)
     # both exact in float64: 256p only shifts the exponent

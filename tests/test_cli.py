@@ -478,11 +478,14 @@ def test_oracle_json_payload(capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert float(payload["e_h2"]) == 1.0
-    assert float(payload["e_g2"]) == 0.0
-    assert float(payload["e_htilde2"]) == 1.0
-    assert float(payload["moment_set"]["theta2"]) == 0.25
-    products = payload["products"]
+    # the emit_report layout; the oracle draws nothing, so it names no seed
+    assert payload["seed"] is None and payload["config_hash"]
+    (report,) = payload["reports"]
+    assert float(report["e_h2"]) == 1.0
+    assert float(report["e_g2"]) == 0.0
+    assert float(report["e_htilde2"]) == 1.0
+    assert float(report["moment_set"]["theta2"]) == 0.25
+    products = report["products"]
     assert float(products["Phi(0,1) Phi(0,1)"]) == 0.5  # p * E[h^2]
     assert "PhiTilde(0,1) PhiTilde(0,1)" in products
 
@@ -495,7 +498,7 @@ def test_oracle_out_file_holds_the_printed_report(tmp_path, capsys):
     assert run_main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf8") == printed
-    assert printed.endswith("}\n")
+    assert json.loads(printed)["reports"][0]["moment_set"]["provenance"] == "enumerated"
 
 
 def test_oracle_too_large_exits_3(capsys):
@@ -517,7 +520,8 @@ def test_oracle_too_large_exits_3(capsys):
         ["simulate", "--n", "10", "--p", "0.05", "--R", "50"],  # n*p < 1
         CONDITIONS_C3 + ["--expect", "C3"],  # missing =verdict
         ["conditions", "--eps", "-1", "--n", "50,100", "--a", "0.3"],
-        ["clt-test", "--ks-threshold", "nan", "--n", "50", "--p", "1", "--R", "20"],
+        # out of range; nan is not a number (test_ks_threshold_reads_the_number_grammar)
+        ["clt-test", "--ks-threshold", "1.5", "--n", "50", "--p", "1", "--R", "20"],
         ["clt-test", "--threads", "0", "--n", "50", "--p", "1", "--R", "20"],
         ["clt-test", "--seed", "-1", "--n", "50", "--p", "0.5", "--R", "10"],
         ["moments", "--method", "mc", "--seed", "-1", "--n", "50", "--p", "0.5"],
@@ -529,6 +533,49 @@ def test_configuration_errors_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "configuration error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "10", "--p", "0.5"],
+        ["oracle", "--kernel", "sign", "--dist", "rademacher", "--n", "3", "--p", "0.5"],
+    ],
+    ids=["moments", "oracle"],
+)
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_report_that_cannot_be_written_exits_2(argv, where, reason, tmp_path, capsys):
+    path = tmp_path / where
+    code = run_main(argv + ["--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "configuration error: report file %s: %s\n" % (path, reason)
+
+
+def test_ks_threshold_reads_the_number_grammar(tmp_path, capsys):
+    # a fraction runs as its decimal does, from the flag and the config key
+    argv = ["counterexample", "--n", "50", "--R", "200"]
+    cfg = tmp_path / "ks.cfg"
+    cfg.write_text("ks_threshold=1/20\n")
+    runs = []
+    for extra in (["--ks-threshold", "0.05"], ["--ks-threshold", "1/20"], ["--config", str(cfg)]):
+        code = run_main(argv + extra)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out.splitlines()[1:], captured.err))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] in (0, 1)
+    for bad in ("nan", "inf", "1e400"):
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv + ["--ks-threshold", bad])
+        assert exc.value.code == 2
+        assert "argument --ks-threshold: %r is not a number" % bad in capsys.readouterr().err
+        cfg.write_text("ks_threshold=%s\n" % bad)
+        assert run_main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config key ks_threshold: %r is not a number" % bad in err
 
 
 @pytest.mark.parametrize(

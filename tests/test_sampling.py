@@ -361,6 +361,67 @@ def test_complete_graph_edges_are_read_only():
         jj[0] = 3
 
 
+def test_complete_graph_edges_are_extracted_into_the_one_slot():
+    # a complete graph is read like any other: the pair-by-pair list, kept
+    # until a graph is drawn; returning the p = 1 constant is not a draw
+    n = 23
+    g = d.sample_dilution(n, 1.0, 0)
+    counts, jj = g.edges()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert np.array_equal(np.repeat(np.arange(n), counts), [i for i, _ in pairs])
+    assert np.array_equal(jj, [j for _, j in pairs])
+    again = g.edges()
+    assert again[0] is counts and again[1] is jj
+    assert d.sample_dilution(n, 1.0, 1) is g
+    assert g.edges()[1] is jj
+    d.sample_dilution(n, 0.5, 1)
+    assert g.edges()[1] is not jj
+
+
+def test_complete_graph_edges_keep_one_list():
+    # complete graphs of two sizes: the second extraction frees the first
+    small, big = (d.sample_dilution(n, 1.0, 0) for n in (1500, 1600))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        small.edges()
+        list_bytes = sum(a.nbytes for a in big.edges())
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert list_bytes > 10**7
+    assert held < list_bytes + 2**16
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_lower_on_a_hand_built_complete_graph_takes_the_prefix_sum(n, monkeypatch):
+    # completeness is read from the edge count, whoever built the bytes
+    g = d.DilutionGraph(n=n, packed=np.packbits(np.ones(n * (n - 1) // 2, dtype=bool)))
+
+    def no_edges(self):
+        raise AssertionError("a complete graph's lower() read its edge list")
+
+    monkeypatch.setattr(d.DilutionGraph, "edges", no_edges)
+    cols = rng_of(n).standard_normal((n, 3))
+    low = np.tril(np.ones((n, n)), -1)
+    np.testing.assert_allclose(g.lower(cols), low @ cols, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("shape", [(9,), (20,), (9, 3), (20, 3), ()])
+def test_lower_refuses_columns_without_n_rows(p, shape):
+    # p = 1 takes the prefix sum, p = 0.5 the edge list; n = 10 on both
+    g = d.sample_dilution(10, p, 1)
+    with pytest.raises(d.ConfigurationError, match="needs 10 rows"):
+        g.lower(np.ones(shape))
+
+
+@pytest.mark.parametrize("n, nbytes", [(0, 0), (-3, 1)])
+def test_graph_rejects_fewer_than_one_vertex(n, nbytes):
+    with pytest.raises(d.ConfigurationError, match="n >= 1"):
+        d.DilutionGraph(n=n, packed=np.zeros(nbytes, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("n", [1, 2, 37])  # 37: 666 pairs, a padded last byte
 def test_constant_graphs_are_shared_and_read_only(n):
     # p = 0 and p = 1 draw nothing: one graph per (n, p), whatever the seed
