@@ -38,7 +38,6 @@ each estimator is a plain mean of the defining integrand.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -55,6 +54,8 @@ from .sampling import (
     as_seed_sequence,
     sample_row,
     _regime_p,
+    _report_json,
+    _report_value,
     _warn_if_slow,
 )
 
@@ -451,35 +452,19 @@ class ConditionReport:
         return self.condition_id == "ETA1"
 
     def csv_rows(self):
-        """Rows under CSV_HEADER, one per (n, eps); eps blank for eps-free
-        conditions."""
+        """Rows under CSV_HEADER, one per (n, eps); eps blank (None) for
+        eps-free conditions."""
         cols = self.eps_grid if self.eps_grid else (None,)
         for r, n in enumerate(self.n_grid):
             for c, eps in enumerate(cols):
-                yield (
-                    self.condition_id,
-                    n,
-                    "" if eps is None else repr(float(eps)),
-                    repr(float(self.estimates[r, c])),
-                    repr(float(self.ses[r, c])),
-                    self.verdicts[c],
-                )
+                row = (self.condition_id, n, eps, self.estimates[r, c], self.ses[r, c], self.verdicts[c])
+                yield tuple(map(_report_value, row))
 
     def to_json(self) -> str:
-        payload = {
-            "condition_id": self.condition_id,
-            "n_grid": list(self.n_grid),
-            "eps_grid": [repr(float(e)) for e in self.eps_grid],
-            "estimates": [[repr(float(v)) for v in row] for row in self.estimates],
-            "ses": [[repr(float(v)) for v in row] for row in self.ses],
-            "verdicts": list(self.verdicts),
-            "upper_bound": self.upper_bound,
-            "spread": None
-            if self.spread is None
-            else [repr(float(v)) for v in self.spread],
-            "theta_provenance": self.theta_provenance,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return _report_json(self, (
+            "condition_id", "n_grid", "eps_grid", "estimates", "ses", "verdicts",
+            "upper_bound", "spread", "theta_provenance",
+        ))
 
 
 def _check_n_grid(n_grid) -> Tuple[int, ...]:

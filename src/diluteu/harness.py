@@ -46,6 +46,8 @@ from .sampling import (
     sample_dilution,
     sample_row,
     _regime_p,
+    _report_json,
+    _report_value,
     _warn_if_slow,
 )
 
@@ -107,6 +109,11 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1; got %r" % self.threads)
         self.policy()  # SeedPolicy rejects a negative master seed
+        # float settings stay floats, so p=1 and p=1.0 hash and report alike
+        object.__setattr__(self, "eps_grid", tuple(map(float, self.eps_grid)))
+        for name in ("p", "a", "ks_threshold"):
+            if (v := getattr(self, name)) is not None:
+                object.__setattr__(self, name, float(v))
         if not 0.0 < self.ks_threshold < 1.0:
             raise ConfigurationError(
                 "ks_threshold must be finite and in (0, 1); got %r" % self.ks_threshold
@@ -121,7 +128,9 @@ class ExperimentConfig:
             )
         if self.out_format not in ("csv", "json"):
             raise ConfigurationError("format must be csv or json")
-        for cid in self.conditions:
+        for i, cid in enumerate(self.conditions):
+            if cid in self.conditions[:i]:
+                raise ConfigurationError("condition %s is named twice" % cid)
             _check_sweep(cid, self.n_grid, self.eps_grid, self.m)
         for n in self.n_grid:
             p = _check_p(n, self.p_at(n))
@@ -129,9 +138,7 @@ class ExperimentConfig:
 
     def p_at(self, n: int) -> float:
         """p at n, fixed or n^-a; silent, as the config warned per slow grid point."""
-        if self.p is not None:
-            return float(self.p)
-        return _regime_p(n, self.a)
+        return self.p if self.p is not None else _regime_p(n, self.a)
 
     def policy(self) -> SeedPolicy:
         return SeedPolicy(master_seed=self.master_seed)
@@ -140,19 +147,19 @@ class ExperimentConfig:
         payload = {
             "kernel": self.kernel_name,
             "dist": self.dist.describe(),
-            "n_grid": list(self.n_grid),
-            "p": None if self.p is None else repr(float(self.p)),
-            "a": None if self.a is None else repr(float(self.a)),
+            "n_grid": self.n_grid,
+            "p": self.p,
+            "a": self.a,
             "R": self.R,
             "master_seed": self.master_seed,
             "standardization": self.standardization,
-            "eps_grid": [repr(float(e)) for e in self.eps_grid],
-            "conditions": list(self.conditions),
+            "eps_grid": self.eps_grid,
+            "conditions": self.conditions,
             "m": self.m,
-            "ks_threshold": repr(float(self.ks_threshold)),
-            "expected_verdicts": dict(sorted(self.expected_verdicts.items())),
+            "ks_threshold": self.ks_threshold,
+            "expected_verdicts": self.expected_verdicts,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(_report_value(payload), sort_keys=True)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf8")).hexdigest()[:12]
@@ -193,23 +200,11 @@ class DistTestResult:
         return "pass" if self.ks_statistic < self.threshold else "fail"
 
     def csv_rows(self):
-        """One row: the to_json fields named in CSV_HEADER."""
-        payload = json.loads(self.to_json())
-        yield tuple(payload[k] for k in self.CSV_HEADER)
+        """One row: the fields named in CSV_HEADER."""
+        yield tuple(_report_value(getattr(self, k)) for k in self.CSV_HEADER)
 
     def to_json(self) -> str:
-        payload = {
-            "target": self.target,
-            "ks_statistic": repr(float(self.ks_statistic)),
-            "threshold": repr(float(self.threshold)),
-            "decision": self.decision,
-            "n": self.n,
-            "R": self.R,
-            "eval_count": self.eval_count,
-            "standardization": self.standardization,
-            "note": self.note,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return _report_json(self, self.CSV_HEADER + ("standardization", "note"))
 
 
 # --------------------------------------------------------------------------
@@ -456,9 +451,10 @@ def run_condition_sweep(config: ExperimentConfig):
     """ConditionReports for the configured condition subset.
 
     Every condition's sweep plan (C1-C4 when none is named) is checked,
-    and every expected verdict must name a swept condition, before the
-    first sweep. The config has already warned once per slow grid point,
-    so the sweeps' own slow-regime warnings are silenced.
+    and every expected verdict must name a swept condition and a verdict
+    that condition can read, before the first sweep. The config has
+    already warned once per slow grid point, so the sweeps' own
+    slow-regime warnings are silenced.
     """
     ids = config.conditions or _DEFAULT_CONDITIONS
     for cid in ids:
@@ -468,6 +464,10 @@ def run_condition_sweep(config: ExperimentConfig):
         raise ConfigurationError(
             "expected verdicts name unswept conditions: %s" % ", ".join(unswept)
         )
+    for cid, want in sorted(config.expected_verdicts.items()):
+        verdicts = ("converging-to-1" if cid == "ETA2" else "decreasing-toward-0", "increasing", "stagnant")
+        if want not in verdicts:
+            raise ConfigurationError("%s reads only %s; expected %r" % (cid, ", ".join(verdicts), want))
     dist = config.dist
     kernel = kernel_by_name(config.kernel_name, dist)
     policy = config.policy()
@@ -501,8 +501,7 @@ def _csv_text(flat, config_hash: str, seed) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     if len(flat) == 1 and isinstance(flat[0], np.ndarray):
         writer.writerow(["sample"])
-        for v in flat[0]:
-            writer.writerow([repr(float(v))])
+        writer.writerows([v] for v in _report_value(flat[0]))
     elif len({type(r) for r in flat}) == 1 and hasattr(flat[0], "CSV_HEADER"):
         writer.writerow(flat[0].CSV_HEADER)
         for r in flat:
@@ -518,7 +517,7 @@ def _json_text(flat, config_hash: str, seed) -> str:
     body = []
     for r in flat:
         if isinstance(r, np.ndarray):
-            body.append({"samples": [repr(float(v)) for v in r]})
+            body.append({"samples": _report_value(r)})
         elif hasattr(r, "to_json"):
             body.append(json.loads(r.to_json()))
         else:
@@ -535,15 +534,17 @@ def emit_report(results, out_format: str, path, config_hash: str = "", seed=None
 
     results is one result or a nonempty list. A CSV holds one sample array
     or results of one type, whose CSV_HEADER and csv_rows() it writes;
-    JSON takes any mix of to_json() results and sample arrays. Output is
-    a pure function of the inputs (floats via repr, keys sorted), so
-    identical runs give byte-identical files. path None skips writing
-    and just returns the text; a path that cannot be written raises
-    ConfigurationError.
+    JSON takes any mix of to_json() results and 1-D sample arrays. Output
+    is a pure function of the inputs (every value written by
+    _report_value, keys sorted), so identical runs give byte-identical
+    files. path None skips writing and just returns the text; a path that
+    cannot be written raises ConfigurationError.
     """
     flat = results if isinstance(results, (list, tuple)) else [results]
     if not flat:
         raise ConfigurationError("no results to emit")
+    if any(isinstance(r, np.ndarray) and r.ndim != 1 for r in flat):
+        raise ConfigurationError("a sample array must be 1-D")
     if out_format == "csv":
         text = _csv_text(flat, config_hash, seed)
     elif out_format == "json":

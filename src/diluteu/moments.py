@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationSizeError
 from .kernels import KernelSpec, _same_law
-from .sampling import DistributionSpec, as_seed_sequence, sample_row
+from .sampling import DistributionSpec, as_seed_sequence, sample_row, _report_json, _report_value
 
 __all__ = [
     "MomentSet",
@@ -76,22 +76,11 @@ class MomentSet:
         return math.sqrt(max(self.theta2, 0.0))
 
     def csv_rows(self):
-        """One row: the to_json fields named in CSV_HEADER."""
-        payload = json.loads(self.to_json())
-        yield tuple(payload[k] for k in self.CSV_HEADER)
+        """One row: the fields named in CSV_HEADER."""
+        yield tuple(_report_value(getattr(self, k)) for k in self.CSV_HEADER)
 
     def to_json(self) -> str:
-        payload = {
-            "beta2": repr(float(self.beta2)),
-            "gamma2": repr(float(self.gamma2)),
-            "theta2": repr(float(self.theta2)),
-            "var_u_exact": repr(float(self.var_u_exact)),
-            "standard_errors": {k: repr(float(v)) for k, v in sorted(self.standard_errors.items())},
-            "provenance": self.provenance,
-            "n": self.n,
-            "p": repr(float(self.p)),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return _report_json(self, self.CSV_HEADER + ("standard_errors",))
 
 
 def _check_np(n: int, p: float) -> Tuple[int, float]:
@@ -220,19 +209,16 @@ class EnumerationResult:
     products: Dict[Tuple[Factor, ...], float]
 
     def to_json(self) -> str:
-        """Each expectation via repr; a product keyed by its factors, as
-        "Phi(0,1) Psi(1,2)"."""
+        """Each expectation via _report_value; a product keyed by its factors,
+        as "Phi(0,1) Psi(1,2)"."""
         payload = {
             "moment_set": json.loads(self.moment_set.to_json()),
-            "e_h2": repr(float(self.e_h2)),
-            "e_g2": repr(float(self.e_g2)),
-            "e_htilde2": repr(float(self.e_htilde2)),
-            "products": {
-                " ".join("%s(%d,%d)" % f for f in key): repr(float(v))
-                for key, v in sorted(self.products.items())
-            },
+            "e_h2": self.e_h2,
+            "e_g2": self.e_g2,
+            "e_htilde2": self.e_htilde2,
+            "products": {" ".join("%s(%d,%d)" % f for f in k): v for k, v in self.products.items()},
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(_report_value(payload), sort_keys=True)
 
 
 def _normalize_factor(f: Factor, n: int) -> Tuple[str, int, int]:

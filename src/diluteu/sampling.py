@@ -27,11 +27,16 @@ graph's, so the passes over one realization extract its edges once.
 A graph's packed bytes do not change once it is built, so its edge count
 and degrees are computed once and kept on the graph. A graph with p = 0
 or p = 1 is a constant of n that sample_dilution builds once per (n, p).
+
+Every text input reads its numbers with one grammar, _number, and every
+report writes its values with one writer, _report_value, which spells a
+float, Python or numpy, as its repr.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -216,6 +221,26 @@ def _number(text: str) -> float:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigurationError("%r is not a number" % text) from None
+
+
+def _report_value(v):
+    """v as every report writes it, the output side of _number: a float (numpy
+    too) as its repr string, an int (numpy too) as an int, a str, bool or None
+    as it is, a dict value by value, and any other sequence or array as a list."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if v is None or isinstance(v, (str, bool)):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, dict):
+        return {k: _report_value(x) for k, x in v.items()}
+    return [_report_value(x) for x in v]
+
+
+def _report_json(obj, fields) -> str:
+    """The named attributes of obj, each through _report_value, as JSON with sorted keys."""
+    return json.dumps({f: _report_value(getattr(obj, f)) for f in fields}, sort_keys=True)
 
 
 def _read_rows(path, kind: str, width: int, sep=None, convert=_number) -> list:

@@ -458,6 +458,35 @@ def test_conditions_empty_eps_grid_exits_2_before_any_cell(monkeypatch, capsys):
     assert "C1 needs a nonempty eps grid" in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # a typo, and verdicts the condition cannot read
+        (["--conditions", "C4", "--expect", "C4=decresing-toward-0"],
+         "C4 reads only decreasing-toward-0, increasing, stagnant; expected 'decresing"),
+        (["--conditions", "C4", "--expect", "C4=converging-to-1"],
+         "C4 reads only decreasing-toward-0, increasing, stagnant; expected 'converging"),
+        (["--conditions", "ETA2", "--expect", "ETA2=decreasing-toward-0"],
+         "ETA2 reads only converging-to-1, increasing, stagnant; expected 'decreasing"),
+        (["--conditions", "C4,C1,C4"], "condition C4 is named twice"),
+    ],
+    ids=["typo", "eta2-verdict", "trend-verdict", "named-twice"],
+)
+def test_conditions_impossible_verdict_or_repeated_condition_exits_2_before_any_cell(
+    extra, message, monkeypatch, capsys
+):
+    cells = []
+    monkeypatch.setattr(d.harness, "sweep_condition", lambda cid, *a, **kw: cells.append(cid))
+    code = run_main(
+        ["conditions", "--n", "50,100", "--a", "0.3", "--dist", "table:-1=5/6,5=1/6"] + extra
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert cells == []
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("command", [["moments"], ["simulate", "--R", "50"]])
 def test_single_point_commands_warn_once_for_a_slow_point(command, capsys):
     # n*p = 1.35 at n=20 under a=0.9; p_at is silent after the config warned

@@ -456,151 +456,277 @@ def test_emit_report_csv_layout(tmp_path, skewed, policy):
     assert out.read_text() == text
 
 
+def _literal_results(i=int, f=float):
+    """One result of each emitted type, built from literal numbers passed
+    through i (ints) and f (floats)."""
+    moments = d.MomentSet(
+        beta2=f(0.5), gamma2=f(0.25), var_u_exact=f(0.0375), provenance="mc", n=i(10),
+        p=f(0.5), standard_errors={"beta2": f(0.01), "gamma2": f(0.002), "theta2": f(0.03),
+                                   "var_u_exact": f(0.0004)},
+    )
+    return [
+        d.DistTestResult(
+            samples=np.array([0.1, 0.2]), target="normal", ks_statistic=f(0.125),
+            threshold=f(0.05), n=i(10), R=i(2), eval_count=i(45), standardization="exact",
+            note="a, note",
+        ),
+        moments,
+        d.ConditionReport(
+            condition_id="C1", n_grid=(i(20),), eps_grid=(f(0.5), f(0.75)),
+            estimates=np.array([[0.25, 0.125]]), ses=np.array([[0.01, 0.02]]),
+            verdicts=("decreasing-toward-0", "stagnant"),
+        ),
+        d.ConditionReport(
+            condition_id="ETA2", n_grid=(i(20), i(40)), eps_grid=(),
+            estimates=np.array([[1.25], [1.0625]]), ses=np.array([[0.5], [0.25]]),
+            verdicts=("converging-to-1",), spread=np.array([0.75, 0.375]),
+        ),
+        d.EnumerationResult(
+            moment_set=moments, e_h2=f(1.0), e_g2=f(0.5), e_htilde2=f(0.1),
+            products={(("Phi", 0, 1), ("Psi", 1, 0)): f(0.0625),
+                      (("Phi", 0, 1), ("Phi", 0, 1)): f(0.5)},
+        ),
+        np.array([0.25, -1.5, 3.0]),
+    ]
+
+
+# the CSV and JSON bytes of each _literal_results() entry; CSV is None for
+# the enumeration, which has no CSV form
+_LITERAL_BYTES = [
+    (
+        dedent('''\
+        # config_hash=abc123 seed=6
+        target,n,R,ks_statistic,threshold,decision,eval_count
+        normal,10,2,0.125,0.05,fail,45
+        '''),
+        dedent('''\
+        {
+         "config_hash": "abc123",
+         "reports": [
+          {
+           "R": 2,
+           "decision": "fail",
+           "eval_count": 45,
+           "ks_statistic": "0.125",
+           "n": 10,
+           "note": "a, note",
+           "standardization": "exact",
+           "target": "normal",
+           "threshold": "0.05"
+          }
+         ],
+         "seed": 6
+        }'''),
+    ),
+    (
+        dedent('''\
+        # config_hash=abc123 seed=6
+        n,p,beta2,gamma2,theta2,var_u_exact,provenance
+        10,0.5,0.5,0.25,1.5,0.0375,mc
+        '''),
+        dedent('''\
+        {
+         "config_hash": "abc123",
+         "reports": [
+          {
+           "beta2": "0.5",
+           "gamma2": "0.25",
+           "n": 10,
+           "p": "0.5",
+           "provenance": "mc",
+           "standard_errors": {
+            "beta2": "0.01",
+            "gamma2": "0.002",
+            "theta2": "0.03",
+            "var_u_exact": "0.0004"
+           },
+           "theta2": "1.5",
+           "var_u_exact": "0.0375"
+          }
+         ],
+         "seed": 6
+        }'''),
+    ),
+    (
+        dedent('''\
+        # config_hash=abc123 seed=6
+        condition_id,n,eps,estimate,se,verdict
+        C1,20,0.5,0.25,0.01,decreasing-toward-0
+        C1,20,0.75,0.125,0.02,stagnant
+        '''),
+        dedent('''\
+        {
+         "config_hash": "abc123",
+         "reports": [
+          {
+           "condition_id": "C1",
+           "eps_grid": [
+            "0.5",
+            "0.75"
+           ],
+           "estimates": [
+            [
+             "0.25",
+             "0.125"
+            ]
+           ],
+           "n_grid": [
+            20
+           ],
+           "ses": [
+            [
+             "0.01",
+             "0.02"
+            ]
+           ],
+           "spread": null,
+           "theta_provenance": "closed_form",
+           "upper_bound": false,
+           "verdicts": [
+            "decreasing-toward-0",
+            "stagnant"
+           ]
+          }
+         ],
+         "seed": 6
+        }'''),
+    ),
+    (
+        dedent('''\
+        # config_hash=abc123 seed=6
+        condition_id,n,eps,estimate,se,verdict
+        ETA2,20,,1.25,0.5,converging-to-1
+        ETA2,40,,1.0625,0.25,converging-to-1
+        '''),
+        dedent('''\
+        {
+         "config_hash": "abc123",
+         "reports": [
+          {
+           "condition_id": "ETA2",
+           "eps_grid": [],
+           "estimates": [
+            [
+             "1.25"
+            ],
+            [
+             "1.0625"
+            ]
+           ],
+           "n_grid": [
+            20,
+            40
+           ],
+           "ses": [
+            [
+             "0.5"
+            ],
+            [
+             "0.25"
+            ]
+           ],
+           "spread": [
+            "0.75",
+            "0.375"
+           ],
+           "theta_provenance": "closed_form",
+           "upper_bound": false,
+           "verdicts": [
+            "converging-to-1"
+           ]
+          }
+         ],
+         "seed": 6
+        }'''),
+    ),
+    (
+        None,
+        dedent('''\
+        {
+         "config_hash": "abc123",
+         "reports": [
+          {
+           "e_g2": "0.5",
+           "e_h2": "1.0",
+           "e_htilde2": "0.1",
+           "moment_set": {
+            "beta2": "0.5",
+            "gamma2": "0.25",
+            "n": 10,
+            "p": "0.5",
+            "provenance": "mc",
+            "standard_errors": {
+             "beta2": "0.01",
+             "gamma2": "0.002",
+             "theta2": "0.03",
+             "var_u_exact": "0.0004"
+            },
+            "theta2": "1.5",
+            "var_u_exact": "0.0375"
+           },
+           "products": {
+            "Phi(0,1) Phi(0,1)": "0.5",
+            "Phi(0,1) Psi(1,0)": "0.0625"
+           }
+          }
+         ],
+         "seed": 6
+        }'''),
+    ),
+    (
+        dedent('''\
+        # config_hash=abc123 seed=6
+        sample
+        0.25
+        -1.5
+        3.0
+        '''),
+        dedent('''\
+        {
+         "config_hash": "abc123",
+         "reports": [
+          {
+           "samples": [
+            "0.25",
+            "-1.5",
+            "3.0"
+           ]
+          }
+         ],
+         "seed": 6
+        }'''),
+    ),
+]
+
+
 def test_emit_report_bytes_per_result_type():
     # one result of each emitted type, built from literal numbers, pinned
     # byte for byte as CSV and as JSON
-    cases = [
-        (
-            d.DistTestResult(
-                samples=np.array([0.1, 0.2]), target="normal", ks_statistic=0.125,
-                threshold=0.05, n=10, R=2, eval_count=45, standardization="exact",
-                note="a, note",
-            ),
-            dedent('''\
-            # config_hash=abc123 seed=6
-            target,n,R,ks_statistic,threshold,decision,eval_count
-            normal,10,2,0.125,0.05,fail,45
-            '''),
-            dedent('''\
-            {
-             "config_hash": "abc123",
-             "reports": [
-              {
-               "R": 2,
-               "decision": "fail",
-               "eval_count": 45,
-               "ks_statistic": "0.125",
-               "n": 10,
-               "note": "a, note",
-               "standardization": "exact",
-               "target": "normal",
-               "threshold": "0.05"
-              }
-             ],
-             "seed": 6
-            }'''),
-        ),
-        (
-            d.MomentSet(
-                beta2=0.5, gamma2=0.25, var_u_exact=0.0375, provenance="mc", n=10, p=0.5,
-                standard_errors={"beta2": 0.01, "gamma2": 0.002, "theta2": 0.03,
-                                 "var_u_exact": 0.0004},
-            ),
-            dedent('''\
-            # config_hash=abc123 seed=6
-            n,p,beta2,gamma2,theta2,var_u_exact,provenance
-            10,0.5,0.5,0.25,1.5,0.0375,mc
-            '''),
-            dedent('''\
-            {
-             "config_hash": "abc123",
-             "reports": [
-              {
-               "beta2": "0.5",
-               "gamma2": "0.25",
-               "n": 10,
-               "p": "0.5",
-               "provenance": "mc",
-               "standard_errors": {
-                "beta2": "0.01",
-                "gamma2": "0.002",
-                "theta2": "0.03",
-                "var_u_exact": "0.0004"
-               },
-               "theta2": "1.5",
-               "var_u_exact": "0.0375"
-              }
-             ],
-             "seed": 6
-            }'''),
-        ),
-        (
-            d.ConditionReport(
-                condition_id="C1", n_grid=(20,), eps_grid=(0.5, 0.75),
-                estimates=np.array([[0.25, 0.125]]), ses=np.array([[0.01, 0.02]]),
-                verdicts=("decreasing-toward-0", "stagnant"),
-            ),
-            dedent('''\
-            # config_hash=abc123 seed=6
-            condition_id,n,eps,estimate,se,verdict
-            C1,20,0.5,0.25,0.01,decreasing-toward-0
-            C1,20,0.75,0.125,0.02,stagnant
-            '''),
-            dedent('''\
-            {
-             "config_hash": "abc123",
-             "reports": [
-              {
-               "condition_id": "C1",
-               "eps_grid": [
-                "0.5",
-                "0.75"
-               ],
-               "estimates": [
-                [
-                 "0.25",
-                 "0.125"
-                ]
-               ],
-               "n_grid": [
-                20
-               ],
-               "ses": [
-                [
-                 "0.01",
-                 "0.02"
-                ]
-               ],
-               "spread": null,
-               "theta_provenance": "closed_form",
-               "upper_bound": false,
-               "verdicts": [
-                "decreasing-toward-0",
-                "stagnant"
-               ]
-              }
-             ],
-             "seed": 6
-            }'''),
-        ),
-        (
-            np.array([0.25, -1.5, 3.0]),
-            dedent('''\
-            # config_hash=abc123 seed=6
-            sample
-            0.25
-            -1.5
-            3.0
-            '''),
-            dedent('''\
-            {
-             "config_hash": "abc123",
-             "reports": [
-              {
-               "samples": [
-                "0.25",
-                "-1.5",
-                "3.0"
-               ]
-              }
-             ],
-             "seed": 6
-            }'''),
-        ),
-    ]
-    for result, csv_text, json_text in cases:
-        assert d.emit_report([result], "csv", None, config_hash="abc123", seed=6) == csv_text
+    for result, (csv_text, json_text) in zip(_literal_results(), _LITERAL_BYTES, strict=True):
+        if csv_text is None:
+            with pytest.raises(d.ConfigurationError, match="cannot emit a CSV"):
+                d.emit_report([result], "csv", None)
+        else:
+            assert d.emit_report([result], "csv", None, config_hash="abc123", seed=6) == csv_text
         assert d.emit_report([result], "json", None, config_hash="abc123", seed=6) == json_text
+
+
+def test_numpy_scalar_fields_write_the_bytes_of_python_ones():
+    # np.int64 counts and np.float64 statistics are written as int and float are
+    for numpy_result, result in zip(_literal_results(np.int64, np.float64), _literal_results()):
+        for out_format in ("csv", "json") if hasattr(result, "csv_rows") else ("json",):
+            assert d.emit_report(numpy_result, out_format, None) == d.emit_report(
+                result, out_format, None
+            )
+    numpy_config = sign_config(p=np.float64(0.4), R=np.int64(200), m=np.int64(100))
+    assert numpy_config.canonical_json() == sign_config(m=100).canonical_json()
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("samples", [np.array(1.0), np.ones((2, 2))], ids=["0-d", "2-D"])
+def test_emit_report_refuses_a_sample_array_that_is_not_1d(samples, out_format):
+    with pytest.raises(d.ConfigurationError, match="must be 1-D"):
+        d.emit_report(samples, out_format, None)
 
 
 def test_emit_report_per_type_csv_and_mixed_json(tmp_path, skewed):
