@@ -34,11 +34,16 @@ O((n + E) r) work per replicate, O(n r) at p = 1, and no n x n array.
 
 Dilution bits are always sampled, never folded into p analytically, so
 each estimator is a plain mean of the defining integrand.
+
+Each condition id is one row of the _CONDITIONS table: its row estimator,
+default and least m, whether it takes eps, and the verdicts it can read.
+Sweeps and direct estimator calls check m and eps by the same rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -85,20 +90,31 @@ DEFAULT_EPS_GRID = (0.01, 0.05, 0.1, 0.5)
 DEFAULT_N_GRID = (50, 100, 200, 400, 800)
 ABSOLUTE_FLOOR = 1e-3
 
-# replicates per cell when m is not given; the keys are the known condition ids
-DEFAULT_M = {
-    "C1": 4096,
-    "C2": 4096,
-    "C3": 4096,
-    "C4": 16384,
-    "C4'": 16384,
-    "C1''": 4096,
-    "C2''": 4096,
-    "C3''": 4096,
-    "ETA1": 256,
-    "ETA2": 64,
+# the verdicts a condition's series can read; the first is the one it reads toward
+_TOWARD_0 = ("decreasing-toward-0", "increasing", "stagnant")
+_TO_1 = ("converging-to-1", "increasing", "stagnant")
+# One row per condition id. row(kernel, dist, n, p, eps columns, m, seed) gives
+# one n's Estimates (ETA2: its sample) and calls the public estimator by its
+# module-global name when it runs, so a rebound name is the one called;
+# default_m is the replicates per cell when m is not given, least_m the fewest
+# that a sweep or a direct call takes.
+_Condition = namedtuple("_Condition", "row default_m least_m takes_eps verdicts")
+_CONDITIONS = {
+    "C1": _Condition(lambda *a: estimate_C1(*a), 4096, 100, True, _TOWARD_0),
+    "C2": _Condition(lambda *a: estimate_C2(*a), 4096, 100, True, _TOWARD_0),
+    "C3": _Condition(lambda *a: estimate_C3(*a), 4096, 100, True, _TOWARD_0),
+    "C4": _Condition(lambda k, x, n, p, e, m, s: [estimate_C4(k, x, n, p, m, s)], 16384, 100, False, _TOWARD_0),
+    "C4'": _Condition(lambda k, x, n, p, e, m, s: [estimate_C4prime(k, x, n, p, m, s)], 16384, 100, False, _TOWARD_0),
+    "C1''": _Condition(lambda *a: estimate_Cdoubleprime("C1''", *a), 4096, 100, True, _TOWARD_0),
+    "C2''": _Condition(lambda *a: estimate_Cdoubleprime("C2''", *a), 4096, 100, True, _TOWARD_0),
+    "C3''": _Condition(lambda *a: estimate_Cdoubleprime("C3''", *a), 4096, 100, True, _TOWARD_0),
+    "ETA1": _Condition(lambda *a: estimate_eta1_mean(*a), 256, 2, True, _TOWARD_0),
+    "ETA2": _Condition(lambda k, x, n, p, e, m, s: estimate_eta2(k, x, n, p, m, s), 64, 2, False, _TO_1),
 }
-CONDITION_IDS = tuple(DEFAULT_M)
+DEFAULT_M = {cid: c.default_m for cid, c in _CONDITIONS.items()}
+CONDITION_IDS = tuple(_CONDITIONS)
+# what a condition sweep run estimates when its config names no conditions
+_DEFAULT_CONDITIONS = ("C1", "C2", "C3", "C4")
 
 
 @dataclass(frozen=True)
@@ -133,19 +149,24 @@ def _cut(vals: np.ndarray, size: np.ndarray, cuts, factor: float) -> List[Estima
     return [_mean_se(vals * (mag >= cut), factor) for cut in cuts]
 
 
-def _check_m(condition_id: str, m: int) -> int:
-    """m, checked against the condition's minimum replicate count.
-
-    The eta estimators need m >= 2 for a standard error; the truncated
-    moment estimators need m >= 100.
-    """
+def _check_inputs(condition_id: str, m, eps_grid=()) -> Tuple[int, Tuple[float, ...]]:
+    """(m, eps columns) by the rules sweeps and direct calls share: m >= the
+    least m, and a nonempty grid of finite eps > 0 unless eps-free (then ()).
+    A nan cut keeps nothing and reads as convergence; eps <= 0 keeps all."""
+    cond = _CONDITIONS[condition_id]
     m = int(m)
-    low = 2 if condition_id in ("ETA1", "ETA2") else 100
-    if m < low:
+    if m < cond.least_m:
         raise ConfigurationError(
-            "condition %s needs m >= %d replicates; got %d" % (condition_id, low, m)
+            "condition %s needs m >= %d replicates; got %d" % (condition_id, cond.least_m, m)
         )
-    return m
+    eps_cols = tuple(float(e) for e in eps_grid) if cond.takes_eps else ()
+    if cond.takes_eps and not eps_cols:
+        raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
+    if not all(0.0 < e < math.inf for e in eps_cols):
+        raise ConfigurationError(
+            "condition %s needs finite eps > 0; got %r" % (condition_id, eps_cols)
+        )
+    return m, eps_cols
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +175,7 @@ def _check_m(condition_id: str, m: int) -> int:
 
 def estimate_C1(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated second moment of the summed projection column, per eps."""
-    m = _check_m("C1", m)
+    m, eps_grid = _check_inputs("C1", m, eps_grid)
     t2 = _theta2(kernel, dist, n, p)
     sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(m, dist, sx)
@@ -204,22 +225,24 @@ def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
 
 def estimate_C2(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated second moment of a single centered pair, per eps."""
-    return _estimate_pair(kernel, dist, n, p, eps_grid, _check_m("C2", m), seed, centered=True)
+    m, eps_grid = _check_inputs("C2", m, eps_grid)
+    return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=True)
 
 
 def estimate_C3(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated first moment of the centered diagonal conditional, per eps."""
-    return _estimate_diag(kernel, dist, n, p, eps_grid, _check_m("C3", m), seed, centered=True)
+    m, eps_grid = _check_inputs("C3", m, eps_grid)
+    return _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered=True)
 
 
 def estimate_C4(kernel, dist, n, p, m, seed) -> Estimate:
     """Second moment of the double-diluted pair conditional G_1(2,3)."""
-    return _estimate_G2(kernel, dist, n, p, _check_m("C4", m), seed, centered=False)
+    return _estimate_G2(kernel, dist, n, p, _check_inputs("C4", m)[0], seed, centered=False)
 
 
 def estimate_C4prime(kernel, dist, n, p, m, seed) -> Estimate:
     """As estimate_C4 with the centered conditional G~_1(2,3)."""
-    return _estimate_G2(kernel, dist, n, p, _check_m("C4'", m), seed, centered=True)
+    return _estimate_G2(kernel, dist, n, p, _check_inputs("C4'", m)[0], seed, centered=True)
 
 
 def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
@@ -228,7 +251,7 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> L
         raise ConfigurationError(
             "condition must be C1'', C2'' or C3''; got %r" % (condition,)
         )
-    m = _check_m(condition, m)
+    m, eps_grid = _check_inputs(condition, m, eps_grid)
     if condition == "C2''":
         return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=False)
     if condition == "C3''":
@@ -271,7 +294,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     at p = 1 (a prefix sum), and n has no cap.
     """
     from .harness import _each_replicate  # not at the top: harness imports this module
-    m = _check_m("ETA2", m)
+    m = _check_inputs("ETA2", m)[0]
     n = int(n)
     t2 = _theta2(kernel, dist, n, p)
     eg2 = float(kernel.g_second_moment)
@@ -311,7 +334,7 @@ def estimate_eta1_mean(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     is an upper bound on the target, and is flagged as such.
     """
     from .harness import _each_replicate  # see estimate_eta2
-    m = _check_m("ETA1", m)
+    m, eps_grid = _check_inputs("ETA1", m, eps_grid)
     t2 = _theta2(kernel, dist, n, p)
     cuts = [0.5 * eps * math.sqrt(t2) * n for eps in eps_grid]
     s_seed, t_seed = as_seed_sequence(seed).spawn(2)
@@ -479,21 +502,13 @@ def _check_n_grid(n_grid) -> Tuple[int, ...]:
 
 def _check_sweep(condition_id, n_grid, eps_grid, m):
     """(n grid, eps columns, m) of one condition sweep, checked before any cell runs."""
-    if condition_id not in CONDITION_IDS:
+    if condition_id not in _CONDITIONS:
         raise ConfigurationError(
             "unknown condition %r (choose from %s)"
             % (condition_id, ", ".join(CONDITION_IDS))
         )
     n_grid = _check_n_grid(n_grid)
-    eps_free = condition_id in ("C4", "C4'", "ETA2")
-    eps_cols = () if eps_free else tuple(float(e) for e in eps_grid)
-    if not eps_free and not eps_cols:
-        raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
-    if not all(0.0 < e < math.inf for e in eps_cols):
-        raise ConfigurationError(
-            "condition %s needs finite eps > 0; got %r" % (condition_id, eps_cols)
-        )
-    m = _check_m(condition_id, DEFAULT_M[condition_id] if m is None else m)
+    m, eps_cols = _check_inputs(condition_id, DEFAULT_M[condition_id] if m is None else m, eps_grid)
     return n_grid, eps_cols, m
 
 
@@ -542,27 +557,12 @@ def sweep_condition(
     for r, (n, p) in enumerate(zip(n_grid, ps)):
         _warn_if_slow(n, p, stacklevel=3)
         label = "cond/%s/n%d/eps%r" % (condition_id, n, eps_cols[0] if eps_cols else None)
-        seed = policy.child(label, 0)
-        if condition_id == "C1":
-            row = estimate_C1(kernel, dist, n, p, eps_cols, m, seed)
-        elif condition_id == "C2":
-            row = estimate_C2(kernel, dist, n, p, eps_cols, m, seed)
-        elif condition_id == "C3":
-            row = estimate_C3(kernel, dist, n, p, eps_cols, m, seed)
-        elif condition_id in ("C4", "C4'"):
-            fn = estimate_C4 if condition_id == "C4" else estimate_C4prime
-            row = [fn(kernel, dist, n, p, m, seed)]
-        elif condition_id.endswith("''"):
-            row = estimate_Cdoubleprime(condition_id, kernel, dist, n, p, eps_cols, m, seed)
-        elif condition_id == "ETA1":
-            row = estimate_eta1_mean(kernel, dist, n, p, eps_cols, m, seed)
-        else:  # ETA2
-            sample = estimate_eta2(kernel, dist, n, p, m, seed)
-            sd = float(sample.std(ddof=1)) if sample.size > 1 else 0.0
-            row = [Estimate(value=float(sample.mean()), se=sd / math.sqrt(sample.size))]
-            spread[r] = sd
+        row = _CONDITIONS[condition_id].row(kernel, dist, n, p, eps_cols, m, policy.child(label, 0))
+        if spread is not None:  # ETA2's sample: its mean, and its spread for the verdict
+            spread[r] = row.std(ddof=1)
+            row = [_mean_se(row)]
         est[r], ses[r] = [e.value for e in row], [e.se for e in row]
-    if condition_id == "ETA2":
+    if spread is not None:
         verdicts = (eta2_verdict(est[:, 0], ses[:, 0], spread),)
     else:
         verdicts = tuple(trend_verdict(est[:, c], ses[:, c]) for c in range(est.shape[1]))

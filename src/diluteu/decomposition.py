@@ -230,13 +230,13 @@ class Realization:
 def sample_realization(
     n: int, dist: DistributionSpec, kernel: KernelSpec, p: float, seed
 ) -> Realization:
-    """Draw a row and its own dilution graph, then decompose.
+    """Draw a row and its dilution graph, then decompose.
 
     dist must be the law the kernel was registered against (its g and
     centering hold only there); another law raises ConfigurationError.
-    The graph is always drawn here. The seed is split into independent
-    child streams, the first for the row and the second for the graph,
-    so the two sources cannot alias even for equal n.
+    The seed splits into independent row and graph child streams (in that
+    order), which cannot alias even for equal n. At p = 0 or 1 the graph
+    is the shared constant one and its stream goes unused.
     """
     _same_law(kernel, dist)
     row_seed, graph_seed = as_seed_sequence(seed).spawn(2)

@@ -26,6 +26,8 @@ from scipy.special import erf, gammaincinv, ndtr, roots_legendre
 from .conditions import (
     DEFAULT_EPS_GRID,
     DEFAULT_N_GRID,
+    _CONDITIONS,
+    _DEFAULT_CONDITIONS,
     _check_n_grid,
     _check_p,
     _check_sweep,
@@ -69,8 +71,6 @@ __all__ = [
 
 DEFAULT_KS_THRESHOLD = 0.05
 DEFAULT_MAX_PAIR_EVALS = 2_000_000_000
-# what run_condition_sweep estimates when the config names no conditions
-_DEFAULT_CONDITIONS = ("C1", "C2", "C3", "C4")
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,7 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
 def run_condition_sweep(config: ExperimentConfig):
     """ConditionReports for the configured condition subset.
 
-    Every condition's sweep plan (C1-C4 when none is named) is checked,
+    Every condition's sweep plan (the default set when none is named) is checked,
     and every expected verdict must name a swept condition and a verdict
     that condition can read, before the first sweep. The config has
     already warned once per slow grid point, so the sweeps' own
@@ -465,7 +465,7 @@ def run_condition_sweep(config: ExperimentConfig):
             "expected verdicts name unswept conditions: %s" % ", ".join(unswept)
         )
     for cid, want in sorted(config.expected_verdicts.items()):
-        verdicts = ("converging-to-1" if cid == "ETA2" else "decreasing-toward-0", "increasing", "stagnant")
+        verdicts = _CONDITIONS[cid].verdicts
         if want not in verdicts:
             raise ConfigurationError("%s reads only %s; expected %r" % (cid, ", ".join(verdicts), want))
     dist = config.dist

@@ -21,6 +21,7 @@ from scipy.stats import norm as normal_law
 
 import diluteu as d
 from conftest import dense_of
+from diluteu.cli import main
 from diluteu.conditions import ABSOLUTE_FLOOR, DEFAULT_M
 
 # frozen oracle values; recomputed below and compared before use
@@ -636,15 +637,35 @@ def test_sweep_rows_are_nonincreasing_in_eps(cond, norm, policy):
     assert np.any(est[:, 1:] > 0.0), est
 
 
+def eps_estimator(cond):
+    """The public estimator of an eps condition, as fn(kernel, dist, n, p, eps_grid, m, seed)."""
+    if cond.endswith("''"):
+        return functools.partial(d.estimate_Cdoubleprime, cond)
+    return {"C1": d.estimate_C1, "C2": d.estimate_C2, "C3": d.estimate_C3,
+            "ETA1": d.estimate_eta1_mean}[cond]
+
+
+@pytest.mark.parametrize("cond", sorted(EPS_CASES))
+@pytest.mark.parametrize(
+    "eps_grid, match",
+    [((0.5, float("nan")), "finite eps > 0"), ((0.5, float("inf")), "finite eps > 0"),
+     ((0.5, 0.0), "finite eps > 0"), ((0.5, -1.0), "finite eps > 0"),
+     ((), "a nonempty eps grid")],
+    ids=["nan", "inf", "zero", "negative", "empty"],
+)
+def test_a_direct_eps_estimator_call_takes_the_sweep_eps_rule(cond, eps_grid, match, norm):
+    # a nan or infinite cut keeps nothing and would read as convergence to
+    # 0, eps <= 0 keeps everything, and an empty grid estimates nothing
+    k = d.kernel_by_name(EPS_CASES[cond], norm)
+    with pytest.raises(d.ConfigurationError, match="condition %s needs %s" % (cond, match)):
+        eps_estimator(cond)(k, norm, 16, 0.7, eps_grid, 4096, 5)
+
+
 @pytest.mark.parametrize("cond", sorted(EPS_CASES))
 def test_a_later_eps_column_is_a_cut_of_the_same_draw(cond, norm):
     # estimate(..., (e1, e2), seed)[1] is estimate(..., (e2,), seed)[0]
     k = d.kernel_by_name(EPS_CASES[cond], norm)
-    if cond.endswith("''"):
-        fn = functools.partial(d.estimate_Cdoubleprime, cond)
-    else:
-        fn = {"C1": d.estimate_C1, "C2": d.estimate_C2, "C3": d.estimate_C3,
-              "ETA1": d.estimate_eta1_mean}[cond]
+    fn = eps_estimator(cond)
     m = 16 if cond == "ETA1" else 4096
     pair = fn(k, norm, 16, 0.7, (0.3, 0.6), m, 5)
     later = fn(k, norm, 16, 0.7, (0.6,), m, 5)
@@ -653,8 +674,39 @@ def test_a_later_eps_column_is_a_cut_of_the_same_draw(cond, norm):
     assert pair[0].value >= pair[1].value > 0.0
 
 
-def test_default_m_covers_all_conditions():
-    assert set(DEFAULT_M) == set(d.CONDITION_IDS)
+@pytest.mark.parametrize("cid", d.CONDITION_IDS)
+def test_every_condition_row_sweeps_checks_m_and_reads_what_expect_accepts(
+    cid, skewed, policy, monkeypatch, capsys
+):
+    # the rules each id must follow, written out here rather than read from the table
+    takes_eps = cid not in ("C4", "C4'", "ETA2")
+    least = 2 if cid in ("ETA1", "ETA2") else 100
+    trend = ("decreasing-toward-0", "converging-to-1")
+    toward, other = trend[::-1] if cid == "ETA2" else trend
+    assert set(DEFAULT_M) == set(d.CONDITION_IDS) and DEFAULT_M[cid] >= least
+    row = d.conditions._CONDITIONS[cid]
+    k = d.sign_kernel(skewed)
+    with pytest.raises(d.ConfigurationError, match="%s needs m >= %d" % (cid, least)):
+        row.row(k, skewed, 16, 0.7, (0.3, 0.6), least - 1, 5)
+    rep = d.sweep_condition(
+        cid, k, skewed, policy, n_grid=(16, 32), eps_grid=(0.3, 0.6), p_fixed=0.7, m=least
+    )
+    cols = 2 if takes_eps else 1
+    assert rep.eps_grid == ((0.3, 0.6) if takes_eps else ())
+    assert rep.estimates.shape == rep.ses.shape == (2, cols) and len(rep.verdicts) == cols
+    assert set(rep.verdicts) <= {toward, "increasing", "stagnant"}
+    # --expect takes each word the id can read (exit 0 iff every column
+    # matches) and refuses the other trend word before any cell (exit 2)
+    monkeypatch.setattr(d.harness, "sweep_condition", lambda *a, **kw: rep)
+    argv = ["conditions", "--kernel", "sign", "--dist", "table:-1=5/6,5=1/6", "--n", "16,32",
+            "--p", "0.7", "--eps", "0.3,0.6", "--m", str(least), "--conditions", cid]
+    for word in (toward, "increasing", "stagnant", other):
+        code = main(argv + ["--expect", "%s=%s" % (cid, word)])
+        err = capsys.readouterr().err
+        if word == other:
+            assert code == 2 and "%s reads only" % cid in err, err
+        else:
+            assert code == (0 if set(rep.verdicts) == {word} else 1), err
 
 
 # ------------------------------------------- cliff-style trend property
