@@ -16,6 +16,8 @@ from dataclasses import replace
 from .conditions import CONDITION_IDS
 from .errors import ConfigurationError, ResourceBudgetError
 from .harness import (
+    _FORMATS,
+    _STANDARDIZATIONS,
     ExperimentConfig,
     emit_report,
     ks_distance,
@@ -116,9 +118,9 @@ _SETTINGS = {
                      "replicates, see README")),
     "out": ("--out", "out_path", str, dict(help="output file (default stdout)")),
     "format": ("--format", "out_format", str,
-               dict(choices=("csv", "json"), help="output format")),
+               dict(choices=_FORMATS, help="output format")),
     "standardization": ("--standardization", "standardization", str,
-                        dict(choices=("exact", "mc", "asymptotic"))),
+                        dict(choices=_STANDARDIZATIONS)),
     "ks_threshold": ("--ks-threshold", "ks_threshold", _number, {}),
     "conditions": ("--conditions", "conditions", _list_of(str.strip),
                    dict(help="subset of " + ",".join(CONDITION_IDS))),

@@ -58,6 +58,7 @@ from .sampling import (
     as_generator,
     as_seed_sequence,
     sample_row,
+    _integer,
     _regime_p,
     _report_json,
     _report_value,
@@ -154,7 +155,7 @@ def _check_inputs(condition_id: str, m, eps_grid=()) -> Tuple[int, Tuple[float, 
     least m, and a nonempty grid of finite eps > 0 unless eps-free (then ()).
     A nan cut keeps nothing and reads as convergence; eps <= 0 keeps all."""
     cond = _CONDITIONS[condition_id]
-    m = int(m)
+    m = _integer(m, "m")
     if m < cond.least_m:
         raise ConfigurationError(
             "condition %s needs m >= %d replicates; got %d" % (condition_id, cond.least_m, m)
@@ -491,8 +492,8 @@ class ConditionReport:
 
 
 def _check_n_grid(n_grid) -> Tuple[int, ...]:
-    """The n grid as ints, checked nonempty, strictly increasing and >= 2."""
-    grid = tuple(int(v) for v in n_grid)
+    """The n grid as ints, checked integral, nonempty, strictly increasing and >= 2."""
+    grid = tuple(_integer(v, "n") for v in n_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n grid must be nonempty and strictly increasing")
     if grid[0] < 2:

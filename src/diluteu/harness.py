@@ -45,8 +45,11 @@ from .sampling import (
     DistributionSpec,
     SeedPolicy,
     as_seed_sequence,
+    rademacher,
     sample_dilution,
     sample_row,
+    standard_normal,
+    _integer,
     _regime_p,
     _report_json,
     _report_value,
@@ -71,6 +74,9 @@ __all__ = [
 
 DEFAULT_KS_THRESHOLD = 0.05
 DEFAULT_MAX_PAIR_EVALS = 2_000_000_000
+# the values ExperimentConfig takes, and the cli's choices for the two flags
+_STANDARDIZATIONS = ("exact", "mc", "asymptotic")
+_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.dist is None:
-            object.__setattr__(self, "dist", _default_dist())
+            object.__setattr__(self, "dist", rademacher())
+        # counts are stored as ints, so R=2000.0 and R=2000 hash and report alike
+        for name, what in (("R", "replication count"), ("threads", "threads"), ("m", "m")):
+            if (v := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _integer(v, what))
         if self.R < 1:
             raise ConfigurationError("replication count must be >= 1")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1; got %r" % self.threads)
-        self.policy()  # SeedPolicy rejects a negative master seed
+        # SeedPolicy rejects a non-integral or negative master seed
+        object.__setattr__(self, "master_seed", self.policy().master_seed)
         # float settings stay floats, so p=1 and p=1.0 hash and report alike
         object.__setattr__(self, "eps_grid", tuple(map(float, self.eps_grid)))
         for name in ("p", "a", "ks_threshold"):
@@ -121,12 +132,12 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", _check_n_grid(self.n_grid))
         if (self.p is None) == (self.a is None):
             raise ConfigurationError("set exactly one of fixed p or exponent a")
-        if self.standardization not in ("exact", "mc", "asymptotic"):
+        if self.standardization not in _STANDARDIZATIONS:
             raise ConfigurationError(
                 "standardization must be exact, mc or asymptotic; got %r"
                 % self.standardization
             )
-        if self.out_format not in ("csv", "json"):
+        if self.out_format not in _FORMATS:
             raise ConfigurationError("format must be csv or json")
         for i, cid in enumerate(self.conditions):
             if cid in self.conditions[:i]:
@@ -163,12 +174,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf8")).hexdigest()[:12]
-
-
-def _default_dist() -> DistributionSpec:
-    from .sampling import rademacher
-
-    return rademacher()
 
 
 @dataclass(frozen=True)
@@ -353,42 +358,27 @@ def _run_replicates(
     return out, int(evals.sum())
 
 
-def _standardized_replicates(config: ExperimentConfig, n: Optional[int]):
-    """R draws of U / sqrt(Var U) at n (default: the largest grid point).
+def replicate_standardized(config: ExperimentConfig) -> np.ndarray:
+    """The samples of run_clt_experiment(config): R draws of U / sqrt(Var U)."""
+    return run_clt_experiment(config).samples
 
-    Returns n, the samples, the summed kernel-eval count and the
-    standardization provenance.
-    """
-    n = int(n) if n is not None else config.n_grid[-1]
+
+def run_clt_experiment(config: ExperimentConfig) -> DistTestResult:
+    """R draws of U / sqrt(Var U) at the config's largest grid point, KS-tested
+    against the normal."""
+    t0 = time.perf_counter()
+    n = config.n_grid[-1]
     p = config.p_at(n)
-    dist = config.dist
-    kernel = kernel_by_name(config.kernel_name, dist)
-    denom, prov = _standardizer(config, kernel, dist, n, p)
+    kernel = kernel_by_name(config.kernel_name, config.dist)
+    denom, prov = _standardizer(config, kernel, config.dist, n, p)
     samples, evals = _run_replicates(
-        config,
-        dist,
-        n,
-        p,
-        "replicate/n%d" % n,
+        config, config.dist, n, p, "replicate/n%d" % n,
         lambda x, graph: compute_ustat(x, graph, kernel) / denom,
     )
-    return n, samples, evals, prov
-
-
-def replicate_standardized(config: ExperimentConfig, n: Optional[int] = None) -> np.ndarray:
-    """R draws of U / sqrt(Var U) at one grid point (default: the largest)."""
-    return _standardized_replicates(config, n)[1]
-
-
-def run_clt_experiment(config: ExperimentConfig, n: Optional[int] = None) -> DistTestResult:
-    """Standardized samples at the chosen n, KS-tested against the normal."""
-    t0 = time.perf_counter()
-    n, samples, evals, prov = _standardized_replicates(config, n)
-    ks = ks_distance(samples, normal_cdf)
     return DistTestResult(
         samples=samples,
         target="normal",
-        ks_statistic=ks,
+        ks_statistic=ks_distance(samples, normal_cdf),
         threshold=config.ks_threshold,
         n=n,
         R=config.R,
@@ -405,7 +395,7 @@ _COUNTEREXAMPLE_NOTE = (
 )
 
 
-def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tuple[DistTestResult, DistTestResult]:
+def run_counterexample(config: ExperimentConfig) -> Tuple[DistTestResult, DistTestResult]:
     """The no-CLT witness: undiluted product kernel on standard normal rows.
 
     Returns the n*U sample tested against the normal law (expected to
@@ -413,20 +403,15 @@ def run_counterexample(config: ExperimentConfig, n: Optional[int] = None) -> Tup
     The exact law at finite n is square_law_n_cdf; the limit is still
     about 0.08 from it in sup distance at n=500.
     The kernel, row law, and p are pinned here regardless of the config,
-    which contributes only n, R, seed, threads, and the threshold.
+    which contributes only n (its largest grid point), R, seed, threads,
+    and the threshold.
     """
-    from .sampling import standard_normal
-
-    n = int(n) if n is not None else config.n_grid[-1]
+    n = config.n_grid[-1]
     dist = standard_normal()
     kernel = kernel_by_name("product", dist)
     t0 = time.perf_counter()
     samples, evals = _run_replicates(
-        config,
-        dist,
-        n,
-        1.0,
-        "counterexample/n%d" % n,
+        config, dist, n, 1.0, "counterexample/n%d" % n,
         lambda x, graph: n * compute_ustat(x, graph, kernel),
     )
     runtime = time.perf_counter() - t0

@@ -275,10 +275,7 @@ def enumerate_exact(
     masks = np.arange(2**npairs, dtype=np.int64)
     zbits = ((masks[:, None] >> np.arange(npairs)) & 1).astype(np.float64)
     cnt = zbits.sum(axis=1)
-    if p == 1.0:
-        zprob = (cnt == npairs).astype(np.float64)
-    else:
-        zprob = (p**cnt) * ((1.0 - p) ** (npairs - cnt))
+    zprob = (p**cnt) * ((1.0 - p) ** (npairs - cnt))  # 0.0**0.0 is 1.0 at p = 1
     binom = math.comb(n, 2)
 
     norm_products = [tuple(_normalize_factor(f, n) for f in prod) for prod in products]

@@ -223,6 +223,16 @@ def _number(text: str) -> float:
         raise ConfigurationError("%r is not a number" % text) from None
 
 
+def _integer(v, what: str) -> int:
+    """v as an int: an int (numpy too) or an integral float (200.0 as 200). A
+    bool, a fraction, nan, inf or a non-number raises ConfigurationError."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    raise ConfigurationError("%s must be an integer; got %r" % (what, v))
+
+
 def _report_value(v):
     """v as every report writes it, the output side of _number: a float (numpy
     too) as its repr string, an int (numpy too) as an int, a str, bool or None
@@ -570,6 +580,7 @@ class SeedPolicy:
     master_seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master seed"))
         if self.master_seed < 0:
             raise ConfigurationError("master seed must be >= 0; got %r" % (self.master_seed,))
 

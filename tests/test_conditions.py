@@ -53,6 +53,97 @@ def test_c1_binomial_enumeration_oracle(skewed):
     assert abs(est.value - exact) < 4 * est.se
 
 
+# every (kernel, law) pair of the exact oracle below has a finite row law
+EXACT_CASES = ("sign", "tri", "additive", "product")
+
+
+def exact_case(case, skewed, tri, tri_kernel):
+    if case == "sign":
+        return d.sign_kernel(skewed), skewed
+    return (tri_kernel if case == "tri" else d.kernel_by_name(case, tri)), tri
+
+
+def exact_condition(cid, k, law, n, p, eps):
+    """(exact value, exact standard deviation of one draw) of an eps
+    condition on a finite law: the integrand's first and second moments as
+    sums over the support (C1: and over the Binomial(n - 1, p) row count),
+    with g, h~, H and H~ built here from the table of h alone."""
+    t2 = d.moments_closed_form(k, law, n, p).theta2
+    x = np.asarray(law.support, np.float64)
+    q = np.asarray(law.probs, np.float64)
+    h = k.pair_values(*np.meshgrid(x, x, indexing="ij"))
+    g = h @ q
+    ht = h - g[:, None] - g[None, :]
+    pair_q = p * np.outer(q, q)  # the pair's bit is 1; a 0 bit is never cut
+    if cid == "C1":
+        count = np.arange(n)
+        size = np.outer(g, count)
+        w = np.outer(q, [math.comb(n - 1, c) * p**c * (1 - p) ** (n - 1 - c) for c in count])
+        y, cut, factor = size * size, eps * math.sqrt(t2) * n, 1.0 / (n * t2)
+    elif cid == "C1''":
+        size, w = g, p * q
+        y, cut, factor = size * size, eps * math.sqrt(t2), n * n / t2
+    elif cid in ("C2", "C2''"):
+        size, w = (ht if cid == "C2" else h), pair_q
+        y, cut, factor = size * size, eps * math.sqrt(t2) * n, 1.0 / t2
+    else:  # C3, C3'': the diagonal of H~ or H
+        f = ht if cid == "C3" else h
+        size, w = np.diag((f * q) @ f), q
+        y, cut, factor = size, eps * t2 * n / p, p / t2
+    y = y * (np.abs(size) >= cut)
+    mean = float(np.sum(w * y))
+    var = max(float(np.sum(w * y * y)) - mean * mean, 0.0)
+    return mean * factor, math.sqrt(var) * factor
+
+
+@pytest.mark.parametrize("cid", ["C1", "C2", "C3", "C1''", "C2''", "C3''"])
+def test_eps_conditions_match_exact_sums_on_finite_laws(cid, skewed, tri, tri_kernel):
+    # within 4 standard errors taken from the exact second moment: a sample
+    # SE is 0 when no draw hits a rare cut (sign, skewed law, n=50, p=50^-0.3,
+    # eps=0.5: C1 is 0.00231, and 4096 draws can see no event)
+    m, eps_grid = 4096, (0.01, 0.1, 0.5)
+    nonzero = 0
+    for case in EXACT_CASES:
+        k, law = exact_case(case, skewed, tri, tri_kernel)
+        for n in (50, 200):
+            for p in (n**-0.3, 0.7):
+                seed = d.SeedPolicy(6).child("exact/%s/%s" % (case, cid), n)
+                ests = eps_estimator(cid)(k, law, n, p, eps_grid, m, seed)
+                for eps, est in zip(eps_grid, ests):
+                    exact, sd = exact_condition(cid, k, law, n, p, eps)
+                    nonzero += exact > 0.0
+                    tol = 4.0 * sd / math.sqrt(m) + 1e-12 * max(1.0, abs(exact))
+                    assert abs(est.value - exact) <= tol, (case, n, p, eps, est, exact)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize(
+    "n_grid", [(20.9, 40), (20, 40.5), (True, 40), (20, "40")], ids=["20.9", "40.5", "bool", "str"]
+)
+def test_a_sweep_refuses_a_non_integral_n(n_grid, rad, policy):
+    # a direct sweep ran n = 20.9 as n = 20; a config's n grid goes through the same check
+    k = d.sign_kernel(rad)
+    with pytest.raises(d.ConfigurationError, match="n must be an integer; got"):
+        d.sweep_condition("C4", k, rad, policy, n_grid=n_grid, m=100, p_fixed=0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, law, pol: d.sweep_condition("C1", k, law, pol, n_grid=(20, 40), m=100.9, p_fixed=0.5),
+        lambda k, law, pol: d.estimate_C1(k, law, 20, 0.5, (0.5,), 100.9, 1),
+        lambda k, law, pol: d.estimate_Cdoubleprime("C2''", k, law, 20, 0.5, (0.5,), 100.5, 1),
+        lambda k, law, pol: d.estimate_C4(k, law, 20, 0.5, True, 1),
+        lambda k, law, pol: d.estimate_eta2(k, law, 20, 0.5, 2.5, 1),
+    ],
+    ids=["sweep", "C1", "C2''", "C4-bool", "ETA2"],
+)
+def test_m_refuses_a_non_integral_count(call, rad, policy):
+    # a sweep and a direct call ran m = 100.9 as 100; m = True read as 1
+    with pytest.raises(d.ConfigurationError, match="m must be an integer; got"):
+        call(d.sign_kernel(rad), rad, policy)
+
+
 def test_c2_quadrature_oracle(norm):
     # product kernel on normal rows: the centered pair value is just xy,
     # and E[(xy)^2 1{|xy| >= c}] reduces to a one-dimensional integral

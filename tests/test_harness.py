@@ -1,5 +1,6 @@
 """Replication engine, KS distance, targets, reports, determinism."""
 
+import inspect
 import json
 import math
 import warnings
@@ -173,6 +174,34 @@ def test_config_validation_errors(norm):
             sign_config(n_grid=grid, p=None, a=0.3)
 
 
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("R", 2.5, "replication count"),
+        ("R", True, "replication count"),
+        ("threads", 1.5, "threads"),
+        ("threads", True, "threads"),
+        ("master_seed", 1.5, "master seed"),
+        ("master_seed", float("nan"), "master seed"),
+        ("m", 100.5, "m"),
+        ("n_grid", (200.7,), "n"),
+    ],
+    ids=["R-2.5", "R-bool", "threads-1.5", "threads-bool", "seed-1.5", "seed-nan", "m-100.5", "n-200.7"],
+)
+def test_config_refuses_a_non_integral_count(field, value, what):
+    # each would otherwise fail with a TypeError at run time, or run a
+    # truncated count (n=200.7 as 200)
+    with pytest.raises(d.ConfigurationError, match="%s must be an integer; got" % what):
+        sign_config(**{field: value})
+
+
+def test_config_stores_an_integral_float_count_as_its_int():
+    base = sign_config(R=2000, n_grid=(200,), threads=1, master_seed=6, m=4096)
+    cfg = sign_config(R=2000.0, n_grid=(200.0,), threads=1.0, master_seed=6.0, m=4096.0)
+    assert [type(v) for v in (cfg.R, cfg.n_grid[0], cfg.threads, cfg.master_seed, cfg.m)] == [int] * 5
+    assert cfg.config_hash() == base.config_hash()
+
+
 def test_config_rejects_an_empty_eps_grid_for_eps_conditions():
     with pytest.raises(d.ConfigurationError, match="C1 needs a nonempty eps grid"):
         sign_config(conditions=("C1",), eps_grid=())
@@ -332,6 +361,18 @@ def test_counterexample_is_thread_independent_on_the_shared_graph(monkeypatch):
     assert seen[0].edge_count() == seen[0].pair_count
 
 
+@pytest.mark.parametrize("runner", ["replicate_standardized", "run_clt_experiment", "run_counterexample"])
+def test_a_runner_takes_only_its_config(runner):
+    # a per-call n would skip the config's checks at that n (n*p >= 1 among them)
+    assert list(inspect.signature(getattr(d, runner)).parameters) == ["config"]
+
+
+def test_replicate_standardized_is_the_clt_runs_sample():
+    cfg = sign_config(R=40, n_grid=(30, 60))
+    assert np.array_equal(d.replicate_standardized(cfg), d.run_clt_experiment(cfg).samples)
+    assert d.run_clt_experiment(cfg).n == 60
+
+
 def test_replicates_single_run():
     cfg = sign_config(R=1)
     s = d.replicate_standardized(cfg)
@@ -412,8 +453,8 @@ def test_clt_experiment_result_fields():
 def test_counterexample_run_pins_its_config(skewed):
     # whatever the incoming config says, the witness is the undiluted
     # product kernel on normal rows, compared against both targets
-    cfg = sign_config(R=300, n_grid=(80,))
-    vs_normal, vs_chi = d.run_counterexample(cfg, n=200)
+    cfg = sign_config(R=300, n_grid=(80, 200))
+    vs_normal, vs_chi = d.run_counterexample(cfg)
     assert vs_normal.target == "normal"
     assert vs_chi.target == "chi1_shifted"
     assert vs_chi.n == 200

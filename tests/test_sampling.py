@@ -625,6 +625,18 @@ def test_negative_master_seed_is_rejected_when_built(rad):
     assert d.SeedPolicy(master_seed=0).child("x", 0).entropy == 0
 
 
+@pytest.mark.parametrize("seed", [1.5, True, float("inf"), "6"])
+def test_seed_policy_refuses_a_non_integral_master_seed(seed):
+    with pytest.raises(d.ConfigurationError, match="master seed must be an integer; got"):
+        d.SeedPolicy(master_seed=seed)
+
+
+def test_seed_policy_stores_an_integral_float_seed_as_its_int():
+    pol = d.SeedPolicy(master_seed=6.0)
+    assert type(pol.master_seed) is int
+    assert pol.child("x", 0).entropy == d.SeedPolicy(master_seed=6).child("x", 0).entropy
+
+
 @pytest.mark.parametrize(
     "draw",
     [
