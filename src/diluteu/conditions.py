@@ -59,6 +59,7 @@ from .sampling import (
     as_seed_sequence,
     sample_row,
     _integer,
+    _point,
     _regime_p,
     _report_json,
     _report_value,
@@ -150,11 +151,13 @@ def _cut(vals: np.ndarray, size: np.ndarray, cuts, factor: float) -> List[Estima
     return [_mean_se(vals * (mag >= cut), factor) for cut in cuts]
 
 
-def _check_inputs(condition_id: str, m, eps_grid=()) -> Tuple[int, Tuple[float, ...]]:
-    """(m, eps columns) by the rules sweeps and direct calls share: m >= the
-    least m, and a nonempty grid of finite eps > 0 unless eps-free (then ()).
-    A nan cut keeps nothing and reads as convergence; eps <= 0 keeps all."""
+def _check_inputs(condition_id: str, n, p, m, eps_grid=()):
+    """(n, p, m, eps columns) by the rules sweeps and direct calls share: the
+    point rule with its n*p >= 1 floor, m >= the least m, and a nonempty grid
+    of finite eps > 0 unless eps-free (then ()). A nan cut keeps nothing and
+    reads as convergence; eps <= 0 keeps all."""
     cond = _CONDITIONS[condition_id]
+    n, p = _point(n, p, floor=True)
     m = _integer(m, "m")
     if m < cond.least_m:
         raise ConfigurationError(
@@ -167,7 +170,7 @@ def _check_inputs(condition_id: str, m, eps_grid=()) -> Tuple[int, Tuple[float, 
         raise ConfigurationError(
             "condition %s needs finite eps > 0; got %r" % (condition_id, eps_cols)
         )
-    return m, eps_cols
+    return n, p, m, eps_cols
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def _check_inputs(condition_id: str, m, eps_grid=()) -> Tuple[int, Tuple[float, 
 
 def estimate_C1(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated second moment of the summed projection column, per eps."""
-    m, eps_grid = _check_inputs("C1", m, eps_grid)
+    n, p, m, eps_grid = _check_inputs("C1", n, p, m, eps_grid)
     t2 = _theta2(kernel, dist, n, p)
     sx, sz = as_seed_sequence(seed).spawn(2)
     x = sample_row(m, dist, sx)
@@ -226,24 +229,26 @@ def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
 
 def estimate_C2(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated second moment of a single centered pair, per eps."""
-    m, eps_grid = _check_inputs("C2", m, eps_grid)
+    n, p, m, eps_grid = _check_inputs("C2", n, p, m, eps_grid)
     return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=True)
 
 
 def estimate_C3(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated first moment of the centered diagonal conditional, per eps."""
-    m, eps_grid = _check_inputs("C3", m, eps_grid)
+    n, p, m, eps_grid = _check_inputs("C3", n, p, m, eps_grid)
     return _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered=True)
 
 
 def estimate_C4(kernel, dist, n, p, m, seed) -> Estimate:
     """Second moment of the double-diluted pair conditional G_1(2,3)."""
-    return _estimate_G2(kernel, dist, n, p, _check_inputs("C4", m)[0], seed, centered=False)
+    n, p, m, _ = _check_inputs("C4", n, p, m)
+    return _estimate_G2(kernel, dist, n, p, m, seed, centered=False)
 
 
 def estimate_C4prime(kernel, dist, n, p, m, seed) -> Estimate:
     """As estimate_C4 with the centered conditional G~_1(2,3)."""
-    return _estimate_G2(kernel, dist, n, p, _check_inputs("C4'", m)[0], seed, centered=True)
+    n, p, m, _ = _check_inputs("C4'", n, p, m)
+    return _estimate_G2(kernel, dist, n, p, m, seed, centered=True)
 
 
 def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
@@ -252,7 +257,7 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> L
         raise ConfigurationError(
             "condition must be C1'', C2'' or C3''; got %r" % (condition,)
         )
-    m, eps_grid = _check_inputs(condition, m, eps_grid)
+    n, p, m, eps_grid = _check_inputs(condition, n, p, m, eps_grid)
     if condition == "C2''":
         return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=False)
     if condition == "C3''":
@@ -295,8 +300,7 @@ def estimate_eta2(kernel, dist, n, p, m, seed) -> np.ndarray:
     at p = 1 (a prefix sum), and n has no cap.
     """
     from .harness import _each_replicate  # not at the top: harness imports this module
-    m = _check_inputs("ETA2", m)[0]
-    n = int(n)
+    n, p, m, _ = _check_inputs("ETA2", n, p, m)
     t2 = _theta2(kernel, dist, n, p)
     eg2 = float(kernel.g_second_moment)
     mu = np.asarray(kernel.feature_mean, np.float64)
@@ -335,7 +339,7 @@ def estimate_eta1_mean(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     is an upper bound on the target, and is flagged as such.
     """
     from .harness import _each_replicate  # see estimate_eta2
-    m, eps_grid = _check_inputs("ETA1", m, eps_grid)
+    n, p, m, eps_grid = _check_inputs("ETA1", n, p, m, eps_grid)
     t2 = _theta2(kernel, dist, n, p)
     cuts = [0.5 * eps * math.sqrt(t2) * n for eps in eps_grid]
     s_seed, t_seed = as_seed_sequence(seed).spawn(2)
@@ -384,18 +388,13 @@ class C4ComparisonReport:
 def verify_c4_implies_c4prime(
     c4: Estimate, c4prime: Estimate, n: int, p: float
 ) -> C4ComparisonReport:
-    """Assert C4' <= 25 C4 + 50/(np)^2 + 50/(np), with 5x combined SE slack."""
+    """Assert C4' <= 25 C4 + 50/(np)^2 + 50/(np), with 5x combined SE slack,
+    at a point (n, p) checked as the estimators check it."""
+    n, p = _point(n, p, floor=True)
     npv = n * p
-    if npv <= 0:
-        raise ConfigurationError("need n p > 0")
     combined_se = math.hypot(25.0 * c4.se, c4prime.se)
     rhs = 25.0 * c4.value + 50.0 / (npv * npv) + 50.0 / npv + 5.0 * combined_se
-    return C4ComparisonReport(
-        lhs=c4prime.value,
-        rhs=rhs,
-        n=int(n),
-        p=float(p),
-    )
+    return C4ComparisonReport(lhs=c4prime.value, rhs=rhs, n=n, p=p)
 
 
 # --------------------------------------------------------------------------
@@ -492,37 +491,26 @@ class ConditionReport:
 
 
 def _check_n_grid(n_grid) -> Tuple[int, ...]:
-    """The n grid as ints, checked integral, nonempty, strictly increasing and >= 2."""
+    """The n grid as ints, checked integral, nonempty and strictly increasing;
+    the point rule checks each n >= 2."""
     grid = tuple(_integer(v, "n") for v in n_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n grid must be nonempty and strictly increasing")
-    if grid[0] < 2:
-        raise ConfigurationError("a pair statistic needs n >= 2; got n=%d" % grid[0])
     return grid
 
 
-def _check_sweep(condition_id, n_grid, eps_grid, m):
-    """(n grid, eps columns, m) of one condition sweep, checked before any cell runs."""
+def _check_sweep(condition_id, n_grid, eps_grid, m, p_at):
+    """(grid points (n, p), eps columns, m) of one condition sweep, p = p_at(n),
+    each point checked as a direct estimator call checks it, before any cell runs."""
     if condition_id not in _CONDITIONS:
         raise ConfigurationError(
             "unknown condition %r (choose from %s)"
             % (condition_id, ", ".join(CONDITION_IDS))
         )
-    n_grid = _check_n_grid(n_grid)
-    m, eps_cols = _check_inputs(condition_id, DEFAULT_M[condition_id] if m is None else m, eps_grid)
-    return n_grid, eps_cols, m
-
-
-def _check_p(n: int, p) -> float:
-    """Dilution p at grid point n as a float, checked: 0 < p <= 1 and n*p >= 1."""
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
-    if n * p < 1.0:
-        raise ConfigurationError(
-            "n*p = %.3f < 1 at n=%d; the sparse regime needs np >= 1" % (n * p, n)
-        )
-    return p
+    m = DEFAULT_M[condition_id] if m is None else m
+    cells = [_check_inputs(condition_id, n, p_at(n), m, eps_grid) for n in _check_n_grid(n_grid)]
+    _, _, m, eps_cols = cells[0]
+    return [(n, p) for n, p, _, _ in cells], eps_cols, m
 
 
 def sweep_condition(
@@ -547,15 +535,13 @@ def sweep_condition(
     eps-free): a row can be recomputed in isolation, and a one-column
     sweep draws what the first column of a wider one does.
     """
-    n_grid, eps_cols, m = _check_sweep(condition_id, n_grid, eps_grid, m)
-    ps = [
-        _check_p(n, p_fixed if p_fixed is not None else _regime_p(n, a))
-        for n in n_grid
-    ]
-    est = np.zeros((len(n_grid), max(1, len(eps_cols))))
+    points, eps_cols, m = _check_sweep(
+        condition_id, n_grid, eps_grid, m, lambda n: _regime_p(n, a) if p_fixed is None else p_fixed
+    )
+    est = np.zeros((len(points), max(1, len(eps_cols))))
     ses = np.zeros_like(est)
-    spread = np.zeros(len(n_grid)) if condition_id == "ETA2" else None
-    for r, (n, p) in enumerate(zip(n_grid, ps)):
+    spread = np.zeros(len(points)) if condition_id == "ETA2" else None
+    for r, (n, p) in enumerate(points):
         _warn_if_slow(n, p, stacklevel=3)
         label = "cond/%s/n%d/eps%r" % (condition_id, n, eps_cols[0] if eps_cols else None)
         row = _CONDITIONS[condition_id].row(kernel, dist, n, p, eps_cols, m, policy.child(label, 0))
@@ -569,7 +555,7 @@ def sweep_condition(
         verdicts = tuple(trend_verdict(est[:, c], ses[:, c]) for c in range(est.shape[1]))
     return ConditionReport(
         condition_id=condition_id,
-        n_grid=n_grid,
+        n_grid=tuple(n for n, _ in points),
         eps_grid=eps_cols,
         estimates=est,
         ses=ses,

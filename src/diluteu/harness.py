@@ -29,7 +29,6 @@ from .conditions import (
     _CONDITIONS,
     _DEFAULT_CONDITIONS,
     _check_n_grid,
-    _check_p,
     _check_sweep,
     sweep_condition,
 )
@@ -50,6 +49,7 @@ from .sampling import (
     sample_row,
     standard_normal,
     _integer,
+    _point,
     _regime_p,
     _report_json,
     _report_value,
@@ -142,10 +142,9 @@ class ExperimentConfig:
         for i, cid in enumerate(self.conditions):
             if cid in self.conditions[:i]:
                 raise ConfigurationError("condition %s is named twice" % cid)
-            _check_sweep(cid, self.n_grid, self.eps_grid, self.m)
+            _check_sweep(cid, self.n_grid, self.eps_grid, self.m, self.p_at)
         for n in self.n_grid:
-            p = _check_p(n, self.p_at(n))
-            _warn_if_slow(n, p, stacklevel=4)
+            _warn_if_slow(*_point(n, self.p_at(n), floor=True), stacklevel=4)
 
     def p_at(self, n: int) -> float:
         """p at n, fixed or n^-a; silent, as the config warned per slow grid point."""
@@ -246,9 +245,7 @@ def square_law_n_cdf(t, n: int):
     CDF is chi1_shifted_cdf. F(t) = E_W[erf(sqrt(max(t + W/(n-1), 0)/2))],
     computed by Gauss-Legendre quadrature on W's chi2 quantile scale.
     """
-    n = int(n)
-    if n < 2:
-        raise ConfigurationError("square_law_n_cdf needs n >= 2; got %d" % n)
+    n = _point(n, 1.0)[0]  # the undiluted statistic's point
     x, w = roots_legendre(_SQUARE_LAW_NODES)
     # the chi2(k) quantile at u is 2 * gammaincinv(k/2, u)
     shift = 2.0 * gammaincinv(0.5 * (n - 1), 0.5 * (x + 1.0)) / (n - 1)
@@ -443,7 +440,7 @@ def run_condition_sweep(config: ExperimentConfig):
     """
     ids = config.conditions or _DEFAULT_CONDITIONS
     for cid in ids:
-        _check_sweep(cid, config.n_grid, config.eps_grid, config.m)
+        _check_sweep(cid, config.n_grid, config.eps_grid, config.m, config.p_at)
     unswept = sorted(set(config.expected_verdicts) - set(ids))
     if unswept:
         raise ConfigurationError(

@@ -29,7 +29,15 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationSizeError
 from .kernels import KernelSpec, _same_law
-from .sampling import DistributionSpec, as_seed_sequence, sample_row, _report_json, _report_value
+from .sampling import (
+    DistributionSpec,
+    as_seed_sequence,
+    sample_row,
+    _integer,
+    _point,
+    _report_json,
+    _report_value,
+)
 
 __all__ = [
     "MomentSet",
@@ -83,19 +91,9 @@ class MomentSet:
         return _report_json(self, self.CSV_HEADER + ("standard_errors",))
 
 
-def _check_np(n: int, p: float) -> Tuple[int, float]:
-    n = int(n)
-    p = float(p)
-    if n < 2:
-        raise ConfigurationError("need n >= 2 for a pair statistic")
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError("retention probability must lie in (0, 1]; got %r" % p)
-    return n, p
-
-
 def variance_exact(n: int, p: float, beta2: float, gamma2: float) -> float:
     """binom(n,2)^{-1} (beta2 + 2(n-2) p gamma2); at n=2 just beta2."""
-    n, p = _check_np(n, p)
+    n, p = _point(n, p)
     return (beta2 + 2.0 * (n - 2) * p * gamma2) / math.comb(n, 2)
 
 
@@ -103,7 +101,7 @@ def moments_closed_form(
     kernel: KernelSpec, dist: DistributionSpec, n: int, p: float
 ) -> MomentSet:
     """Exact moments from the kernel's E[h^2] and E[g^2]."""
-    n, p = _check_np(n, p)
+    n, p = _point(n, p)
     _same_law(kernel, dist)
     beta2 = p * kernel.second_moment
     gamma2 = p * kernel.g_second_moment
@@ -129,9 +127,9 @@ def moments_mc(
 
     E[h^2] is sampled; E[g^2] is sampled through the kernel's closed-form g.
     """
-    n, p = _check_np(n, p)
+    n, p = _point(n, p)
     _same_law(kernel, dist)
-    m = int(m)
+    m = _integer(m, "m")
     if m < 100:
         raise ConfigurationError("moments_mc needs m >= 100; got %d" % m)
     sx, sy = as_seed_sequence(seed).spawn(2)
@@ -247,7 +245,7 @@ def enumerate_exact(
     vertices. A product is a tuple of factors; its exact expectation comes
     back keyed by the normalized tuple.
     """
-    n, p = _check_np(n, p)
+    n, p = _point(n, p)
     _same_law(kernel, dist)
     if not dist.is_discrete:
         raise ConfigurationError("enumeration needs a finite-support row law")

@@ -233,6 +233,22 @@ def _integer(v, what: str) -> int:
     raise ConfigurationError("%s must be an integer; got %r" % (what, v))
 
 
+def _point(n, p, floor: bool = False):
+    """(n, p) of a pair statistic as (int, float): n a count >= 2 and p in
+    (0, 1], nan refused; with floor, n*p >= 1 too, as every sweep needs."""
+    n = _integer(n, "n")
+    if n < 2:
+        raise ConfigurationError("a pair statistic needs n >= 2; got n=%d" % n)
+    p = float(p)
+    if not 0.0 < p <= 1.0:
+        raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
+    if floor and n * p < 1.0:
+        raise ConfigurationError(
+            "n*p = %.3f < 1 at n=%d; the sparse regime needs np >= 1" % (n * p, n)
+        )
+    return n, p
+
+
 def _report_value(v):
     """v as every report writes it, the output side of _number: a float (numpy
     too) as its repr string, an int (numpy too) as an int, a str, bool or None
@@ -296,6 +312,7 @@ def _sign(v: float) -> float:
 
 def sample_row(n: int, dist: DistributionSpec, seed) -> np.ndarray:
     """n i.i.d. draws from dist; bit-identical for identical inputs."""
+    n = _integer(n, "n")
     if n < 1:
         raise ConfigurationError("sample_row needs n >= 1, got %r" % n)
     rng = as_generator(seed)
@@ -485,12 +502,13 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
     p = 0 and p = 1 draw nothing and ignore the seed: they return one
     shared graph per (n, p) for the last two such pairs.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
     if p == 0.0 or p == 1.0:
-        return _constant_graph(int(n), bool(p))
+        return _constant_graph(n, bool(p))
     global _kept
     _kept = None  # free the last graph's edge list before drawing a new one
     c = n * (n - 1) // 2
@@ -543,9 +561,8 @@ def dilution_regime(n: int, a: float) -> float:
 
 
 def _regime_p(n: int, a: float) -> float:
-    """p = n^(-a), with n >= 2 and a in [0, 1) checked; never warns."""
-    if n < 2:
-        raise ConfigurationError("a pair statistic needs n >= 2; got n=%r" % n)
+    """p = n^(-a), with n by the point rule and a in [0, 1) checked; never warns."""
+    n = _point(n, 1.0)[0]
     if not 0.0 <= a < 1.0:
         raise ConfigurationError(
             "dilution exponent a=%r outside [0, 1); n*p would not diverge" % a

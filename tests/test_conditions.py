@@ -135,13 +135,77 @@ def test_a_sweep_refuses_a_non_integral_n(n_grid, rad, policy):
         lambda k, law, pol: d.estimate_Cdoubleprime("C2''", k, law, 20, 0.5, (0.5,), 100.5, 1),
         lambda k, law, pol: d.estimate_C4(k, law, 20, 0.5, True, 1),
         lambda k, law, pol: d.estimate_eta2(k, law, 20, 0.5, 2.5, 1),
+        lambda k, law, pol: d.moments_mc(k, law, 20, 0.5, 100.9, 1),
     ],
-    ids=["sweep", "C1", "C2''", "C4-bool", "ETA2"],
+    ids=["sweep", "C1", "C2''", "C4-bool", "ETA2", "moments_mc"],
 )
 def test_m_refuses_a_non_integral_count(call, rad, policy):
     # a sweep and a direct call ran m = 100.9 as 100; m = True read as 1
     with pytest.raises(d.ConfigurationError, match="m must be an integer; got"):
         call(d.sign_kernel(rad), rad, policy)
+
+
+# every public estimator as fn(kernel, law, n, p), with valid eps, m and seed
+ESTIMATORS = {
+    "C1": lambda k, law, n, p: d.estimate_C1(k, law, n, p, (0.5,), 100, 1),
+    "C2": lambda k, law, n, p: d.estimate_C2(k, law, n, p, (0.5,), 100, 1),
+    "C3": lambda k, law, n, p: d.estimate_C3(k, law, n, p, (0.5,), 100, 1),
+    "C4": lambda k, law, n, p: d.estimate_C4(k, law, n, p, 100, 1),
+    "C4'": lambda k, law, n, p: d.estimate_C4prime(k, law, n, p, 100, 1),
+    "C1''": lambda k, law, n, p: d.estimate_Cdoubleprime("C1''", k, law, n, p, (0.5,), 100, 1),
+    "C2''": lambda k, law, n, p: d.estimate_Cdoubleprime("C2''", k, law, n, p, (0.5,), 100, 1),
+    "C3''": lambda k, law, n, p: d.estimate_Cdoubleprime("C3''", k, law, n, p, (0.5,), 100, 1),
+    "ETA1": lambda k, law, n, p: d.estimate_eta1_mean(k, law, n, p, (0.5,), 2, 1),
+    "ETA2": lambda k, law, n, p: d.estimate_eta2(k, law, n, p, 2, 1),
+}
+NOT_INTEGRAL = "n must be an integer; got"
+NAN_P = "dilution p=nan out of range"
+BELOW_FLOOR = "n\\*p = 0.250 < 1 at n=5"
+_NIL = d.Estimate(value=0.0, se=0.0)
+POINT_REFUSALS = {
+    "moments_closed_form-200.7": (lambda k, law: d.moments_closed_form(k, law, 200.7, 0.3), NOT_INTEGRAL),
+    "moments_closed_form-bool": (lambda k, law: d.moments_closed_form(k, law, True, 0.3), NOT_INTEGRAL),
+    "moments_closed_form-nan": (lambda k, law: d.moments_closed_form(k, law, 200, math.nan), NAN_P),
+    "variance_exact-20.5": (lambda k, law: d.variance_exact(20.5, 0.3, 1.0, 1.0), NOT_INTEGRAL),
+    "moments_mc-20.5": (lambda k, law: d.moments_mc(k, law, 20.5, 0.3, 100, 1), NOT_INTEGRAL),
+    "enumerate_exact-2.5": (lambda k, law: d.enumerate_exact(k, law, 2.5, 0.5), NOT_INTEGRAL),
+    "square_law_n_cdf-500.7": (lambda k, law: d.square_law_n_cdf(0.0, 500.7), NOT_INTEGRAL),
+    "verify_c4-200.7": (lambda k, law: d.verify_c4_implies_c4prime(_NIL, _NIL, 200.7, 0.3), NOT_INTEGRAL),
+    "verify_c4-nan": (lambda k, law: d.verify_c4_implies_c4prime(_NIL, _NIL, 200, math.nan), NAN_P),
+    "sample_row-20.5": (lambda k, law: d.sample_row(20.5, law, 1), NOT_INTEGRAL),
+    "sample_row-bool": (lambda k, law: d.sample_row(True, law, 1), NOT_INTEGRAL),
+    "sample_dilution-20.5": (lambda k, law: d.sample_dilution(20.5, 0.3, 1), NOT_INTEGRAL),
+    "sample_realization-20.5": (lambda k, law: d.sample_realization(20.5, law, k, 0.3, 1), NOT_INTEGRAL),
+    "dilution_regime-200.5": (lambda k, law: d.dilution_regime(200.5, 0.3), NOT_INTEGRAL),
+    "C4-bool": (lambda k, law: d.estimate_C4(k, law, True, 0.3, 100, 1), NOT_INTEGRAL),
+}
+for _cid, _fn in ESTIMATORS.items():
+    for _tag, _n, _p, _match in (
+        ("20.5", 20.5, 0.3, NOT_INTEGRAL), ("nan", 20, math.nan, NAN_P), ("np0.25", 5, 0.05, BELOW_FLOOR)
+    ):
+        POINT_REFUSALS["%s-%s" % (_cid, _tag)] = (lambda k, law, f=_fn, n=_n, p=_p: f(k, law, n, p), _match)
+
+
+@pytest.mark.parametrize("case", sorted(POINT_REFUSALS))
+def test_every_entry_point_refuses_a_bad_point(case, skewed):
+    # each ran a truncated n, returned a value or raised numpy's TypeError;
+    # an estimator takes a sweep's n*p >= 1 floor, the moments and samplers do not
+    call, match = POINT_REFUSALS[case]
+    with pytest.raises(d.ConfigurationError, match=match):
+        call(d.sign_kernel(skewed), skewed)
+
+
+def test_an_integral_float_n_runs_as_its_int(skewed):
+    k = d.sign_kernel(skewed)
+    ms = [d.moments_closed_form(k, skewed, n, 0.3).to_json() for n in (200.0, 200)]
+    assert ms[0] == ms[1]
+    assert d.estimate_C2(k, skewed, 200.0, 0.3, (0.5,), 200, 1) == d.estimate_C2(k, skewed, 200, 0.3, (0.5,), 200, 1)
+    eta2 = [d.estimate_eta2(k, skewed, n, 0.3, 4, 1) for n in (200.0, 200)]
+    assert np.array_equal(eta2[0], eta2[1])
+    a, b = (d.sample_realization(n, skewed, k, 0.3, 1) for n in (200.0, 200))
+    assert type(a.z.n) is int and np.array_equal(a.z.packed, b.z.packed)
+    assert np.array_equal(a.x, b.x) and a.u_value == b.u_value
+    assert np.array_equal(a.psi_part, b.psi_part) and np.array_equal(a.phi_tilde_part, b.phi_tilde_part)
 
 
 def test_c2_quadrature_oracle(norm):
