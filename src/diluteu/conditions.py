@@ -60,6 +60,7 @@ from .sampling import (
     sample_row,
     _integer,
     _point,
+    _real,
     _regime_p,
     _report_json,
     _report_value,
@@ -163,10 +164,10 @@ def _check_inputs(condition_id: str, n, p, m, eps_grid=()):
         raise ConfigurationError(
             "condition %s needs m >= %d replicates; got %d" % (condition_id, cond.least_m, m)
         )
-    eps_cols = tuple(float(e) for e in eps_grid) if cond.takes_eps else ()
+    eps_cols = tuple(_real(e, "condition %s eps" % condition_id) for e in eps_grid) if cond.takes_eps else ()
     if cond.takes_eps and not eps_cols:
         raise ConfigurationError("condition %s needs a nonempty eps grid" % condition_id)
-    if not all(0.0 < e < math.inf for e in eps_cols):
+    if not all(e > 0.0 for e in eps_cols):
         raise ConfigurationError(
             "condition %s needs finite eps > 0; got %r" % (condition_id, eps_cols)
         )

@@ -50,6 +50,7 @@ from .sampling import (
     standard_normal,
     _integer,
     _point,
+    _real,
     _regime_p,
     _report_json,
     _report_value,
@@ -111,24 +112,19 @@ class ExperimentConfig:
         if self.dist is None:
             object.__setattr__(self, "dist", rademacher())
         # counts are stored as ints, so R=2000.0 and R=2000 hash and report alike
-        for name, what in (("R", "replication count"), ("threads", "threads"), ("m", "m")):
-            if (v := getattr(self, name)) is not None:
-                object.__setattr__(self, name, _integer(v, what))
-        if self.R < 1:
-            raise ConfigurationError("replication count must be >= 1")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1; got %r" % self.threads)
-        # SeedPolicy rejects a non-integral or negative master seed
-        object.__setattr__(self, "master_seed", self.policy().master_seed)
-        # float settings stay floats, so p=1 and p=1.0 hash and report alike
-        object.__setattr__(self, "eps_grid", tuple(map(float, self.eps_grid)))
+        for name, what, least in (
+            ("R", "replication count", 1), ("threads", "threads", 1), ("master_seed", "master seed", 0)
+        ):
+            object.__setattr__(self, name, _integer(getattr(self, name), what, least))
+        if self.m is not None:
+            object.__setattr__(self, "m", _integer(self.m, "m"))
+        # reals are stored as floats, so p=1 and p=1.0 hash and report alike
+        object.__setattr__(self, "eps_grid", tuple(_real(e, "eps") for e in self.eps_grid))
         for name in ("p", "a", "ks_threshold"):
             if (v := getattr(self, name)) is not None:
-                object.__setattr__(self, name, float(v))
+                object.__setattr__(self, name, _real(v, name))
         if not 0.0 < self.ks_threshold < 1.0:
-            raise ConfigurationError(
-                "ks_threshold must be finite and in (0, 1); got %r" % self.ks_threshold
-            )
+            raise ConfigurationError("ks_threshold must be in (0, 1); got %r" % self.ks_threshold)
         object.__setattr__(self, "n_grid", _check_n_grid(self.n_grid))
         if (self.p is None) == (self.a is None):
             raise ConfigurationError("set exactly one of fixed p or exponent a")

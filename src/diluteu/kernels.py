@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedKernelError
-from .sampling import DistributionSpec, _read_rows, sample_row
+from .sampling import DistributionSpec, _read_rows, _real, sample_row
 
 __all__ = [
     "KernelSpec",
@@ -414,10 +414,9 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
         )
     entries: dict[tuple[float, float], float] = {}
     for row in rows:
-        x, y, v = float(row[0]), float(row[1]), float(row[2])
+        x, y = (_real(e, "kernel table point") for e in row[:2])
         key = (x, y) if x <= y else (y, x)
-        if not math.isfinite(v):
-            raise ConfigurationError("kernel table entry at pair %r is %r" % (key, v))
+        v = _real(row[2], "kernel table entry at pair %r" % (key,))
         if key in entries and entries[key] != v:
             raise ConfigurationError(
                 "kernel table breaks symmetry at pair %r: %r vs %r"

@@ -223,7 +223,7 @@ def _normalize_factor(f: Factor, n: int) -> Tuple[str, int, int]:
     kind, i, j = f
     if kind not in ("Phi", "PhiTilde", "Psi"):
         raise ConfigurationError("unknown factor kind %r" % (kind,))
-    i, j = int(i), int(j)
+    i, j = _integer(i, "factor vertex"), _integer(j, "factor vertex")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ConfigurationError("factor %r needs two distinct vertices below n" % (f,))
     if kind in ("Phi", "PhiTilde") and i > j:

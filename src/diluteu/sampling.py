@@ -28,9 +28,9 @@ A graph's packed bytes do not change once it is built, so its edge count
 and degrees are computed once and kept on the graph. A graph with p = 0
 or p = 1 is a constant of n that sample_dilution builds once per (n, p).
 
-Every text input reads its numbers with one grammar, _number, and every
-report writes its values with one writer, _report_value, which spells a
-float, Python or numpy, as its repr.
+Text inputs read numbers with one grammar, _number; a caller's counts and
+int seeds go through _integer and its reals through _real; and every report
+writes its values with one writer, _report_value, which spells a float as its repr.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,19 +69,17 @@ _SLOW_REGIME_NP = 10.0
 
 
 def as_generator(seed) -> Generator:
-    """Turn an int, SeedSequence, or Generator into a PCG64 Generator."""
+    """Turn an int seed >= 0, a SeedSequence or a Generator into a PCG64 Generator."""
     if isinstance(seed, Generator):
         return seed
-    if isinstance(seed, SeedSequence):
-        return Generator(PCG64(seed))
-    return Generator(PCG64(SeedSequence(int(seed))))
+    return Generator(PCG64(seed if isinstance(seed, SeedSequence) else as_seed_sequence(seed)))
 
 
 def as_seed_sequence(seed) -> SeedSequence:
-    """A new SeedSequence from an int or a SeedSequence, which is copied, not advanced."""
+    """A new SeedSequence from an int seed >= 0 or a SeedSequence, which is copied, not advanced."""
     if isinstance(seed, SeedSequence):
         return SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    return SeedSequence(seed)
+    return SeedSequence(_integer(seed, "seed", 0))
 
 
 # --------------------------------------------------------------------------
@@ -139,11 +138,7 @@ def standard_normal() -> DistributionSpec:
 
 def uniform(a: float, b: float) -> DistributionSpec:
     """Uniform on (a, b), shifted to mean zero if the midpoint is not 0."""
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ConfigurationError(
-            "uniform law needs finite endpoints, got (%r, %r)" % (a, b)
-        )
+    a, b = _real(a, "uniform law endpoint"), _real(b, "uniform law endpoint")
     if not a < b:
         raise ConfigurationError("uniform law needs a < b, got (%r, %r)" % (a, b))
     mid = 0.5 * (a + b)
@@ -171,12 +166,10 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
     auto_center is true; every moment identity in this package assumes
     mean-zero rows, so disable centering only for sampling-level work.
     """
-    vals = [float(v) for v in values]
-    qs = [float(q) for q in probs]
+    vals = [_real(v, "table law value") for v in values]
+    qs = [_real(q, "table law probability") for q in probs]
     if len(vals) != len(qs) or not vals:
         raise ConfigurationError("table law needs matching, nonempty value/prob lists")
-    if not all(map(math.isfinite, vals + qs)):
-        raise ConfigurationError("table law has a non-finite value or probability")
     if any(q < 0 for q in qs):
         raise ConfigurationError("table law has a negative probability")
     total = math.fsum(qs)
@@ -223,23 +216,37 @@ def _number(text: str) -> float:
         raise ConfigurationError("%r is not a number" % text) from None
 
 
-def _integer(v, what: str) -> int:
-    """v as an int: an int (numpy too) or an integral float (200.0 as 200). A
-    bool, a fraction, nan, inf or a non-number raises ConfigurationError."""
+def _integer(v, what: str, least=None) -> int:
+    """v as an int: an int (numpy too) or an integral float (200.0 as 200), at
+    least `least` when given. A bool, a fraction, nan, inf, a non-number or a
+    value below least raises ConfigurationError."""
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    if isinstance(v, (float, np.floating)) and float(v).is_integer():
-        return int(v)
-    raise ConfigurationError("%s must be an integer; got %r" % (what, v))
+        v = int(v)
+    elif isinstance(v, (float, np.floating)) and float(v).is_integer():
+        v = int(v)
+    else:
+        raise ConfigurationError("%s must be an integer; got %r" % (what, v))
+    if least is not None and v < least:
+        raise ConfigurationError("%s must be >= %d; got %d" % (what, least, v))
+    return v
+
+
+def _real(v, what: str) -> float:
+    """v as a float: an int or a float (numpy too). A bool, a non-number, nan,
+    an infinity or an int past the float range raises ConfigurationError."""
+    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
+        if abs(v) <= sys.float_info.max:  # false for nan
+            return float(v)
+    raise ConfigurationError("%s must be a finite real number; got %r" % (what, v))
 
 
 def _point(n, p, floor: bool = False):
-    """(n, p) of a pair statistic as (int, float): n a count >= 2 and p in
-    (0, 1], nan refused; with floor, n*p >= 1 too, as every sweep needs."""
+    """(n, p) of a pair statistic as (int, float): n a count >= 2 and p a real
+    in (0, 1]; with floor, n*p >= 1 too, as every sweep needs."""
     n = _integer(n, "n")
     if n < 2:
         raise ConfigurationError("a pair statistic needs n >= 2; got n=%d" % n)
-    p = float(p)
+    p = _real(p, "p")
     if not 0.0 < p <= 1.0:
         raise ConfigurationError("dilution p=%r out of range at n=%d" % (p, n))
     if floor and n * p < 1.0:
@@ -312,9 +319,7 @@ def _sign(v: float) -> float:
 
 def sample_row(n: int, dist: DistributionSpec, seed) -> np.ndarray:
     """n i.i.d. draws from dist; bit-identical for identical inputs."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ConfigurationError("sample_row needs n >= 1, got %r" % n)
+    n = _integer(n, "n", 1)
     rng = as_generator(seed)
     if dist.kind == "rademacher":
         return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
@@ -502,9 +507,8 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
     p = 0 and p = 1 draw nothing and ignore the seed: they return one
     shared graph per (n, p) for the last two such pairs.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ConfigurationError("sample_dilution needs n >= 1, got %r" % n)
+    n = _integer(n, "n", 1)
+    p = _real(p, "dilution probability")
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
     if p == 0.0 or p == 1.0:
@@ -563,6 +567,7 @@ def dilution_regime(n: int, a: float) -> float:
 def _regime_p(n: int, a: float) -> float:
     """p = n^(-a), with n by the point rule and a in [0, 1) checked; never warns."""
     n = _point(n, 1.0)[0]
+    a = _real(a, "dilution exponent a")
     if not 0.0 <= a < 1.0:
         raise ConfigurationError(
             "dilution exponent a=%r outside [0, 1); n*p would not diverge" % a
@@ -597,9 +602,7 @@ class SeedPolicy:
     master_seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master seed"))
-        if self.master_seed < 0:
-            raise ConfigurationError("master seed must be >= 0; got %r" % (self.master_seed,))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master seed", 0))
 
     def child(self, stream_label: str, *index: int) -> SeedSequence:
         digest = hashlib.sha256(stream_label.encode("utf8")).digest()

@@ -159,9 +159,12 @@ ESTIMATORS = {
     "ETA2": lambda k, law, n, p: d.estimate_eta2(k, law, n, p, 2, 1),
 }
 NOT_INTEGRAL = "n must be an integer; got"
-NAN_P = "dilution p=nan out of range"
+NAN_P = "p must be a finite real number; got nan"
 BELOW_FLOOR = "n\\*p = 0.250 < 1 at n=5"
 _NIL = d.Estimate(value=0.0, se=0.0)
+REAL = "must be a finite real number; got"
+NOT_A_SEED = "seed must be an integer; got"
+_RAD_TABLE = [(-1, -1, 1), (-1, 1, -1), (1, 1, "1")]
 POINT_REFUSALS = {
     "moments_closed_form-200.7": (lambda k, law: d.moments_closed_form(k, law, 200.7, 0.3), NOT_INTEGRAL),
     "moments_closed_form-bool": (lambda k, law: d.moments_closed_form(k, law, True, 0.3), NOT_INTEGRAL),
@@ -178,6 +181,50 @@ POINT_REFUSALS = {
     "sample_realization-20.5": (lambda k, law: d.sample_realization(20.5, law, k, 0.3, 1), NOT_INTEGRAL),
     "dilution_regime-200.5": (lambda k, law: d.dilution_regime(200.5, 0.3), NOT_INTEGRAL),
     "C4-bool": (lambda k, law: d.estimate_C4(k, law, True, 0.3, 100, 1), NOT_INTEGRAL),
+    "moments_closed_form-p-bool": (lambda k, law: d.moments_closed_form(k, law, 20, True), "p " + REAL),
+    "moments_closed_form-p-str": (lambda k, law: d.moments_closed_form(k, law, 20, "0.3"), "p " + REAL),
+    "sample_dilution-p-bool": (lambda k, law: d.sample_dilution(5, True, 1), "probability " + REAL),
+    "sample_dilution-p-str": (lambda k, law: d.sample_dilution(5, "0.3", 1), "probability " + REAL),
+    "sample_realization-p-bool": (lambda k, law: d.sample_realization(20, law, k, True, 1), REAL),
+    "sample_realization-p-str": (lambda k, law: d.sample_realization(20, law, k, "0.3", 1), REAL),
+    "dilution_regime-a-str": (lambda k, law: d.dilution_regime(200, "0.3"), "exponent a " + REAL),
+    "sweep_condition-a-str": (
+        lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, a="0.3"),
+        "exponent a " + REAL,
+    ),
+    "sweep_condition-p_fixed-str": (
+        lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, p_fixed="0.3"),
+        "p " + REAL,
+    ),
+    "config-p-str": (lambda k, law: d.ExperimentConfig(dist=law, n_grid=(40,), p="0.3"), "p " + REAL),
+    "config-a-str": (lambda k, law: d.ExperimentConfig(dist=law, n_grid=(200,), a="0.3"), "a " + REAL),
+    "config-ks_threshold-str": (
+        lambda k, law: d.ExperimentConfig(dist=law, n_grid=(40,), p=0.3, ks_threshold="0.05"),
+        "ks_threshold " + REAL,
+    ),
+    "config-eps-str": (
+        lambda k, law: d.ExperimentConfig(dist=law, n_grid=(40,), p=0.3, eps_grid=("0.5",)), "eps " + REAL
+    ),
+    "C2-eps-str": (lambda k, law: d.estimate_C2(k, law, 40, 0.3, ("0.5",), 100, 1), "C2 eps " + REAL),
+    "uniform-str": (lambda k, law: d.uniform("-1", 1), "endpoint " + REAL),
+    "table-str": (lambda k, law: d.table([-1, 1], ["0.5", 0.5]), "probability " + REAL),
+    "kernel_from_table-str": (
+        lambda k, law: d.kernel_from_table("t", _RAD_TABLE, d.rademacher()), r"pair \(1\.0, 1\.0\) " + REAL
+    ),
+    "enumerate_exact-vertex-0.5": (
+        lambda k, law: d.enumerate_exact(k, law, 3, 0.5, [(("Phi", 0.5, 2),)]), "factor vertex must be an integer"
+    ),
+    "as_generator-1.5": (lambda k, law: d.as_generator(1.5), NOT_A_SEED),
+    "as_seed_sequence-1.5": (lambda k, law: d.as_seed_sequence(1.5), NOT_A_SEED),
+    "sample_row-seed-1.5": (lambda k, law: d.sample_row(5, law, 1.5), NOT_A_SEED),
+    "sample_row-seed-bool": (lambda k, law: d.sample_row(5, law, True), NOT_A_SEED),
+    "sample_row-seed-str": (lambda k, law: d.sample_row(5, law, "7"), NOT_A_SEED),
+    "sample_dilution-seed-2.9": (lambda k, law: d.sample_dilution(30, 0.5, 2.9), NOT_A_SEED),
+    "C2-seed-1.5": (lambda k, law: d.estimate_C2(k, law, 40, 0.3, (0.5,), 100, 1.5), NOT_A_SEED),
+    "sample_realization-seed-1.5": (lambda k, law: d.sample_realization(20, law, k, 0.3, 1.5), NOT_A_SEED),
+    "moments_mc-seed-2.5": (lambda k, law: d.moments_mc(k, law, 20, 0.3, 100, 2.5), NOT_A_SEED),
+    "moments_mc-seed-negative": (lambda k, law: d.moments_mc(k, law, 20, 0.3, 100, -3), "seed must be >= 0; got -3"),
+    "sample_row-seed-negative": (lambda k, law: d.sample_row(5, law, -3), "seed must be >= 0; got -3"),
 }
 for _cid, _fn in ESTIMATORS.items():
     for _tag, _n, _p, _match in (
@@ -188,11 +235,41 @@ for _cid, _fn in ESTIMATORS.items():
 
 @pytest.mark.parametrize("case", sorted(POINT_REFUSALS))
 def test_every_entry_point_refuses_a_bad_point(case, skewed):
-    # each ran a truncated n, returned a value or raised numpy's TypeError;
-    # an estimator takes a sweep's n*p >= 1 floor, the moments and samplers do not
+    # each ran a truncated n or seed, returned a value (a bool p as 1.0, a
+    # string real as its float) or raised a TypeError or ValueError; an
+    # estimator takes a sweep's n*p >= 1 floor, the moments and samplers do not
     call, match = POINT_REFUSALS[case]
     with pytest.raises(d.ConfigurationError, match=match):
         call(d.sign_kernel(skewed), skewed)
+
+
+def _run_bytes(config):
+    result = d.run_clt_experiment(config)
+    return d.emit_report(result, "json", None, config_hash=config.config_hash(), seed=config.master_seed)
+
+
+@pytest.mark.parametrize("p, same", [(np.float64(0.3), 0.3), (1, 1.0)], ids=["numpy-float", "int"])
+def test_a_numpy_or_int_p_runs_as_its_float(p, same, skewed):
+    k = d.sign_kernel(skewed)
+    configs = [d.ExperimentConfig(dist=skewed, n_grid=(40,), p=v, R=50) for v in (p, same)]
+    assert configs[0].config_hash() == configs[1].config_hash()
+    assert _run_bytes(configs[0]) == _run_bytes(configs[1])
+    a, b = (d.sample_realization(40, skewed, k, v, 1) for v in (p, same))
+    assert np.array_equal(a.z.packed, b.z.packed) and np.array_equal(a.x, b.x) and a.u_value == b.u_value
+    ms = [d.moments_closed_form(k, skewed, 40, v).to_json() for v in (p, same)]
+    assert ms[0] == ms[1]
+
+
+def test_a_numpy_int_seed_runs_as_its_int(skewed):
+    k = d.sign_kernel(skewed)
+    configs = [d.ExperimentConfig(dist=skewed, n_grid=(40,), p=0.3, R=50, master_seed=s) for s in (np.int64(6), 6)]
+    assert configs[0].config_hash() == configs[1].config_hash()
+    assert _run_bytes(configs[0]) == _run_bytes(configs[1])
+    s = np.int64(6)
+    assert np.array_equal(d.sample_row(40, skewed, s), d.sample_row(40, skewed, 6))
+    assert np.array_equal(d.sample_dilution(40, 0.3, s).packed, d.sample_dilution(40, 0.3, 6).packed)
+    assert d.estimate_C2(k, skewed, 40, 0.3, (0.5,), 100, s) == d.estimate_C2(k, skewed, 40, 0.3, (0.5,), 100, 6)
+    assert d.moments_mc(k, skewed, 40, 0.3, 100, s).to_json() == d.moments_mc(k, skewed, 40, 0.3, 100, 6).to_json()
 
 
 def test_an_integral_float_n_runs_as_its_int(skewed):
@@ -748,13 +825,15 @@ def test_sweep_rejects_a_bad_p_before_any_cell(rad, policy, monkeypatch, p_fixed
 def test_sweep_rejects_a_bad_eps_before_any_cell(rad, policy, monkeypatch, eps):
     # a nan cut keeps nothing and would read as convergence to 0; eps <= 0
     # keeps everything, an untruncated moment
+    # (the real-number rule refuses nan and inf first)
     cells = []
     monkeypatch.setattr(d.conditions, "estimate_C1", lambda *a: cells.append(a))
     k = d.sign_kernel(rad)
-    with pytest.raises(d.ConfigurationError, match="C1 needs finite eps > 0"):
+    match = "C1 needs finite eps > 0" if math.isfinite(eps) else "eps must be a finite real number; got %r" % eps
+    with pytest.raises(d.ConfigurationError, match=match):
         d.sweep_condition("C1", k, rad, policy, n_grid=(20, 40), eps_grid=(0.5, eps), a=0.3)
     assert cells == []
-    with pytest.raises(d.ConfigurationError, match="C1 needs finite eps > 0"):
+    with pytest.raises(d.ConfigurationError, match=match):
         d.ExperimentConfig(dist=rad, n_grid=(20, 40), a=0.3, conditions=("C1",), eps_grid=(eps,))
 
 
@@ -803,16 +882,17 @@ def eps_estimator(cond):
 @pytest.mark.parametrize("cond", sorted(EPS_CASES))
 @pytest.mark.parametrize(
     "eps_grid, match",
-    [((0.5, float("nan")), "finite eps > 0"), ((0.5, float("inf")), "finite eps > 0"),
-     ((0.5, 0.0), "finite eps > 0"), ((0.5, -1.0), "finite eps > 0"),
-     ((), "a nonempty eps grid")],
+    [((0.5, float("nan")), "eps must be a finite real number; got nan"),
+     ((0.5, float("inf")), "eps must be a finite real number; got inf"),
+     ((0.5, 0.0), "needs finite eps > 0"), ((0.5, -1.0), "needs finite eps > 0"),
+     ((), "needs a nonempty eps grid")],
     ids=["nan", "inf", "zero", "negative", "empty"],
 )
 def test_a_direct_eps_estimator_call_takes_the_sweep_eps_rule(cond, eps_grid, match, norm):
     # a nan or infinite cut keeps nothing and would read as convergence to
     # 0, eps <= 0 keeps everything, and an empty grid estimates nothing
     k = d.kernel_by_name(EPS_CASES[cond], norm)
-    with pytest.raises(d.ConfigurationError, match="condition %s needs %s" % (cond, match)):
+    with pytest.raises(d.ConfigurationError, match="condition %s %s" % (cond, match)):
         eps_estimator(cond)(k, norm, 16, 0.7, eps_grid, 4096, 5)
 
 

@@ -214,14 +214,14 @@ def test_kernel_table_file_takes_the_flags_number_grammar(tmp_path, rad):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: d.table([-1, 1], [math.nan, 1.0]), "non-finite"),
-        (lambda: d.table([-1, math.inf], [0.5, 0.5]), "non-finite"),
-        (lambda: d.uniform(-math.inf, 1.0), "finite endpoints"),
+        (lambda: d.table([-1, 1], [math.nan, 1.0]), "table law probability must be a finite real number; got nan"),
+        (lambda: d.table([-1, math.inf], [0.5, 0.5]), "table law value must be a finite real number; got inf"),
+        (lambda: d.uniform(-math.inf, 1.0), "uniform law endpoint must be a finite real number; got -inf"),
         (
             lambda: d.kernel_from_table(
                 "t", [(-1, -1, 1), (-1, 1, math.nan), (1, 1, 1)], d.rademacher()
             ),
-            r"pair \(-1\.0, 1\.0\) is nan",
+            r"pair \(-1\.0, 1\.0\) must be a finite real number; got nan",
         ),
         (
             lambda: d.kernels._verify_registration(
