@@ -58,6 +58,7 @@ from .sampling import (
     as_generator,
     as_seed_sequence,
     sample_row,
+    _exponent,
     _integer,
     _point,
     _real,
@@ -534,8 +535,10 @@ def sweep_condition(
     column, so each row is nonincreasing in eps. Its seed derives from the
     first column's label, cond/<id>/n<n>/eps<first eps> (epsNone if
     eps-free): a row can be recomputed in isolation, and a one-column
-    sweep draws what the first column of a wider one does.
+    sweep draws what the first column of a wider one does. a is checked
+    even when p_fixed overrides it.
     """
+    a = _exponent(a)
     points, eps_cols, m = _check_sweep(
         condition_id, n_grid, eps_grid, m, lambda n: _regime_p(n, a) if p_fixed is None else p_fixed
     )

@@ -71,9 +71,6 @@ __all__ = [
     "load_kernel_table",
 ]
 
-_EXACT_TOL = 1e-12
-
-
 def _quadratic(fx: np.ndarray, m: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """fx^T m fy over the last axis, broadcasting the leading ones."""
     return np.sum((fx @ m) * fy, axis=-1)
@@ -193,14 +190,6 @@ def _same_law(kernel: KernelSpec, dist: DistributionSpec) -> None:
         )
 
 
-def _require_mean_zero(dist: DistributionSpec, kernel_name: str) -> None:
-    if abs(dist.mean) > _EXACT_TOL:
-        raise ConfigurationError(
-            "%s kernel requires a mean-zero row law; got mean %r"
-            % (kernel_name, dist.mean)
-        )
-
-
 def _with_ones(v: np.ndarray) -> np.ndarray:
     """Features (v, 1) along a new last axis."""
     return np.stack((v, np.ones_like(v)), axis=-1)
@@ -208,8 +197,6 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
 
 def product_kernel(dist: DistributionSpec) -> KernelSpec:
     """h(x, y) = x*y: phi(x) = x, A = 1. Degenerate for every mean-zero law."""
-    _require_mean_zero(dist, "product")
-
     def ev(x, y):
         return np.asarray(x, np.float64) * np.asarray(y, np.float64)
 
@@ -231,7 +218,6 @@ def additive_kernel(dist: DistributionSpec) -> KernelSpec:
 
     Purely linear: g(x) = x and H~ vanishes identically.
     """
-    _require_mean_zero(dist, "additive")
     var = float(dist.variance)
 
     def ev(x, y):
@@ -259,11 +245,14 @@ def sign_kernel(dist: DistributionSpec) -> KernelSpec:
         phi(x)  = (sign x, 1),  A = diag(1, -sb^2)
         mu      = (sb, 1),      Sigma = [[q, sb], [sb, 1]]
 
-    so g(x) = sb (sign(x) - sb). For symmetric laws sb = 0, the shift
-    disappears and the kernel is degenerate with H~ = H.
+    so g(x) = sb (sign(x) - sb), with sb and q summed over the law's
+    support. A continuous law (normal, centered uniform) is symmetric with
+    no atoms: its sign is a fair sign, so sb = 0 and q = 1. For symmetric
+    laws the shift disappears and the kernel is degenerate with H~ = H.
     """
-    sb = float(dist.sign_mean)
-    q = float(dist.nonzero_prob)
+    law = tuple(zip(dist.support, dist.probs)) if dist.is_discrete else ((-1.0, 0.5), (1.0, 0.5))
+    sb = math.fsum(w * ((v > 0) - (v < 0)) for v, w in law)
+    q = math.fsum(w for v, w in law if v != 0.0)
     shift = sb * sb
 
     def ev(x, y):

@@ -35,6 +35,7 @@ from .sampling import (
     sample_row,
     _integer,
     _point,
+    _real,
     _report_json,
     _report_value,
 )
@@ -92,8 +93,10 @@ class MomentSet:
 
 
 def variance_exact(n: int, p: float, beta2: float, gamma2: float) -> float:
-    """binom(n,2)^{-1} (beta2 + 2(n-2) p gamma2); at n=2 just beta2."""
+    """binom(n,2)^{-1} (beta2 + 2(n-2) p gamma2); at n=2 just beta2. beta2 and
+    gamma2 are read as reals with no sign check: a computed E[g^2] may round below 0."""
     n, p = _point(n, p)
+    beta2, gamma2 = _real(beta2, "beta2"), _real(gamma2, "gamma2")
     return (beta2 + 2.0 * (n - 2) * p * gamma2) / math.comb(n, 2)
 
 

@@ -88,20 +88,14 @@ def as_seed_sequence(seed) -> SeedSequence:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A supported row law with the moments downstream code needs.
-
-    All built-in constructors produce mean-zero laws; user tables are
-    auto-centered (with a warning) unless explicitly told not to. The
-    extra moments carried here (sign mean, nonzero probability) feed the
-    closed-form kernel structure.
-    """
+    """A supported row law: kind, params and variance, and a discrete law's
+    support and probs. Every constructor returns a mean-zero law (a table or
+    uniform with a nonzero mean is shifted, with a warning); a kernel derives
+    any other moment it needs from these fields."""
 
     kind: str
     params: tuple = ()
-    mean: float = 0.0
     variance: float = 1.0
-    sign_mean: float = 0.0
-    nonzero_prob: float = 1.0
     support: tuple | None = None
     probs: tuple | None = None
 
@@ -125,8 +119,6 @@ def rademacher() -> DistributionSpec:
     return DistributionSpec(
         kind="rademacher",
         variance=1.0,
-        sign_mean=0.0,
-        nonzero_prob=1.0,
         support=(-1.0, 1.0),
         probs=(0.5, 0.5),
     )
@@ -153,18 +145,15 @@ def uniform(a: float, b: float) -> DistributionSpec:
         kind="uniform",
         params=(a, b),
         variance=(b - a) ** 2 / 12.0,
-        sign_mean=0.0,
-        nonzero_prob=1.0,
     )
 
 
-def table(values, probs, auto_center: bool = True) -> DistributionSpec:
+def table(values, probs) -> DistributionSpec:
     """Discrete law from explicit (value, probability) pairs.
 
     Duplicate values are merged. Probabilities must be nonnegative and sum
-    to 1 within 1e-12. A nonzero mean is shifted away with a warning when
-    auto_center is true; every moment identity in this package assumes
-    mean-zero rows, so disable centering only for sampling-level work.
+    to 1 within 1e-12. A mean past 1e-12 is shifted away with a warning,
+    since every moment identity in this package assumes mean-zero rows.
     """
     vals = [_real(v, "table law value") for v in values]
     qs = [_real(q, "table law probability") for q in probs]
@@ -183,7 +172,7 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
     vals = sorted(merged)
     qs = [merged[v] for v in vals]
     mean = math.fsum(v * q for v, q in zip(vals, qs))
-    if auto_center and abs(mean) > _PROB_TOL:
+    if abs(mean) > _PROB_TOL:
         warnings.warn(
             "table law has mean %.6g; auto-centering (values shifted by the "
             "mean) to keep row laws mean-zero" % mean,
@@ -192,14 +181,9 @@ def table(values, probs, auto_center: bool = True) -> DistributionSpec:
         vals = [v - mean for v in vals]
         mean = 0.0
     var = math.fsum(q * (v - mean) ** 2 for v, q in zip(vals, qs))
-    sign_mean = math.fsum(q * _sign(v) for v, q in zip(vals, qs))
-    nonzero = math.fsum(q for v, q in zip(vals, qs) if v != 0.0)
     return DistributionSpec(
         kind="table",
-        mean=mean,
         variance=var,
-        sign_mean=sign_mean,
-        nonzero_prob=nonzero,
         support=tuple(vals),
         probs=tuple(qs),
     )
@@ -311,10 +295,6 @@ def table_from_file(path) -> DistributionSpec:
     and numbers are read as flags read them (5/6 is allowed, nan is not)."""
     rows = _read_rows(path, "distribution table", 2)
     return table([v for v, _ in rows], [q for _, q in rows])
-
-
-def _sign(v: float) -> float:
-    return (v > 0) - (v < 0)
 
 
 def sample_row(n: int, dist: DistributionSpec, seed) -> np.ndarray:
@@ -504,14 +484,17 @@ def sample_dilution(n: int, p: float, seed) -> DilutionGraph:
     size nor the platform's byte order. The packed bytes are read-only.
     A draw first frees the kept edge list.
 
-    p = 0 and p = 1 draw nothing and ignore the seed: they return one
-    shared graph per (n, p) for the last two such pairs.
+    p = 0 and p = 1 draw nothing: they check a given seed by the seed rule,
+    accept None, and return one shared graph per (n, p) for the last two
+    such pairs.
     """
     n = _integer(n, "n", 1)
     p = _real(p, "dilution probability")
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError("dilution probability %r outside [0, 1]" % p)
     if p == 0.0 or p == 1.0:
+        if not (seed is None or isinstance(seed, (SeedSequence, Generator))):
+            _integer(seed, "seed", 0)
         return _constant_graph(n, bool(p))
     global _kept
     _kept = None  # free the last graph's edge list before drawing a new one
@@ -565,14 +548,19 @@ def dilution_regime(n: int, a: float) -> float:
 
 
 def _regime_p(n: int, a: float) -> float:
-    """p = n^(-a), with n by the point rule and a in [0, 1) checked; never warns."""
+    """p = n^(-a), with n by the point rule and a by _exponent; never warns."""
     n = _point(n, 1.0)[0]
+    return float(n) ** (-_exponent(a))
+
+
+def _exponent(a) -> float:
+    """The dilution exponent a as a float in [0, 1), so that n*p = n^(1-a) diverges."""
     a = _real(a, "dilution exponent a")
     if not 0.0 <= a < 1.0:
         raise ConfigurationError(
             "dilution exponent a=%r outside [0, 1); n*p would not diverge" % a
         )
-    return float(n) ** (-a)
+    return a
 
 
 def _warn_if_slow(n: int, p: float, stacklevel: int = 2) -> None:

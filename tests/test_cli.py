@@ -3,6 +3,7 @@ subcommand, flag-over-file precedence, and the module entry point."""
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -43,8 +44,8 @@ def test_parse_dist_inline_table_with_fractions():
     t = parse_dist("table:-1=5/6,5=1/6")
     assert t.support == (-1.0, 5.0)
     assert t.probs == pytest.approx((5.0 / 6.0, 1.0 / 6.0))
-    assert t.sign_mean == pytest.approx(-2.0 / 3.0)
-    assert abs(t.mean) < 1e-15
+    assert d.sign_kernel(t).feature_mean[0] == pytest.approx(-2.0 / 3.0)
+    assert abs(math.fsum(v * q for v, q in zip(t.support, t.probs))) < 1e-15
 
 
 def test_parse_dist_table_file(tmp_path):

@@ -63,11 +63,12 @@ def exact_case(case, skewed, tri, tri_kernel):
     return (tri_kernel if case == "tri" else d.kernel_by_name(case, tri)), tri
 
 
-def exact_condition(cid, k, law, n, p, eps):
-    """(exact value, exact standard deviation of one draw) of an eps
+def exact_condition(cid, k, law, n, p, eps=None):
+    """(exact value, exact standard deviation of one draw) of a truncated
     condition on a finite law: the integrand's first and second moments as
     sums over the support (C1: and over the Binomial(n - 1, p) row count),
-    with g, h~, H and H~ built here from the table of h alone."""
+    with g, h~, H and H~ built here from the table of h alone. C4 and C4'
+    take no eps: p^2 sum_ab q_a q_b H(a, b)^2 / theta^4, and the same with H~."""
     t2 = d.moments_closed_form(k, law, n, p).theta2
     x = np.asarray(law.support, np.float64)
     q = np.asarray(law.probs, np.float64)
@@ -86,6 +87,10 @@ def exact_condition(cid, k, law, n, p, eps):
     elif cid in ("C2", "C2''"):
         size, w = (ht if cid == "C2" else h), pair_q
         y, cut, factor = size * size, eps * math.sqrt(t2) * n, 1.0 / t2
+    elif cid in ("C4", "C4'"):  # both of the pair's bits are 1
+        f = h if cid == "C4" else ht
+        size, w = (f * q) @ f, p * pair_q
+        y, cut, factor = size * size, 0.0, 1.0 / (t2 * t2)
     else:  # C3, C3'': the diagonal of H~ or H
         f = ht if cid == "C3" else h
         size, w = np.diag((f * q) @ f), q
@@ -96,25 +101,65 @@ def exact_condition(cid, k, law, n, p, eps):
     return mean * factor, math.sqrt(var) * factor
 
 
+def check_exact(cid, k, law, n, p, eps_grid, m, seed):
+    """Assert each estimate of cid at (n, p), one per eps (C4 and C4': one),
+    within 4 standard errors of exact_condition, taken from the exact spread
+    of one draw: a sample SE is 0 when no draw hits a rare cut. Returns the
+    number of nonzero exact values."""
+    if cid in ("C4", "C4'"):
+        cells = [(None, (d.estimate_C4 if cid == "C4" else d.estimate_C4prime)(k, law, n, p, m, seed))]
+    else:
+        cells = zip(eps_grid, eps_estimator(cid)(k, law, n, p, eps_grid, m, seed))
+    nonzero = 0
+    for eps, est in cells:
+        exact, sd = exact_condition(cid, k, law, n, p, eps)
+        nonzero += exact > 0.0
+        tol = 4.0 * sd / math.sqrt(m) + 1e-12 * max(1.0, abs(exact))
+        assert abs(est.value - exact) <= tol, (k.name, law.describe(), cid, n, p, eps, est, exact)
+    return nonzero
+
+
 @pytest.mark.parametrize("cid", ["C1", "C2", "C3", "C1''", "C2''", "C3''"])
 def test_eps_conditions_match_exact_sums_on_finite_laws(cid, skewed, tri, tri_kernel):
-    # within 4 standard errors taken from the exact second moment: a sample
-    # SE is 0 when no draw hits a rare cut (sign, skewed law, n=50, p=50^-0.3,
+    # the SE from the exact second moment (sign, skewed law, n=50, p=50^-0.3,
     # eps=0.5: C1 is 0.00231, and 4096 draws can see no event)
-    m, eps_grid = 4096, (0.01, 0.1, 0.5)
     nonzero = 0
     for case in EXACT_CASES:
         k, law = exact_case(case, skewed, tri, tri_kernel)
         for n in (50, 200):
             for p in (n**-0.3, 0.7):
                 seed = d.SeedPolicy(6).child("exact/%s/%s" % (case, cid), n)
-                ests = eps_estimator(cid)(k, law, n, p, eps_grid, m, seed)
-                for eps, est in zip(eps_grid, ests):
-                    exact, sd = exact_condition(cid, k, law, n, p, eps)
-                    nonzero += exact > 0.0
-                    tol = 4.0 * sd / math.sqrt(m) + 1e-12 * max(1.0, abs(exact))
-                    assert abs(est.value - exact) <= tol, (case, n, p, eps, est, exact)
+                nonzero += check_exact(cid, k, law, n, p, (0.01, 0.1, 0.5), 4096, seed)
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("cid", ["C4", "C4'"])
+def test_c4_conditions_match_exact_sums_on_finite_laws(cid, skewed, tri, tri_kernel):
+    # the SE from the exact fourth moment of G
+    for case in EXACT_CASES:
+        k, law = exact_case(case, skewed, tri, tri_kernel)
+        for n in (50, 200):
+            for p in (n**-0.3, 0.7):
+                seed = d.SeedPolicy(6).child("exact/%s/%s" % (case, cid), n)
+                check_exact(cid, k, law, n, p, (), 16384, seed)
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_c4_support_sums_equal_their_traces(case, skewed, tri, tri_kernel):
+    # sum_ab q_a q_b H(a, b)^2 from the table of h against tr(M S M S) from
+    # the kernel's (A, mu, Sigma): M = A Sigma A, S = Sigma for H; M = A Cov A,
+    # S = Cov = Sigma - mu mu^T for H~
+    k, law = exact_case(case, skewed, tri, tri_kernel)
+    x = np.asarray(law.support, np.float64)
+    q = np.asarray(law.probs, np.float64)
+    h = k.pair_values(*np.meshgrid(x, x, indexing="ij"))
+    g = h @ q
+    a, mu, sigma = k.coef, k.feature_mean, k.feature_moment
+    for f, cov in ((h, sigma), (h - g[:, None] - g[None, :], sigma - np.outer(mu, mu))):
+        big_h = (f * q) @ f
+        m = a @ cov @ a
+        trace = float(np.trace(m @ cov @ m @ cov))
+        assert float(q @ (big_h * big_h) @ q) == pytest.approx(trace, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +237,18 @@ POINT_REFUSALS = {
         lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, a="0.3"),
         "exponent a " + REAL,
     ),
+    "sweep_condition-a-str-p_fixed": (
+        lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, a="0.3", p_fixed=0.5),
+        "exponent a " + REAL,
+    ),
+    "sweep_condition-a-5-p_fixed": (
+        lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, a=5.0, p_fixed=0.5),
+        r"exponent a=5\.0 outside \[0, 1\)",
+    ),
+    "sweep_condition-a-bool-p_fixed": (
+        lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, a=True, p_fixed=0.5),
+        "exponent a " + REAL,
+    ),
     "sweep_condition-p_fixed-str": (
         lambda k, law: d.sweep_condition("C4", k, law, d.SeedPolicy(6), n_grid=(40,), m=100, p_fixed="0.3"),
         "p " + REAL,
@@ -220,6 +277,16 @@ POINT_REFUSALS = {
     "sample_row-seed-bool": (lambda k, law: d.sample_row(5, law, True), NOT_A_SEED),
     "sample_row-seed-str": (lambda k, law: d.sample_row(5, law, "7"), NOT_A_SEED),
     "sample_dilution-seed-2.9": (lambda k, law: d.sample_dilution(30, 0.5, 2.9), NOT_A_SEED),
+    "sample_dilution-p1-seed-2.9": (lambda k, law: d.sample_dilution(5, 1.0, 2.9), NOT_A_SEED),
+    "sample_dilution-p0-seed-negative": (lambda k, law: d.sample_dilution(5, 0.0, -3), "seed must be >= 0; got -3"),
+    "sample_dilution-p1-seed-bool": (lambda k, law: d.sample_dilution(5, 1.0, True), NOT_A_SEED),
+    "sample_dilution-p1-seed-str": (lambda k, law: d.sample_dilution(5, 1.0, "7"), NOT_A_SEED),
+    "variance_exact-beta2-bool": (lambda k, law: d.variance_exact(20, 0.3, True, 1.0), "beta2 " + REAL),
+    "variance_exact-beta2-nan": (lambda k, law: d.variance_exact(20, 0.3, math.nan, 1.0), "beta2 " + REAL),
+    "variance_exact-beta2-str": (lambda k, law: d.variance_exact(20, 0.3, "1.0", 1.0), "beta2 " + REAL),
+    "variance_exact-gamma2-bool": (lambda k, law: d.variance_exact(20, 0.3, 1.0, True), "gamma2 " + REAL),
+    "variance_exact-gamma2-nan": (lambda k, law: d.variance_exact(20, 0.3, 1.0, math.nan), "gamma2 " + REAL),
+    "variance_exact-gamma2-str": (lambda k, law: d.variance_exact(20, 0.3, 1.0, "1.0"), "gamma2 " + REAL),
     "C2-seed-1.5": (lambda k, law: d.estimate_C2(k, law, 40, 0.3, (0.5,), 100, 1.5), NOT_A_SEED),
     "sample_realization-seed-1.5": (lambda k, law: d.sample_realization(20, law, k, 0.3, 1.5), NOT_A_SEED),
     "moments_mc-seed-2.5": (lambda k, law: d.moments_mc(k, law, 20, 0.3, 100, 2.5), NOT_A_SEED),
@@ -681,6 +748,23 @@ def test_random_table_kernels_agree_across_routes(tk, tiny, n, p, seed):
     s1, t1 = pairwise_eta1(k, law, n, p, 0.05, 2, seed)
     eta1 = d.estimate_eta1_mean(k, law, n, p, (0.05,), 2, seed)[0]
     assert eta1.value - s1 == pytest.approx(t1, rel=1e-12, abs=1e-15)
+
+
+@given(table_kernels())
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+def test_truncated_conditions_match_exact_sums_on_random_tables(tk):
+    # a fixed set of tables (derandomized), so the 4-SE check cannot flake
+    values, qs, table = tk
+    assume(np.any(np.abs(table) > 1e-9))  # h = 0 has theta^2 = 0
+    law = d.table(values, qs)
+    k = d.kernel_from_table("random", [(a, b, table[i, j]) for i, a in enumerate(values)
+                                       for j, b in enumerate(values)], dist=law)
+    n = 50
+    for p in (n**-0.3, 0.7):
+        for cid in ("C1", "C2", "C3", "C1''", "C2''", "C3''", "C4", "C4'"):
+            m = 16384 if cid in ("C4", "C4'") else 4096
+            seed = d.SeedPolicy(6).child("exact/random/%s" % cid, n)
+            check_exact(cid, k, law, n, p, (0.01, 0.1, 0.5), m, seed)
 
 
 def test_eta1_bound_flag_and_large_eps_zero(skewed):

@@ -41,7 +41,8 @@ def test_product_kernel_structure(norm):
 
 
 def test_product_requires_centered_law():
-    shifted = d.table([1.0], [1.0], auto_center=False)
+    # built directly: table() would center it
+    shifted = d.DistributionSpec(kind="table", support=(1.0,), probs=(1.0,), variance=0.0)
     with pytest.raises(d.ConfigurationError):
         d.product_kernel(shifted)
     with pytest.raises(d.ConfigurationError):
@@ -82,6 +83,18 @@ def test_sign_kernel_closed_forms(skewed):
 def test_sign_kernel_degenerate_on_symmetric_laws(rad, norm):
     assert d.sign_kernel(rad).degenerate_flag
     assert d.sign_kernel(norm).degenerate_flag
+
+
+def test_sign_kernel_derives_its_feature_moments(tri, norm, unif):
+    # sb = E[sign X] and q = P(X != 0) summed over the law: tri has an atom at 0
+    k = d.sign_kernel(tri)
+    assert (k.feature_mean[0], k.feature_moment[0, 0]) == (-0.25, 0.75)
+    assert k.feature_moment.tolist() == [[0.75, -0.25], [-0.25, 1.0]]
+    # continuous laws are symmetric with no atoms
+    for law in (norm, unif):
+        k = d.sign_kernel(law)
+        assert k.feature_mean.tolist() == [0.0, 1.0]
+        assert k.feature_moment.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_sign_kernel_on_a_near_symmetric_law_registers_as_degenerate():

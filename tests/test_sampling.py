@@ -13,11 +13,16 @@ import diluteu as d
 from conftest import dense_of, rng_of
 
 
+def law_mean(dist):
+    return math.fsum(v * q for v, q in zip(dist.support, dist.probs))
+
+
 def test_rademacher_spec(rad):
-    assert rad.mean == 0.0
+    assert law_mean(rad) == 0.0
     assert rad.variance == 1.0
-    assert rad.sign_mean == 0.0
-    assert rad.nonzero_prob == 1.0
+    sign = d.sign_kernel(rad)
+    assert sign.feature_mean[0] == 0.0  # E[sign X]
+    assert sign.feature_moment[0, 0] == 1.0  # P(X != 0)
     assert rad.is_discrete
     assert set(rad.support) == {-1.0, 1.0}
 
@@ -59,24 +64,27 @@ def test_uniform_rejects_empty_interval():
 
 def test_table_law_exact_moments(skewed):
     # P(-1) = 5/6, P(5) = 1/6: mean 0, variance 5, sign mean -2/3
-    assert abs(skewed.mean) < 1e-15
+    assert abs(law_mean(skewed)) < 1e-15
     assert skewed.variance == pytest.approx(5.0, abs=1e-12)
-    assert skewed.sign_mean == pytest.approx(-2.0 / 3.0, abs=1e-12)
-    assert skewed.nonzero_prob == 1.0
+    sign = d.sign_kernel(skewed)
+    assert sign.feature_mean[0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    assert sign.feature_moment[0, 0] == 1.0
 
 
 def test_table_autocenter_warning_and_shift():
     with pytest.warns(UserWarning, match="auto-centering"):
         t = d.table([1, 3], [0.5, 0.5])
     assert t.support == (-1.0, 1.0)
-    assert t.mean == 0.0
+    assert law_mean(t) == 0.0
 
 
-def test_table_point_mass_without_centering():
-    t = d.table([1.0], [1.0], auto_center=False)
-    assert t.support == (1.0,)
+def test_table_point_mass_centers_to_zero():
+    with pytest.warns(UserWarning, match="auto-centering"):
+        t = d.table([1.0], [1.0])
+    assert t.support == (0.0,)
+    assert law_mean(t) == 0.0
     x = d.sample_row(32, t, 0)
-    assert np.all(x == 1.0)
+    assert np.all(x == 0.0)
 
 
 def test_table_merges_duplicates():
@@ -163,6 +171,9 @@ def test_dilution_degenerate_probabilities():
     assert g0.edge_count() == 0
     assert g1.edge_count() == g1.pair_count == 45
     assert np.array_equal(g1.degrees(), np.full(10, 9))
+    # nothing is drawn, so every valid seed, None included, gives the shared graph
+    for seed in (None, 0, np.random.SeedSequence(3), rng_of(3)):
+        assert d.sample_dilution(10, 1.0, seed) is g1
 
 
 def test_dilution_edge_count_concentrates():
