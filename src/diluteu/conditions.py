@@ -418,9 +418,6 @@ def trend_verdict(estimates: Sequence[float], ses: Sequence[float]) -> str:
     ses_ = np.asarray(ses, dtype=np.float64)
     if est.size == 0:
         raise ConfigurationError("empty estimate series")
-    if est.size == 1:
-        only = est[0] <= max(4.0 * ses_[0], ABSOLUTE_FLOOR)
-        return "decreasing-toward-0" if only else "stagnant"
     first, last = est[0], est[-1]
     band = np.maximum(4.0 * ses_, ABSOLUTE_FLOOR)
     last_small = last <= band[-1]

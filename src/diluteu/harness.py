@@ -274,27 +274,24 @@ def ks_distance(samples, target_cdf) -> float:
 # replication
 
 
-def _standardizer(config: ExperimentConfig, kernel: KernelSpec, dist, n: int, p: float) -> Tuple[float, str]:
-    """The divisor applied to U, and the provenance string recorded."""
+def _standardizer(config: ExperimentConfig, kernel: KernelSpec, dist, n: int, p: float) -> float:
+    """The divisor applied to U under config.standardization."""
     if config.standardization == "mc":
         moments = moments_mc(
             kernel, dist, n, p, m=100_000, seed=config.policy().child("standardize-mc", 0)
         )
         var = moments.var_u_exact
-        prov = "mc"
     else:
         moments = moments_closed_form(kernel, dist, n, p)
         if config.standardization == "asymptotic":
             var = 2.0 * moments.theta2 / math.comb(n, 2)
-            prov = "asymptotic"
         else:
             var = moments.var_u_exact
-            prov = "exact"
     if not var > 0.0:
         raise DegenerateNormalizationError(
             "standardizing variance is %r; the statistic is degenerate" % var
         )
-    return math.sqrt(var), prov
+    return math.sqrt(var)
 
 
 def _each_replicate(seed, m: int, n: int, dist, p: float, body: Callable, threads: int = 1) -> None:
@@ -363,7 +360,7 @@ def run_clt_experiment(config: ExperimentConfig) -> DistTestResult:
     n = config.n_grid[-1]
     p = config.p_at(n)
     kernel = kernel_by_name(config.kernel_name, config.dist)
-    denom, prov = _standardizer(config, kernel, config.dist, n, p)
+    denom = _standardizer(config, kernel, config.dist, n, p)
     samples, evals = _run_replicates(
         config, config.dist, n, p, "replicate/n%d" % n,
         lambda x, graph: compute_ustat(x, graph, kernel) / denom,
@@ -376,7 +373,7 @@ def run_clt_experiment(config: ExperimentConfig) -> DistTestResult:
         n=n,
         R=config.R,
         eval_count=evals,
-        standardization=prov,
+        standardization=config.standardization,
         runtime_seconds=time.perf_counter() - t0,
     )
 

@@ -29,9 +29,11 @@ nothing downstream checks for them or falls back to nested Monte Carlo.
 Table kernels take their law as a required argument too. Only the
 built-ins (product, additive, sign, zero) keep a hand-written h
 (evaluate): it is the per-pair inner loop of every statistic, and the
-generic phi^T A phi form is 4 to 7 times slower per pair. A table
-kernel's h is A read at the support index of its one-hot phi
-(kernel_from_table). Registration checks h against phi^T A phi.
+generic phi^T A phi form is 4 to 7 times slower per pair. Product's and
+additive's h are numpy's multiply and add. A table kernel's h and its
+one-hot phi share one support lookup (kernel_from_table). Every factory
+returns through one call, _registered, which builds the spec and checks
+h against phi^T A phi and (mu, Sigma) against the law.
 
 Centering contract: every registered kernel satisfies E[h(X, Y)] = 0
 under independent draws from the paired law. For the product and additive
@@ -97,9 +99,11 @@ class KernelSpec:
     feature_moment are mu = E[phi(X)] and Sigma = E[phi(X) phi(X)^T] under
     the bound law dist. g, H, H~, K, E[h^2] and E[g^2] (the methods and
     properties below) are derived from these four, and so is
-    degenerate_flag (E[g^2] = 0). Every field is required. The built-in
-    and table factories check phi, A, mu and Sigma against h and the law
-    (_verify_registration); a spec built directly is taken as given.
+    degenerate_flag (E[g^2] = 0). Every field is required. Every factory
+    builds its spec through _registered, which checks phi, A, mu and Sigma
+    against h and the law (_verify_registration); a spec built directly
+    is taken as given. pair_values hands evaluate float64 arrays, so h
+    converts nothing itself.
     """
 
     name: str
@@ -176,8 +180,6 @@ class KernelSpec:
 
     def centered_values(self, xa, xb) -> np.ndarray:
         """h~(x, y) = h(x, y) - g(x) - g(y), with h from evaluate."""
-        xa = np.asarray(xa, np.float64)
-        xb = np.asarray(xb, np.float64)
         return self.pair_values(xa, xb) - self.conditional_mean(xa) - self.conditional_mean(xb)
 
 
@@ -195,22 +197,24 @@ def _with_ones(v: np.ndarray) -> np.ndarray:
     return np.stack((v, np.ones_like(v)), axis=-1)
 
 
+def _registered(**fields) -> KernelSpec:
+    """The one construction path of every factory: build the spec and check it."""
+    spec = KernelSpec(**fields)
+    _verify_registration(spec)
+    return spec
+
+
 def product_kernel(dist: DistributionSpec) -> KernelSpec:
     """h(x, y) = x*y: phi(x) = x, A = 1. Degenerate for every mean-zero law."""
-    def ev(x, y):
-        return np.asarray(x, np.float64) * np.asarray(y, np.float64)
-
-    spec = KernelSpec(
+    return _registered(
         name="product",
-        evaluate=ev,
+        evaluate=np.multiply,
         features=lambda x: x[..., None],
         coef=np.array([[1.0]]),
         feature_mean=np.array([0.0]),
         feature_moment=np.array([[float(dist.variance)]]),
         dist=dist,
     )
-    _verify_registration(spec)
-    return spec
 
 
 def additive_kernel(dist: DistributionSpec) -> KernelSpec:
@@ -219,21 +223,15 @@ def additive_kernel(dist: DistributionSpec) -> KernelSpec:
     Purely linear: g(x) = x and H~ vanishes identically.
     """
     var = float(dist.variance)
-
-    def ev(x, y):
-        return np.asarray(x, np.float64) + np.asarray(y, np.float64)
-
-    spec = KernelSpec(
+    return _registered(
         name="additive",
-        evaluate=ev,
+        evaluate=np.add,
         features=_with_ones,
         coef=np.array([[0.0, 1.0], [1.0, 0.0]]),
         feature_mean=np.array([0.0, 1.0]),
         feature_moment=np.array([[var, 0.0], [0.0, 1.0]]),
         dist=dist,
     )
-    _verify_registration(spec)
-    return spec
 
 
 def sign_kernel(dist: DistributionSpec) -> KernelSpec:
@@ -254,42 +252,28 @@ def sign_kernel(dist: DistributionSpec) -> KernelSpec:
     sb = math.fsum(w * ((v > 0) - (v < 0)) for v, w in law)
     q = math.fsum(w for v, w in law if v != 0.0)
     shift = sb * sb
-
-    def ev(x, y):
-        return np.sign(np.asarray(x, np.float64)) * np.sign(
-            np.asarray(y, np.float64)
-        ) - shift
-
-    spec = KernelSpec(
+    return _registered(
         name="sign",
-        evaluate=ev,
+        evaluate=lambda x, y: np.sign(x) * np.sign(y) - shift,
         features=lambda x: _with_ones(np.sign(x)),
         coef=np.diag([1.0, -shift]),
         feature_mean=np.array([sb, 1.0]),
         feature_moment=np.array([[q, sb], [sb, 1.0]]),
         dist=dist,
     )
-    _verify_registration(spec)
-    return spec
 
 
 def zero_kernel(dist: DistributionSpec) -> KernelSpec:
     """h = 0: the degenerate-normalization edge case (theta^2 = 0)."""
-
-    def zeros2(x, y):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
-    spec = KernelSpec(
+    return _registered(
         name="zero",
-        evaluate=zeros2,
+        evaluate=lambda x, y: np.zeros(np.broadcast(x, y).shape),
         features=lambda x: np.zeros(np.shape(x) + (1,)),
         coef=np.zeros((1, 1)),
         feature_mean=np.zeros(1),
         feature_moment=np.zeros((1, 1)),
         dist=dist,
     )
-    _verify_registration(spec)
-    return spec
 
 
 _BUILTIN_FACTORIES = {
@@ -403,6 +387,8 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
         )
     entries: dict[tuple[float, float], float] = {}
     for row in rows:
+        if len(row) != 3:
+            raise ConfigurationError("kernel table row %r is not an (x, y, value) triple" % (row,))
         x, y = (_real(e, "kernel table point") for e in row[:2])
         key = (x, y) if x <= y else (y, x)
         v = _real(row[2], "kernel table entry at pair %r" % (key,))
@@ -424,43 +410,25 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
     vals = np.asarray(support, np.float64)
     qs = np.asarray(dist.probs, np.float64)
 
-    def index(x):  # position of each x in the support, and whether x is there
+    def at(x):  # the support index of each x; a value off the support raises
         i = np.minimum(np.searchsorted(vals, x), vals.size - 1)
-        return i, vals[i] == x
-
-    def ev(xa, ya):
-        ia, in_a = index(xa)
-        ib, in_b = index(ya)
-        ok = in_a & in_b
-        if not np.all(ok):
-            bad = np.where(in_a, ya, xa)[~ok]
-            raise ConfigurationError(
-                "%d pair(s) with a value outside the kernel table support; "
-                "first %r" % (bad.size, float(bad[0]))
-            )
-        return coef[ia, ib]
-
-    def one_hot(x, _eye=np.eye(vals.size)):
-        i, found = index(x)
-        if not np.all(found):
-            bad = x[~found]
+        off = vals[i] != x
+        if np.any(off):
             raise ConfigurationError(
                 "%d value(s) outside the row-law support; first %r"
-                % (bad.size, float(bad.flat[0]))
+                % (np.count_nonzero(off), float(x[off].flat[0]))
             )
-        return _eye[i]
+        return i
 
-    spec = KernelSpec(
+    return _registered(
         name=name,
-        evaluate=ev,
-        features=one_hot,
+        evaluate=lambda xa, xb: coef[at(xa), at(xb)],
+        features=lambda x, _eye=np.eye(vals.size): _eye[at(x)],
         coef=coef,
         feature_mean=qs,
         feature_moment=np.diag(qs),
         dist=dist,
     )
-    _verify_registration(spec)
-    return spec
 
 
 def load_kernel_table(path, dist: DistributionSpec) -> KernelSpec:

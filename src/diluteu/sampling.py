@@ -362,6 +362,7 @@ class DilutionGraph:
     packed: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ConfigurationError("a dilution graph needs n >= 1, got %r" % self.n)
         c = self.pair_count
@@ -582,7 +583,8 @@ class SeedPolicy:
     """Counter-based child-seed derivation from one master seed.
 
     child(label, *index) hashes the label with SHA-256, takes the first 8 bytes
-    as a stream key, and builds SeedSequence(master, spawn_key=(key, *index)).
+    as a stream key, and builds SeedSequence(master, spawn_key=(key, *index)),
+    each index read as a count >= 0 (never truncated).
     The mixing is pure and platform-independent; distinct (label, index)
     tuples give distinct, statistically independent child streams.
     """
@@ -596,5 +598,6 @@ class SeedPolicy:
         digest = hashlib.sha256(stream_label.encode("utf8")).digest()
         label_key = int.from_bytes(digest[:8], "little")
         return SeedSequence(
-            self.master_seed, spawn_key=(label_key,) + tuple(int(i) for i in index)
+            self.master_seed,
+            spawn_key=(label_key,) + tuple(_integer(i, "seed index", 0) for i in index),
         )

@@ -566,6 +566,24 @@ def test_configuration_errors_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clt-test", "--kernel", "zero", "--n", "50", "--p", "0.5", "--R", "10"],
+         "standardizing variance is 0.0; the statistic is degenerate"),
+        (["conditions", "--kernel", "zero", "--n", "50,100", "--a", "0.3", "--conditions", "C1"],
+         "condition estimators need theta^2 > 0; got 0.0"),
+    ],
+    ids=["clt-test", "conditions"],
+)
+def test_zero_kernel_exits_2_naming_the_zero_variance(argv, message, capsys):
+    code = run_main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "configuration error: %s\n" % message
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["moments", "--n", "10", "--p", "0.5"],

@@ -292,6 +292,38 @@ POINT_REFUSALS = {
     "moments_mc-seed-2.5": (lambda k, law: d.moments_mc(k, law, 20, 0.3, 100, 2.5), NOT_A_SEED),
     "moments_mc-seed-negative": (lambda k, law: d.moments_mc(k, law, 20, 0.3, 100, -3), "seed must be >= 0; got -3"),
     "sample_row-seed-negative": (lambda k, law: d.sample_row(5, law, -3), "seed must be >= 0; got -3"),
+    "DilutionGraph-n-bool": (lambda k, law: d.DilutionGraph(n=True, packed=np.zeros(0, np.uint8)), NOT_INTEGRAL),
+    "DilutionGraph-n-2.5": (lambda k, law: d.DilutionGraph(n=2.5, packed=np.zeros(1, np.uint8)), NOT_INTEGRAL),
+    "DilutionGraph-n-str": (lambda k, law: d.DilutionGraph(n="3", packed=np.zeros(1, np.uint8)), NOT_INTEGRAL),
+    "child-index-2.7": (lambda k, law: d.SeedPolicy(6).child("x", 2.7), "seed index must be an integer; got"),
+    "child-index-bool": (lambda k, law: d.SeedPolicy(6).child("x", True), "seed index must be an integer; got"),
+    "child-index-str": (lambda k, law: d.SeedPolicy(6).child("x", "3"), "seed index must be an integer; got"),
+    "child-index-negative": (lambda k, law: d.SeedPolicy(6).child("x", 0, -1), "seed index must be >= 0; got -1"),
+    "kernel_from_table-2-fields": (
+        lambda k, law: d.kernel_from_table("t", [(-1, -1, 1), (-1, 1), (1, 1, 1)], d.rademacher()),
+        r"row \(-1, 1\) is not an \(x, y, value\) triple",
+    ),
+    "kernel_from_table-4-fields": (
+        lambda k, law: d.kernel_from_table("t", [(-1, -1, 1), (-1, 1, -1, 9), (1, 1, 1)], d.rademacher()),
+        r"row \(-1, 1, -1, 9\) is not an \(x, y, value\) triple",
+    ),
+    "sample_dilution-p-1.5": (lambda k, law: d.sample_dilution(5, 1.5, 1), r"probability 1\.5 outside \[0, 1\]"),
+    "sample_dilution-p-negative": (lambda k, law: d.sample_dilution(5, -0.1, 1), r"probability -0\.1 outside"),
+    "sample_row-unknown-kind": (
+        lambda k, law: d.sample_row(5, d.DistributionSpec(kind="cauchy", variance=1.0), 1),
+        "unknown distribution kind 'cauchy'",
+    ),
+    "compute_ustat-2-D": (
+        lambda k, law: d.compute_ustat(np.zeros((5, 1)), d.sample_dilution(5, 1.0, 1), k), "one-dimensional"
+    ),
+    "compute_ustat-length": (
+        lambda k, law: d.compute_ustat(np.zeros(4), d.sample_dilution(5, 1.0, 1), k),
+        "row length 4 does not match graph size 5",
+    ),
+    "compute_ustat-1-vertex": (
+        lambda k, law: d.compute_ustat(np.zeros(1), d.sample_dilution(1, 1.0, 1), k), "at least two observations"
+    ),
+    "ks_distance-empty": (lambda k, law: d.ks_distance(np.array([]), d.normal_cdf), "nonempty sample"),
 }
 for _cid, _fn in ESTIMATORS.items():
     for _tag, _n, _p, _match in (
@@ -815,6 +847,13 @@ def test_trend_verdict_branches():
     assert ABSOLUTE_FLOOR == 1e-3
     # noisy flat series stays stagnant
     assert d.trend_verdict([1.0, 1.1, 1.05], [0.2, 0.2, 0.2]) == "stagnant"
+    # one point reads its band alone: inside, outside, on its edge (4 SE, then
+    # the floor), and a NaN SE, which leaves no band at all
+    assert d.trend_verdict([0.5], [0.25]) == "decreasing-toward-0"
+    assert d.trend_verdict([1.5], [0.25]) == "stagnant"
+    assert d.trend_verdict([1.0], [0.25]) == "decreasing-toward-0"
+    assert d.trend_verdict([1e-3], [0.0]) == "decreasing-toward-0"
+    assert d.trend_verdict([0.0], [math.nan]) == "stagnant"
     with pytest.raises(d.ConfigurationError):
         d.trend_verdict([], [])
 

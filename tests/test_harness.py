@@ -796,6 +796,15 @@ def test_emit_report_refuses_an_empty_result_list(out_format):
         d.emit_report([], out_format, None)
 
 
+@pytest.mark.parametrize(
+    "out_format, message",
+    [("csv", "cannot emit a CSV for mixed or unsupported"), ("json", "cannot serialize result <class 'dict'>")],
+)
+def test_emit_report_refuses_an_unsupported_result(out_format, message):
+    with pytest.raises(d.ConfigurationError, match=message):
+        d.emit_report([{"u": 1.0}], out_format, None)
+
+
 def test_emit_report_json_deterministic(tmp_path):
     cfg = sign_config(R=80)
     a = d.emit_report([d.run_clt_experiment(cfg)], "json", None, config_hash=cfg.config_hash(), seed=6)

@@ -266,7 +266,7 @@ def test_table_entries_off_the_law_support_are_ignored(rad):
     np.testing.assert_array_equal(extra.pair_values(x, y), base.pair_values(x, y))
     assert extra.second_moment == base.second_moment
     # 0 has table entries, but rows of this law never take it
-    with pytest.raises(d.ConfigurationError, match=r"^1 pair\(s\).*first 0\.0$"):
+    with pytest.raises(d.ConfigurationError, match=r"^1 value\(s\) outside the row-law support; first 0\.0$"):
         extra.pair_values([0.0], [1.0])
     with pytest.raises(d.ConfigurationError, match="outside the row-law support"):
         extra.conditional_mean([0.0])
@@ -402,10 +402,35 @@ def test_table_kernel_error_names_the_offending_value(rad):
     rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
     k = d.kernel_from_table("tbl", rows, dist=rad)
     # 1.0 is in the support; 2.0, the other argument, is not
-    with pytest.raises(d.ConfigurationError, match=r"^1 pair\(s\).*first 2\.0$"):
+    with pytest.raises(d.ConfigurationError, match=r"^1 value\(s\) outside the row-law support; first 2\.0$"):
         k.pair_values([1.0], [2.0])
-    with pytest.raises(d.ConfigurationError, match=r"^2 pair\(s\).*first 0\.5$"):
+    # h, like phi, looks up and refuses one argument at a time
+    with pytest.raises(d.ConfigurationError, match=r"^2 value\(s\) outside the row-law support; first 0\.5$"):
         k.pair_values([1.0, 0.5, -1.0, 3.0], [1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(d.ConfigurationError, match=r"^2 value\(s\) outside the row-law support; first 0\.5$"):
+        k.features(np.array([1.0, 0.5, -1.0, 3.0]))
+
+
+def test_every_factory_returns_through_the_registration_check(rad, tmp_path, monkeypatch):
+    # no factory can hand out a kernel that _verify_registration has not seen
+    def refuse(spec):
+        raise d.ConfigurationError("checked %s" % spec.name)
+
+    monkeypatch.setattr(d.kernels, "_verify_registration", refuse)
+    f = tmp_path / "k.txt"
+    f.write_text("-1 -1 1\n-1 1 -1\n1 1 1\n")
+    rows = [(-1, -1, 1.0), (-1, 1, -1.0), (1, 1, 1.0)]
+    builds = {
+        "product": lambda: d.product_kernel(rad),
+        "additive": lambda: d.additive_kernel(rad),
+        "sign": lambda: d.sign_kernel(rad),
+        "zero": lambda: d.zero_kernel(rad),
+        "tbl": lambda: d.kernel_from_table("tbl", rows, rad),
+        "k": lambda: d.load_kernel_table(f, rad),
+    }
+    for name, build in builds.items():
+        with pytest.raises(d.ConfigurationError, match="^checked %s$" % name):
+            build()
 
 
 def test_every_exported_name_resolves():

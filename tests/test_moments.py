@@ -215,6 +215,10 @@ def test_enumeration_cross_products(skewed):
     assert abs(res.products[(("PhiTilde", 0, 1), ("PhiTilde", 0, 2))]) < 1e-12
     assert abs(res.products[(("PhiTilde", 0, 1), ("PhiTilde", 2, 3))]) < 1e-12
     assert abs(res.products[(("PhiTilde", 0, 1), ("Psi", 0, 1))]) < 1e-12
+    # Phi is symmetric: its vertices in either order key the same product
+    swapped = d.enumerate_exact(k, skewed, n=4, p=p, products=((("Phi", 1, 0), ("Phi", 2, 0)),))
+    assert (("Phi", 1, 0), ("Phi", 2, 0)) not in swapped.products
+    assert swapped.products[(("Phi", 0, 1), ("Phi", 0, 2))] == res.products[(("Phi", 0, 1), ("Phi", 0, 2))]
 
 
 def test_enumeration_variance_is_full_joint(rad):

@@ -433,6 +433,11 @@ def test_graph_rejects_fewer_than_one_vertex(n, nbytes):
         d.DilutionGraph(n=n, packed=np.zeros(nbytes, dtype=np.uint8))
 
 
+def test_graph_stores_an_integral_float_n_as_its_int():
+    g = d.DilutionGraph(n=4.0, packed=np.zeros(1, dtype=np.uint8))
+    assert type(g.n) is int and g.n == 4 and g.edge_count() == 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 37])  # 37: 666 pairs, a padded last byte
 def test_constant_graphs_are_shared_and_read_only(n):
     # p = 0 and p = 1 draw nothing: one graph per (n, p), whatever the seed
@@ -640,6 +645,13 @@ def test_negative_master_seed_is_rejected_when_built(rad):
 def test_seed_policy_refuses_a_non_integral_master_seed(seed):
     with pytest.raises(d.ConfigurationError, match="master seed must be an integer; got"):
         d.SeedPolicy(master_seed=seed)
+
+
+def test_seed_policy_child_reads_each_index_as_a_count():
+    pol = d.SeedPolicy(master_seed=6)
+    child = pol.child("x", np.int64(2), 0.0)
+    assert child.spawn_key == pol.child("x", 2, 0).spawn_key
+    assert all(type(i) is int for i in child.spawn_key)
 
 
 def test_seed_policy_stores_an_integral_float_seed_as_its_int():
