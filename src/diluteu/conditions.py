@@ -412,12 +412,18 @@ def trend_verdict(estimates: Sequence[float], ses: Sequence[float]) -> str:
     integrand cut off to exactly 0 everywhere never drops "fourfold"
     from 0, yet is the strongest possible convergence evidence).
     increasing needs a rise beyond the joint 2 SE slack; anything else
-    is stagnant.
+    is stagnant. ses needs one standard error >= 0 per estimate: a
+    negative or NaN one would flip the bands, a short list broadcast.
     """
     est = np.asarray(estimates, dtype=np.float64)
     ses_ = np.asarray(ses, dtype=np.float64)
     if est.size == 0:
         raise ConfigurationError("empty estimate series")
+    if ses_.shape != est.shape or not np.all(ses_ >= 0.0):
+        raise ConfigurationError(
+            "need one standard error >= 0 per estimate; got %r for %d estimates"
+            % (ses_.tolist(), est.size)
+        )
     first, last = est[0], est[-1]
     band = np.maximum(4.0 * ses_, ABSOLUTE_FLOOR)
     last_small = last <= band[-1]

@@ -27,12 +27,15 @@ share it.
 
 When the list covers every pair (a complete graph, as at p = 1), U reads
 only its length: h runs over the circulant diagonals
-(x_i, x_{(i+k) mod n}), whose two sides are a broadcast of x and a window
-of (x, x), so no index array is built or gathered. Both views are built
-once per call and sliced per block. The pairs and their count are the
-same; only the order of the sum differs. At p = 1 the graph is the
-constant that sample_dilution keeps per n, so a replicate loop extracts
-its list once.
+(x_i, x_{(i+k) mod n}), k = 1..(n-1)//2, and no index array is built or
+gathered. Two contiguous buffers are filled once per sum, x[:n-1]
+repeated and x repeated with period n; a row of n - 1 read against the
+period-n buffer steps back one diagonal per row, so each block of whole
+diagonals is one slice of each. Each diagonal's wrap pair
+(x_{n-1}, x_{k-1}) falls outside those rows and all of them go in one
+more call. The pairs and their count are the same; only the order of the
+sum differs. At p = 1 the graph is the constant that sample_dilution
+keeps per n, so a replicate loop extracts its list once.
 """
 
 from __future__ import annotations
@@ -99,27 +102,33 @@ def _edge_blocks(counts, jj):
 def _complete_sum(x: np.ndarray, kernel: KernelSpec) -> float:
     """Sum of h over every pair i < j of x, by circulant diagonals.
 
-    Diagonal k pairs x_i with x_{(i+k) mod n}. Diagonals 1..(n-1)//2 over
-    every i, and for even n diagonal n/2 over i < n/2, meet each unordered
-    pair once: binom(n, 2) evaluations. Row k of the windows of (x, x) is
-    diagonal k's partner side, so a call takes max(1, _BLOCK // n) whole
-    diagonals against a broadcast of x, and no index array is built. The
-    window view and the broadcast are built once per call (read-only
-    strided views, no copy) and sliced per block.
+    Diagonal k pairs x_i with x_{(i+k) mod n}. Diagonals 1..d, d =
+    (n-1)//2, over every i, and for even n diagonal n/2 over i < n/2, meet
+    each unordered pair once: binom(n, 2) evaluations. lhs holds x[:n-1]
+    m times over and t holds x with period n, each filled by one broadcast
+    assignment. For a call of b <= m diagonals ending at diagonal c,
+    row r of lhs[:b(n-1)] against t[c : c + b(n-1)] pairs x_i with
+    x_{(i+c-r) mod n} for i < n-1, diagonal c - r: the call takes its b
+    diagonals whole but for each one's wrap pair (x_{n-1}, x_{k-1}),
+    and one last call takes those d pairs. Every call reads two
+    contiguous 1-D slices; the buffers hold O(n + _BLOCK) floats.
     """
     n = x.size
-    stop = (n - 1) // 2 + 1  # one past the last diagonal taken whole
-    step = max(1, _BLOCK // n)
-    xx = np.concatenate((x, x))
-    # row k is xx[k : k + n]; rows past the last whole diagonal are not needed
-    windows = np.lib.stride_tricks.as_strided(
-        xx, shape=(stop, n), strides=(xx.strides[0],) * 2, writeable=False
-    )
-    rows = np.broadcast_to(x, (step, n))
+    d = (n - 1) // 2  # the last diagonal taken whole
+    m = max(1, min(_BLOCK // (n - 1), d))  # diagonals per call
+    lhs = np.empty((m, n - 1))
+    lhs[...] = x[:-1]
+    lhs = lhs.reshape(-1)
+    t = np.empty((m + 1, n))  # the last call reads up to t[d + m(n-1)]
+    t[...] = x
+    t = t.reshape(-1)
     total = 0.0
-    for k0 in range(1, stop, step):
-        b = windows[k0 : k0 + step]
-        total += float(kernel.pair_values(rows[: b.shape[0]], b).sum())
+    for k0 in range(1, d + 1, m):
+        e = min(m, d + 1 - k0) * (n - 1)
+        c = min(k0 + m - 1, d)  # row r of the call is diagonal c - r
+        total += float(kernel.pair_values(lhs[:e], t[c : c + e]).sum())
+    if d:
+        total += float(kernel.pair_values(np.full(d, x[-1]), x[:d]).sum())
     if n % 2 == 0:
         total += float(kernel.pair_values(x[: n // 2], x[n // 2 :]).sum())
     return total
@@ -131,8 +140,10 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     The edges are evaluated in blocks of _BLOCK and the block sums added,
     so U can differ from one sum over all E values in its last bits. A
     graph whose edge list covers every pair is summed by circulant
-    diagonals instead (_complete_sum), with the same evaluation count and
-    O(n + _BLOCK) floats, in another order.
+    diagonals instead (_complete_sum): contiguous slices of two buffers
+    filled once per sum, one block of whole diagonals per kernel call,
+    then one call for the diagonals' wrap pairs. The evaluation count is
+    the same, the floats held are O(n + _BLOCK), the order differs.
     """
     x = _check_row_graph(x, graph)
     n = graph.n

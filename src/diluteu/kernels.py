@@ -387,7 +387,7 @@ def kernel_from_table(name: str, rows, dist: DistributionSpec) -> KernelSpec:
         )
     entries: dict[tuple[float, float], float] = {}
     for row in rows:
-        if len(row) != 3:
+        if not hasattr(row, "__len__") or len(row) != 3:
             raise ConfigurationError("kernel table row %r is not an (x, y, value) triple" % (row,))
         x, y = (_real(e, "kernel table point") for e in row[:2])
         key = (x, y) if x <= y else (y, x)

@@ -209,6 +209,7 @@ BELOW_FLOOR = "n\\*p = 0.250 < 1 at n=5"
 _NIL = d.Estimate(value=0.0, se=0.0)
 REAL = "must be a finite real number; got"
 NOT_A_SEED = "seed must be an integer; got"
+ONE_SE = "need one standard error >= 0 per estimate"
 _RAD_TABLE = [(-1, -1, 1), (-1, 1, -1), (1, 1, "1")]
 POINT_REFUSALS = {
     "moments_closed_form-200.7": (lambda k, law: d.moments_closed_form(k, law, 200.7, 0.3), NOT_INTEGRAL),
@@ -307,6 +308,13 @@ POINT_REFUSALS = {
         lambda k, law: d.kernel_from_table("t", [(-1, -1, 1), (-1, 1, -1, 9), (1, 1, 1)], d.rademacher()),
         r"row \(-1, 1, -1, 9\) is not an \(x, y, value\) triple",
     ),
+    "kernel_from_table-not-a-sequence": (
+        lambda k, law: d.kernel_from_table("t", [(-1, -1, 1), 5, (1, 1, 1)], d.rademacher()),
+        r"row 5 is not an \(x, y, value\) triple",
+    ),
+    "trend_verdict-negative-se": (lambda k, law: d.trend_verdict([1.0, 1.0], [-1.0, -1.0]), ONE_SE),
+    "trend_verdict-short-se": (lambda k, law: d.trend_verdict([1.0, 2.0, 3.0], [0.1]), ONE_SE),
+    "trend_verdict-nan-se": (lambda k, law: d.trend_verdict([0.0], [math.nan]), ONE_SE),
     "sample_dilution-p-1.5": (lambda k, law: d.sample_dilution(5, 1.5, 1), r"probability 1\.5 outside \[0, 1\]"),
     "sample_dilution-p-negative": (lambda k, law: d.sample_dilution(5, -0.1, 1), r"probability -0\.1 outside"),
     "sample_row-unknown-kind": (
@@ -848,12 +856,11 @@ def test_trend_verdict_branches():
     # noisy flat series stays stagnant
     assert d.trend_verdict([1.0, 1.1, 1.05], [0.2, 0.2, 0.2]) == "stagnant"
     # one point reads its band alone: inside, outside, on its edge (4 SE, then
-    # the floor), and a NaN SE, which leaves no band at all
+    # the floor); a NaN SE, which leaves no band at all, is refused
     assert d.trend_verdict([0.5], [0.25]) == "decreasing-toward-0"
     assert d.trend_verdict([1.5], [0.25]) == "stagnant"
     assert d.trend_verdict([1.0], [0.25]) == "decreasing-toward-0"
     assert d.trend_verdict([1e-3], [0.0]) == "decreasing-toward-0"
-    assert d.trend_verdict([0.0], [math.nan]) == "stagnant"
     with pytest.raises(d.ConfigurationError):
         d.trend_verdict([], [])
 

@@ -1,5 +1,6 @@
 """Pair statistic, projection split, martingale differences."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -175,13 +176,16 @@ def recording_shape(fn, calls):
 @pytest.mark.parametrize("n", [40, 41, 300, 301])
 def test_complete_graph_ustat_matches_row_form(skewed, rad, tri, tri_kernel, n):
     # a graph whose edge list covers every pair is summed by circulant
-    # diagonals, _BLOCK // n whole diagonals per 2-D kernel call, then for
-    # even n the half diagonal in one 1-D call: at n=300 diagonals 1..149
-    # take calls of 109 and 40, at n=301 diagonals 1..150 calls of 108 and
-    # 42. One pair short of complete it takes the row-form blocks (1-D)
-    step = d.decomposition._BLOCK // n
+    # diagonals 1..d, d = (n-1)//2: 1-D calls of m = min(_BLOCK // (n-1), d)
+    # diagonals of n - 1 pairs each (each diagonal's wrap pair left out),
+    # then one call for the d wrap pairs, then for even n the half diagonal: at n=300
+    # diagonals 1..149 take calls of 109 and 40 rows of 299, at n=301
+    # diagonals 1..150 calls of 109 and 41 rows of 300. One pair short of
+    # complete it takes the row-form blocks (1-D)
     last = (n - 1) // 2
-    diagonals = [(step, n)] * (last // step) + [(last % step, n)] * (last % step > 0)
+    step = min(d.decomposition._BLOCK // (n - 1), last)
+    diagonals = [(step * (n - 1),)] * (last // step)
+    diagonals += [((last % step) * (n - 1),)] * (last % step > 0) + [(last,)]
     diagonals += [(n // 2,)] * (n % 2 == 0)
     full = d.sample_dilution(n, 1.0, 0).packed
     short = full.copy()
@@ -199,6 +203,26 @@ def test_complete_graph_ustat_matches_row_form(skewed, rad, tri, tri_kernel, n):
                 assert shapes == want, k.name
             else:
                 assert {len(s) for s in shapes} == {1}, k.name
+
+
+@pytest.mark.parametrize("block", [64, 1024, None])
+def test_complete_graph_ustat_sees_every_pair_once(norm, monkeypatch, block):
+    # at p = 1 a recording kernel on x_i = i sees each unordered pair {i, j}
+    # exactly once, whatever the block size and n's parity
+    if block is not None:
+        monkeypatch.setattr(d.decomposition, "_BLOCK", block)
+    k = d.product_kernel(norm)
+    for n in [*range(2, 61), 129, 130, 500, 501]:
+        pairs = []
+
+        def recording(xa, xb):
+            pairs.extend(zip(xa.astype(int).tolist(), xb.astype(int).tolist()))
+            return xa * xb
+
+        x = np.arange(n, dtype=np.float64)
+        u = d.compute_ustat(x, d.sample_dilution(n, 1.0, 0), replace(k, evaluate=recording))
+        assert sorted(tuple(sorted(ij)) for ij in pairs) == list(itertools.combinations(range(n), 2)), n
+        assert u == pytest.approx((x.sum() ** 2 - (x * x).sum()) / 2 / math.comb(n, 2), rel=1e-12)
 
 
 @given(
@@ -358,7 +382,7 @@ def test_evaluation_memory_is_bounded_by_the_edge_list(skewed):
 def test_complete_graph_evaluation_memory_is_independent_of_c(norm):
     # the complete graph's edge list is the cached row form (counts, jj),
     # 8 C + 8 n bytes filled by the warm-up call; evaluation adds only the
-    # doubled row and one block of diagonals
+    # two repeated rows and one block of diagonals
     n = 2000
     c = math.comb(n, 2)
     k = d.product_kernel(norm)
