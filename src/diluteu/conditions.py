@@ -38,6 +38,10 @@ each estimator is a plain mean of the defining integrand.
 Each condition id is one row of the _CONDITIONS table: its row estimator,
 default and least m, whether it takes eps, and the verdicts it can read.
 Sweeps and direct estimator calls check m and eps by the same rule.
+
+The eight truncated conditions (C1 to C4', C1'' to C3'') are one estimator,
+_truncated, keyed by condition id through the _TRUNCATED table: it draws m
+values of the condition's object, cuts them at every eps and averages.
 """
 
 from __future__ import annotations
@@ -179,78 +183,70 @@ def _check_inputs(condition_id: str, n, p, m, eps_grid=()):
 # Truncated-moment condition estimators
 
 
+# One row per truncated condition: the KernelSpec method giving its object s
+# and that method's arguments ("x" one row, "xx" one row twice: the diagonal,
+# "xy" two rows); the pair bits(rng, n, p, m) that dilute s (None, one
+# Bernoulli(p), two, or the Bin(n - 1, p) sum of a row's bits); whether the
+# mean is of s^2 or of s; the cut per eps (None: the one cut 0, which keeps
+# every finite draw); and the factor.
+_Truncated = namedtuple("_Truncated", "object rows bits squared cut factor")
+_ONE_BIT = lambda rng, n, p, m: rng.random(m) < p
+_TWO_BITS = lambda rng, n, p, m: (rng.random(m) < p) & (rng.random(m) < p)
+_ROW_SUM = lambda rng, n, p, m: rng.binomial(n - 1, p, size=m)
+_N_CUT = lambda eps, t2, n, p: eps * math.sqrt(t2) * n
+_DIAG_CUT = lambda eps, t2, n, p: eps * t2 * n / p
+_TRUNCATED = {
+    "C1": _Truncated("conditional_mean", "x", _ROW_SUM, True, _N_CUT, lambda t2, n, p: 1.0 / (n * t2)),
+    "C2": _Truncated("centered_values", "xy", _ONE_BIT, True, _N_CUT, lambda t2, n, p: 1.0 / t2),
+    "C3": _Truncated("centered_pair_conditional", "xx", None, False, _DIAG_CUT, lambda t2, n, p: p / t2),
+    "C4": _Truncated("pair_conditional", "xy", _TWO_BITS, True, None, lambda t2, n, p: 1.0 / (t2 * t2)),
+    "C4'": _Truncated("centered_pair_conditional", "xy", _TWO_BITS, True, None, lambda t2, n, p: 1.0 / (t2 * t2)),
+    "C1''": _Truncated("conditional_mean", "x", _ONE_BIT, True, lambda eps, t2, n, p: eps * math.sqrt(t2), lambda t2, n, p: n * n / t2),
+    "C2''": _Truncated("pair_values", "xy", _ONE_BIT, True, _N_CUT, lambda t2, n, p: 1.0 / t2),
+    "C3''": _Truncated("pair_conditional", "xx", None, False, _DIAG_CUT, lambda t2, n, p: p / t2),
+}
+
+
+def _truncated(condition, kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
+    """One Estimate per cut of a truncated condition: its rows drawn from the
+    first spawned seeds, then its pair bits from the next, and the factor
+    times the mean of s^2 (or s) over |s| >= the cut."""
+    n, p, m, eps_grid = _check_inputs(condition, n, p, m, eps_grid)
+    spec = _TRUNCATED[condition]
+    t2 = _theta2(kernel, dist, n, p)
+    draws = len(set(spec.rows))
+    seeds = as_seed_sequence(seed).spawn(draws + (spec.bits is not None))
+    rows = dict(zip("xy", [sample_row(m, dist, ss) for ss in seeds[:draws]]))
+    s = np.asarray(getattr(kernel, spec.object)(*[rows[r] for r in spec.rows]), np.float64)
+    if spec.bits is not None:
+        s = spec.bits(as_generator(seeds[-1]), n, p, m).astype(np.float64) * s
+    cuts = [0.0] if spec.cut is None else [spec.cut(eps, t2, n, p) for eps in eps_grid]
+    return _cut(s * s if spec.squared else s, s, cuts, spec.factor(t2, n, p))
+
+
 def estimate_C1(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated second moment of the summed projection column, per eps."""
-    n, p, m, eps_grid = _check_inputs("C1", n, p, m, eps_grid)
-    t2 = _theta2(kernel, dist, n, p)
-    sx, sz = as_seed_sequence(seed).spawn(2)
-    x = sample_row(m, dist, sx)
-    counts = as_generator(sz).binomial(n - 1, p, size=m).astype(np.float64)
-    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * counts
-    cuts = [eps * math.sqrt(t2) * n for eps in eps_grid]
-    return _cut(big_s * big_s, big_s, cuts, 1.0 / (n * t2))
-
-
-def _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered: bool) -> List[Estimate]:
-    """Truncated second moment of one diluted pair, h~ (C2) or h (C2''), per eps."""
-    t2 = _theta2(kernel, dist, n, p)
-    sx, sy, sz = as_seed_sequence(seed).spawn(3)
-    xa = sample_row(m, dist, sx)
-    xb = sample_row(m, dist, sy)
-    bits = (as_generator(sz).random(m) < p).astype(np.float64)
-    fn = kernel.centered_values if centered else kernel.pair_values
-    pair = bits * fn(xa, xb)
-    cuts = [eps * math.sqrt(t2) * n for eps in eps_grid]
-    return _cut(pair * pair, pair, cuts, 1.0 / t2)
-
-
-def _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered: bool) -> List[Estimate]:
-    """Truncated first moment of the diagonal conditional, H~ (C3) or H (C3''), per eps."""
-    t2 = _theta2(kernel, dist, n, p)
-    (sx,) = as_seed_sequence(seed).spawn(1)
-    x = sample_row(m, dist, sx)
-    fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
-    diag = np.asarray(fn(x, x), np.float64)
-    cuts = [eps * t2 * n / p for eps in eps_grid]
-    return _cut(diag, diag, cuts, p / t2)
-
-
-def _estimate_G2(kernel, dist, n, p, m, seed, centered: bool) -> Estimate:
-    """Second moment of the double-diluted pair conditional, G~ (C4') or G (C4)."""
-    t2 = _theta2(kernel, dist, n, p)
-    sx, sy, sz = as_seed_sequence(seed).spawn(3)
-    xa = sample_row(m, dist, sx)
-    xb = sample_row(m, dist, sy)
-    rng = as_generator(sz)
-    both = (rng.random(m) < p) & (rng.random(m) < p)
-    fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
-    cond = np.asarray(fn(xa, xb), np.float64)
-    g = both.astype(np.float64) * cond
-    return _mean_se(g * g, factor=1.0 / (t2 * t2))
+    return _truncated("C1", kernel, dist, n, p, eps_grid, m, seed)
 
 
 def estimate_C2(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated second moment of a single centered pair, per eps."""
-    n, p, m, eps_grid = _check_inputs("C2", n, p, m, eps_grid)
-    return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=True)
+    return _truncated("C2", kernel, dist, n, p, eps_grid, m, seed)
 
 
 def estimate_C3(kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
     """Truncated first moment of the centered diagonal conditional, per eps."""
-    n, p, m, eps_grid = _check_inputs("C3", n, p, m, eps_grid)
-    return _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered=True)
+    return _truncated("C3", kernel, dist, n, p, eps_grid, m, seed)
 
 
 def estimate_C4(kernel, dist, n, p, m, seed) -> Estimate:
     """Second moment of the double-diluted pair conditional G_1(2,3)."""
-    n, p, m, _ = _check_inputs("C4", n, p, m)
-    return _estimate_G2(kernel, dist, n, p, m, seed, centered=False)
+    return _truncated("C4", kernel, dist, n, p, (), m, seed)[0]
 
 
 def estimate_C4prime(kernel, dist, n, p, m, seed) -> Estimate:
     """As estimate_C4 with the centered conditional G~_1(2,3)."""
-    n, p, m, _ = _check_inputs("C4'", n, p, m)
-    return _estimate_G2(kernel, dist, n, p, m, seed, centered=True)
+    return _truncated("C4'", kernel, dist, n, p, (), m, seed)[0]
 
 
 def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> List[Estimate]:
@@ -259,18 +255,7 @@ def estimate_Cdoubleprime(condition, kernel, dist, n, p, eps_grid, m, seed) -> L
         raise ConfigurationError(
             "condition must be C1'', C2'' or C3''; got %r" % (condition,)
         )
-    n, p, m, eps_grid = _check_inputs(condition, n, p, m, eps_grid)
-    if condition == "C2''":
-        return _estimate_pair(kernel, dist, n, p, eps_grid, m, seed, centered=False)
-    if condition == "C3''":
-        return _estimate_diag(kernel, dist, n, p, eps_grid, m, seed, centered=False)
-    t2 = _theta2(kernel, dist, n, p)
-    sx, sz = as_seed_sequence(seed).spawn(2)
-    x = sample_row(m, dist, sx)
-    bits = (as_generator(sz).random(m) < p).astype(np.float64)
-    psi = bits * np.asarray(kernel.conditional_mean(x), np.float64)
-    cuts = [eps * math.sqrt(t2) for eps in eps_grid]
-    return _cut(psi * psi, psi, cuts, n * n / t2)
+    return _truncated(condition, kernel, dist, n, p, eps_grid, m, seed)
 
 
 # --------------------------------------------------------------------------

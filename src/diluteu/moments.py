@@ -168,27 +168,6 @@ def moments_mc(
 # exhaustive enumeration oracle
 
 
-class _Neumaier:
-    """Compensated accumulator; order-stable to ~1 ulp."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float) -> None:
-        t = self.s + v
-        if abs(self.s) >= abs(v):
-            self.c += (self.s - t) + v
-        else:
-            self.c += (v - t) + self.s
-        self.s = t
-
-    def value(self) -> float:
-        return float(self.s + self.c)
-
-
 Factor = Tuple[str, int, int]
 
 
@@ -286,8 +265,9 @@ def enumerate_exact(
         (("PhiTilde", 0, 1), ("PhiTilde", 0, 1)),
     ]
     all_products = base + [pr for pr in norm_products if pr not in base]
-    accs = [_Neumaier() for _ in all_products]
-    var_acc = _Neumaier()
+    # each expectation's terms, summed by math.fsum, which rounds exactly once
+    terms = [[] for _ in all_products]
+    var_terms = []
 
     for assign in itertools.product(range(k), repeat=n):
         xw = 1.0
@@ -299,8 +279,8 @@ def enumerate_exact(
         gvals = g_enum[idx]
         hpair = np.asarray([hvals[i, j] for i, j in pairs])
         u = (zbits @ hpair) / binom
-        var_acc.add(xw * float(zprob @ (u * u)))
-        for acc, prod in zip(accs, all_products):
+        var_terms.append(xw * float(zprob @ (u * u)))
+        for prod_terms, prod in zip(terms, all_products):
             vals = np.ones(masks.size)
             for kind, i, j in prod:
                 t = pair_index[(i, j) if i < j else (j, i)]
@@ -311,15 +291,15 @@ def enumerate_exact(
                     vals = vals * (zc * htvals[i, j])
                 else:
                     vals = vals * (zc * gvals[i])
-            acc.add(xw * float(zprob @ vals))
+            prod_terms.append(xw * float(zprob @ vals))
 
-    results = {pr: acc.value() for pr, acc in zip(all_products, accs)}
+    results = {pr: math.fsum(t) for pr, t in zip(all_products, terms)}
     beta2 = results[base[0]]
     gamma2 = results[base[1]]
     moment_set = MomentSet(
         beta2=beta2,
         gamma2=gamma2,
-        var_u_exact=var_acc.value(),
+        var_u_exact=math.fsum(var_terms),
         provenance="enumerated",
         n=n,
         p=p,

@@ -394,19 +394,6 @@ class DilutionGraph:
             self.__dict__["_edge_count"] = count
         return count
 
-    def bit(self, i: int, j: int) -> int:
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise ConfigurationError(
-                "pair (%r, %r) outside the %d vertices of the graph" % (i, j, n)
-            )
-        if i == j:
-            raise ConfigurationError("dilution matrix has no diagonal entries")
-        if i > j:
-            i, j = j, i
-        idx = i * (2 * n - i - 1) // 2 + (j - i - 1)
-        return (int(self.packed[idx >> 3]) >> (7 - (idx & 7))) & 1
-
     def edges(self):
         """(counts, jj): the pairs with Z=1 in row form, in storage order.
 

@@ -488,6 +488,117 @@ def test_estimators_reject_tiny_m(skewed):
         d.estimate_C1(k, skewed, 10, 0.5, 0.5, m=50, seed=0)
 
 
+# ------------------------------------------- one draw-cut-mean path
+
+
+# One body per object, each drawing, cutting and averaging by itself: the
+# reference the shared truncated estimator must match bit for bit, on every
+# stream (rows from the first spawned seeds, the pair bits from the next)
+# and in the rounding of every expression.
+def _ref_mean_se(vals, factor=1.0):
+    m = vals.size
+    mean = float(vals.mean()) * factor
+    se = float(vals.std(ddof=1)) / math.sqrt(m) * factor if m > 1 else 0.0
+    return d.Estimate(value=mean, se=se)
+
+
+def _ref_cut(vals, size, cuts, factor):
+    mag = np.abs(size)
+    return [_ref_mean_se(vals * (mag >= cut), factor) for cut in cuts]
+
+
+def _ref_theta2(kernel, dist, n, p):
+    return d.moments_closed_form(kernel, dist, n, p).theta2
+
+
+def _ref_C1(kernel, dist, n, p, eps_grid, m, seed):
+    t2 = _ref_theta2(kernel, dist, n, p)
+    sx, sz = d.as_seed_sequence(seed).spawn(2)
+    x = d.sample_row(m, dist, sx)
+    counts = d.as_generator(sz).binomial(n - 1, p, size=m).astype(np.float64)
+    big_s = np.asarray(kernel.conditional_mean(x), np.float64) * counts
+    cuts = [eps * math.sqrt(t2) * n for eps in eps_grid]
+    return _ref_cut(big_s * big_s, big_s, cuts, 1.0 / (n * t2))
+
+
+def _ref_pair(kernel, dist, n, p, eps_grid, m, seed, centered):
+    t2 = _ref_theta2(kernel, dist, n, p)
+    sx, sy, sz = d.as_seed_sequence(seed).spawn(3)
+    xa = d.sample_row(m, dist, sx)
+    xb = d.sample_row(m, dist, sy)
+    bits = (d.as_generator(sz).random(m) < p).astype(np.float64)
+    fn = kernel.centered_values if centered else kernel.pair_values
+    pair = bits * fn(xa, xb)
+    cuts = [eps * math.sqrt(t2) * n for eps in eps_grid]
+    return _ref_cut(pair * pair, pair, cuts, 1.0 / t2)
+
+
+def _ref_diag(kernel, dist, n, p, eps_grid, m, seed, centered):
+    t2 = _ref_theta2(kernel, dist, n, p)
+    (sx,) = d.as_seed_sequence(seed).spawn(1)
+    x = d.sample_row(m, dist, sx)
+    fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
+    diag = np.asarray(fn(x, x), np.float64)
+    cuts = [eps * t2 * n / p for eps in eps_grid]
+    return _ref_cut(diag, diag, cuts, p / t2)
+
+
+def _ref_G2(kernel, dist, n, p, m, seed, centered):
+    t2 = _ref_theta2(kernel, dist, n, p)
+    sx, sy, sz = d.as_seed_sequence(seed).spawn(3)
+    xa = d.sample_row(m, dist, sx)
+    xb = d.sample_row(m, dist, sy)
+    rng = d.as_generator(sz)
+    both = (rng.random(m) < p) & (rng.random(m) < p)
+    fn = kernel.centered_pair_conditional if centered else kernel.pair_conditional
+    g = both.astype(np.float64) * np.asarray(fn(xa, xb), np.float64)
+    return _ref_mean_se(g * g, factor=1.0 / (t2 * t2))
+
+
+def _ref_C1doubleprime(kernel, dist, n, p, eps_grid, m, seed):
+    t2 = _ref_theta2(kernel, dist, n, p)
+    sx, sz = d.as_seed_sequence(seed).spawn(2)
+    x = d.sample_row(m, dist, sx)
+    bits = (d.as_generator(sz).random(m) < p).astype(np.float64)
+    psi = bits * np.asarray(kernel.conditional_mean(x), np.float64)
+    cuts = [eps * math.sqrt(t2) for eps in eps_grid]
+    return _ref_cut(psi * psi, psi, cuts, n * n / t2)
+
+
+# condition id: (the public estimator, its reference body), both as
+# f(kernel, law, n, p, eps grid, m, seed) -> list of Estimates
+TRUNCATED_REFERENCES = {
+    "C1": (d.estimate_C1, _ref_C1),
+    "C2": (d.estimate_C2, functools.partial(_ref_pair, centered=True)),
+    "C3": (d.estimate_C3, functools.partial(_ref_diag, centered=True)),
+    "C4": (
+        lambda k, x, n, p, e, m, s: [d.estimate_C4(k, x, n, p, m, s)],
+        lambda k, x, n, p, e, m, s: [_ref_G2(k, x, n, p, m, s, centered=False)],
+    ),
+    "C4'": (
+        lambda k, x, n, p, e, m, s: [d.estimate_C4prime(k, x, n, p, m, s)],
+        lambda k, x, n, p, e, m, s: [_ref_G2(k, x, n, p, m, s, centered=True)],
+    ),
+    "C1''": (functools.partial(d.estimate_Cdoubleprime, "C1''"), _ref_C1doubleprime),
+    "C2''": (functools.partial(d.estimate_Cdoubleprime, "C2''"), functools.partial(_ref_pair, centered=False)),
+    "C3''": (functools.partial(d.estimate_Cdoubleprime, "C3''"), functools.partial(_ref_diag, centered=False)),
+}
+
+
+@pytest.mark.parametrize("law", ["skewed", "tri", "norm", "rad"])
+@pytest.mark.parametrize("kname", ["sign", "product", "additive"])
+def test_truncated_estimators_equal_their_reference_bodies(kname, law, request):
+    assert set(TRUNCATED_REFERENCES) == set(d.CONDITION_IDS) - {"ETA1", "ETA2"}
+    dist = request.getfixturevalue(law)
+    k = d.kernel_by_name(kname, dist)
+    eps_grid = (0.01, 0.1, 0.5, 0.75)
+    for cid, (estimator, reference) in TRUNCATED_REFERENCES.items():
+        for n, p in ((30, 0.4), (12, 1.0)):
+            for seed in (6, 29):
+                got = estimator(k, dist, n, p, eps_grid, 300, seed)
+                assert got == reference(k, dist, n, p, eps_grid, 300, seed), (cid, n, p, seed)
+
+
 # ----------------------------------------------------------------- eta2
 
 

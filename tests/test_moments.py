@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diluteu as d
-from diluteu.moments import MAX_ENUM_STATES, _Neumaier
+from diluteu.moments import MAX_ENUM_STATES
 
 
 def test_product_normal_undiluted_theta(norm):
@@ -141,14 +141,6 @@ def test_momentset_json_writes_numpy_standard_errors_as_plain_floats():
         beta2=1.0, gamma2=0.0, var_u_exact=0.1, standard_errors={"beta2": np.float64(0.01)}, n=5, p=0.5
     )
     assert json.loads(ms.to_json())["standard_errors"] == {"beta2": "0.01"}
-
-
-def test_neumaier_compensation():
-    acc = _Neumaier()
-    for v in (1e16, 1.0, -1e16):
-        acc.add(v)
-    assert acc.value() == 1.0
-    assert isinstance(acc.value(), float)
 
 
 # ------------------------------------------------------------- enumeration

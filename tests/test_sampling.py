@@ -151,18 +151,6 @@ def test_dilution_determinism_and_symmetry():
     m = dense_of(g)
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0)
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                assert g.bit(i, j) == g.bit(j, i) == m[i, j]
-
-
-def test_dilution_no_diagonal_access():
-    g = d.sample_dilution(5, 0.5, 1)
-    # out-of-range indices would alias another pair's bit
-    for i, j in [(2, 2), (0, 5), (0, 7), (-1, 2), (5, 0), (2, -3)]:
-        with pytest.raises(d.ConfigurationError):
-            g.bit(i, j)
 
 
 def test_dilution_degenerate_probabilities():
@@ -209,8 +197,9 @@ def test_dilution_pair_independence():
     b = np.empty(R)
     for r in range(R):
         g = d.sample_dilution(6, p, np.random.SeedSequence((77, r)))
-        a[r] = g.bit(0, 1)
-        b[r] = g.bit(3, 4)
+        m = dense_of(g)
+        a[r] = m[0, 1]
+        b[r] = m[3, 4]
     se = 1.0 / math.sqrt(R)
     assert abs(a.mean() - p) < 4 * se * math.sqrt(p * (1 - p))
     assert abs(np.cov(a, b)[0, 1]) < 4 * se * p * (1 - p) + 4e-3
