@@ -53,6 +53,7 @@ from .sampling import (
     as_seed_sequence,
     sample_dilution,
     sample_row,
+    _real,
 )
 
 __all__ = [
@@ -76,6 +77,8 @@ def _check_row_graph(x: np.ndarray, graph: DilutionGraph) -> np.ndarray:
         raise ConfigurationError(
             "row length %d does not match graph size %d" % (x.size, graph.n)
         )
+    if graph.n < 2:
+        raise ConfigurationError("need at least two observations")
     return x
 
 
@@ -147,8 +150,6 @@ def compute_ustat(x, graph: DilutionGraph, kernel: KernelSpec) -> float:
     """
     x = _check_row_graph(x, graph)
     n = graph.n
-    if n < 2:
-        raise ConfigurationError("need at least two observations")
     counts, jj = graph.edges()
     if jj.size == graph.pair_count:
         return _complete_sum(x, kernel) / math.comb(n, 2)
@@ -206,9 +207,10 @@ def martingale_differences(
 
     xi1 carries the projection part, xi2 the centered pairs with smaller
     partner; both are mean zero given everything with lower index (the
-    dilution graph counts as revealed up front).
+    dilution graph counts as revealed up front). theta is read as a finite
+    real; theta <= 0 raises DegenerateNormalizationError.
     """
-    theta = float(theta)
+    theta = _real(theta, "theta")
     if not theta > 0.0:
         raise DegenerateNormalizationError(
             "normal approximation needs theta > 0; got %r "

@@ -17,7 +17,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -60,7 +60,6 @@ from .sampling import (
 __all__ = [
     "ExperimentConfig",
     "DistTestResult",
-    "replicate_standardized",
     "ks_distance",
     "normal_cdf",
     "chi1_shifted_cdf",
@@ -175,11 +174,12 @@ class ExperimentConfig:
 class DistTestResult:
     """Standardized samples against one target law, with the KS readout.
 
-    decision is derived: the literal threshold comparison (pass iff ks
-    below the threshold); callers that expect a failure, like the normal
-    leg of the counterexample, interpret it themselves. runtime_seconds is
-    carried in memory only and never serialized, to keep reports
-    byte-stable.
+    A runner returns its sample against the normal; against() gives the
+    same sample's row for another law. decision is derived: the literal
+    threshold comparison (pass iff ks below the threshold); callers that
+    expect a failure, like the normal leg of the counterexample, interpret
+    it themselves. runtime_seconds is carried in memory only and never
+    serialized, to keep reports byte-stable.
     """
 
     samples: np.ndarray
@@ -199,9 +199,13 @@ class DistTestResult:
     def decision(self) -> str:
         return "pass" if self.ks_statistic < self.threshold else "fail"
 
-    def csv_rows(self):
-        """One row: the fields named in CSV_HEADER."""
-        yield tuple(_report_value(getattr(self, k)) for k in self.CSV_HEADER)
+    def against(self, target: str, cdf, note: Optional[str] = None) -> "DistTestResult":
+        """This sample KS-tested against the law with CDF cdf, named target;
+        the note stays unless a new one is given."""
+        return replace(
+            self, target=target, ks_statistic=ks_distance(self.samples, cdf),
+            note=self.note if note is None else note,
+        )
 
     def to_json(self) -> str:
         return _report_json(self, self.CSV_HEADER + ("standardization", "note"))
@@ -328,8 +332,12 @@ def _run_replicates(
     p: float,
     label: str,
     statistic: Callable,
-) -> Tuple[np.ndarray, int]:
-    """R statistic values of the label's replicates and their summed kernel-eval count."""
+    standardization: str,
+    note: str = "",
+) -> DistTestResult:
+    """The R statistic values of the label's replicates, KS-tested against the
+    normal, with their summed kernel-eval count."""
+    t0 = time.perf_counter()
     R = config.R
     expected = R * math.comb(n, 2) * p
     if expected > DEFAULT_MAX_PAIR_EVALS:
@@ -345,36 +353,31 @@ def _run_replicates(
         evals[r] = graph.edge_count()
 
     _each_replicate(config.policy().child(label), R, n, dist, p, body, config.threads)
-    return out, int(evals.sum())
-
-
-def replicate_standardized(config: ExperimentConfig) -> np.ndarray:
-    """The samples of run_clt_experiment(config): R draws of U / sqrt(Var U)."""
-    return run_clt_experiment(config).samples
+    return DistTestResult(
+        samples=out,
+        target="normal",
+        ks_statistic=ks_distance(out, normal_cdf),
+        threshold=config.ks_threshold,
+        n=n,
+        R=R,
+        eval_count=int(evals.sum()),
+        standardization=standardization,
+        note=note,
+        runtime_seconds=time.perf_counter() - t0,
+    )
 
 
 def run_clt_experiment(config: ExperimentConfig) -> DistTestResult:
     """R draws of U / sqrt(Var U) at the config's largest grid point, KS-tested
     against the normal."""
-    t0 = time.perf_counter()
     n = config.n_grid[-1]
     p = config.p_at(n)
     kernel = kernel_by_name(config.kernel_name, config.dist)
     denom = _standardizer(config, kernel, config.dist, n, p)
-    samples, evals = _run_replicates(
+    return _run_replicates(
         config, config.dist, n, p, "replicate/n%d" % n,
         lambda x, graph: compute_ustat(x, graph, kernel) / denom,
-    )
-    return DistTestResult(
-        samples=samples,
-        target="normal",
-        ks_statistic=ks_distance(samples, normal_cdf),
-        threshold=config.ks_threshold,
-        n=n,
-        R=config.R,
-        eval_count=evals,
-        standardization=config.standardization,
-        runtime_seconds=time.perf_counter() - t0,
+        config.standardization,
     )
 
 
@@ -399,27 +402,12 @@ def run_counterexample(config: ExperimentConfig) -> Tuple[DistTestResult, DistTe
     n = config.n_grid[-1]
     dist = standard_normal()
     kernel = kernel_by_name("product", dist)
-    t0 = time.perf_counter()
-    samples, evals = _run_replicates(
+    vs_normal = _run_replicates(
         config, dist, n, 1.0, "counterexample/n%d" % n,
         lambda x, graph: n * compute_ustat(x, graph, kernel),
+        "none (raw n*U)", _COUNTEREXAMPLE_NOTE,
     )
-    runtime = time.perf_counter() - t0
-    ks_norm = ks_distance(samples, normal_cdf)
-    ks_chi = ks_distance(samples, chi1_shifted_cdf)
-    common = dict(
-        samples=samples,
-        threshold=config.ks_threshold,
-        n=n,
-        R=config.R,
-        eval_count=evals,
-        standardization="none (raw n*U)",
-        note=_COUNTEREXAMPLE_NOTE,
-        runtime_seconds=runtime,
-    )
-    vs_normal = DistTestResult(target="normal", ks_statistic=ks_norm, **common)
-    vs_chi = DistTestResult(target="chi1_shifted", ks_statistic=ks_chi, **common)
-    return vs_normal, vs_chi
+    return vs_normal, vs_normal.against("chi1_shifted", chi1_shifted_cdf)
 
 
 def run_condition_sweep(config: ExperimentConfig):
@@ -480,7 +468,10 @@ def _csv_text(flat, config_hash: str, seed) -> str:
     elif len({type(r) for r in flat}) == 1 and hasattr(flat[0], "CSV_HEADER"):
         writer.writerow(flat[0].CSV_HEADER)
         for r in flat:
-            writer.writerows(r.csv_rows())
+            if hasattr(r, "csv_rows"):
+                writer.writerows(r.csv_rows())
+            else:
+                writer.writerow([_report_value(getattr(r, k)) for k in r.CSV_HEADER])
     else:
         raise ConfigurationError(
             "cannot emit a CSV for mixed or unsupported result types"
@@ -508,7 +499,8 @@ def emit_report(results, out_format: str, path, config_hash: str = "", seed=None
     """Write results as CSV or JSON; returns the emitted text.
 
     results is one result or a nonempty list. A CSV holds one sample array
-    or results of one type, whose CSV_HEADER and csv_rows() it writes;
+    or results of one type under its CSV_HEADER: each result's csv_rows()
+    where the type defines them, else its one row of those fields;
     JSON takes any mix of to_json() results and 1-D sample arrays. Output
     is a pure function of the inputs (every value written by
     _report_value, keys sorted), so identical runs give byte-identical

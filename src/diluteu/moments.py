@@ -84,10 +84,6 @@ class MomentSet:
     def theta(self) -> float:
         return math.sqrt(max(self.theta2, 0.0))
 
-    def csv_rows(self):
-        """One row: the fields named in CSV_HEADER."""
-        yield tuple(_report_value(getattr(self, k)) for k in self.CSV_HEADER)
-
     def to_json(self) -> str:
         return _report_json(self, self.CSV_HEADER + ("standard_errors",))
 

@@ -367,10 +367,12 @@ class DilutionGraph:
             raise ConfigurationError("a dilution graph needs n >= 1, got %r" % self.n)
         c = self.pair_count
         nbytes = -(-c // 8)
-        if self.packed.dtype != np.uint8 or self.packed.shape != (nbytes,):
+        packed = self.packed
+        array = isinstance(packed, np.ndarray)
+        if not array or packed.dtype != np.uint8 or packed.shape != (nbytes,):
+            got = "%s %s" % (packed.dtype, packed.shape) if array else type(packed).__name__
             raise ConfigurationError(
-                "packed dilution bits for n=%d must be %d uint8 bytes, got %s %s"
-                % (self.n, nbytes, self.packed.dtype, self.packed.shape)
+                "packed dilution bits for n=%d must be %d uint8 bytes, got %s" % (self.n, nbytes, got)
             )
         if c % 8 and int(self.packed[-1]) & (0xFF >> (c % 8)):
             raise ConfigurationError(

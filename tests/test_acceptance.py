@@ -118,7 +118,7 @@ def test_criterion_03_exact_variance(capsys, skewed):
         kernel_name="sign", dist=skewed, n_grid=(30,), p=0.5, R=R,
         master_seed=6, standardization="exact",
     )
-    samples = d.replicate_standardized(cfg)
+    samples = d.run_clt_experiment(cfg).samples
     c = samples - samples.mean()
     v = float(c @ c) / (R - 1)
     m4 = float(np.mean(c**4))
@@ -416,7 +416,7 @@ def test_criterion_11_deterministic_reports(capsys, rad, norm, skewed, policy):
         cfg = d.ExperimentConfig(
             kernel_name="sign", dist=skewed, n_grid=(30,), p=0.5, R=400, master_seed=6
         )
-        return emit(cfg, d.replicate_standardized(cfg))
+        return emit(cfg, d.run_clt_experiment(cfg).samples)
 
     def p4():
         kernel = d.kernel_by_name("product", norm)

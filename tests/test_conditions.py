@@ -331,6 +331,26 @@ POINT_REFUSALS = {
     "compute_ustat-1-vertex": (
         lambda k, law: d.compute_ustat(np.zeros(1), d.sample_dilution(1, 1.0, 1), k), "at least two observations"
     ),
+    "hoeffding_parts-1-vertex": (
+        lambda k, law: d.hoeffding_parts(np.zeros(1), d.sample_dilution(1, 0.5, 1), k), "at least two observations"
+    ),
+    "martingale_differences-1-vertex": (
+        lambda k, law: d.martingale_differences(np.zeros(1), d.sample_dilution(1, 0.5, 1), k, 1.0),
+        "at least two observations",
+    ),
+    "martingale_differences-theta-str": (
+        lambda k, law: d.martingale_differences(np.zeros(5), d.sample_dilution(5, 0.5, 1), k, "1.0"), "theta " + REAL
+    ),
+    "martingale_differences-theta-bool": (
+        lambda k, law: d.martingale_differences(np.zeros(5), d.sample_dilution(5, 0.5, 1), k, True), "theta " + REAL
+    ),
+    "martingale_differences-theta-inf": (
+        lambda k, law: d.martingale_differences(np.zeros(5), d.sample_dilution(5, 0.5, 1), k, math.inf),
+        "theta " + REAL,
+    ),
+    "DilutionGraph-packed-list": (
+        lambda k, law: d.DilutionGraph(n=5, packed=[0, 0]), "must be 2 uint8 bytes, got list"
+    ),
     "ks_distance-empty": (lambda k, law: d.ks_distance(np.array([]), d.normal_cdf), "nonempty sample"),
 }
 for _cid, _fn in ESTIMATORS.items():

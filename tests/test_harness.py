@@ -248,9 +248,9 @@ def test_config_p_at_regimes(skewed):
 def test_replicates_deterministic_and_thread_independent():
     cfg1 = sign_config(threads=1)
     cfg4 = sign_config(threads=4)
-    s1 = d.replicate_standardized(cfg1)
-    s1b = d.replicate_standardized(cfg1)
-    s4 = d.replicate_standardized(cfg4)
+    s1 = d.run_clt_experiment(cfg1).samples
+    s1b = d.run_clt_experiment(cfg1).samples
+    s4 = d.run_clt_experiment(cfg4).samples
     assert np.array_equal(s1, s1b)
     assert np.array_equal(s1, s4)
     assert s1.shape == (200,)
@@ -282,7 +282,7 @@ def test_replicate_streams_are_the_spawned_children_of_the_label():
         sx, sz = cfg.policy().child("replicate/n60", r).spawn(2)
         graph = d.sample_dilution(60, cfg.p_at(60), sz)
         u.append(d.compute_ustat(d.sample_row(60, cfg.dist, sx), graph, kernel))
-    s = d.replicate_standardized(cfg)
+    s = d.run_clt_experiment(cfg).samples
     assert np.allclose(s * (u[0] / s[0]), u, rtol=1e-14, atol=0.0)
 
 
@@ -361,21 +361,43 @@ def test_counterexample_is_thread_independent_on_the_shared_graph(monkeypatch):
     assert seen[0].edge_count() == seen[0].pair_count
 
 
-@pytest.mark.parametrize("runner", ["replicate_standardized", "run_clt_experiment", "run_counterexample"])
+@pytest.mark.parametrize("runner", ["run_clt_experiment", "run_counterexample"])
 def test_a_runner_takes_only_its_config(runner):
     # a per-call n would skip the config's checks at that n (n*p >= 1 among them)
     assert list(inspect.signature(getattr(d, runner)).parameters) == ["config"]
 
 
-def test_replicate_standardized_is_the_clt_runs_sample():
-    cfg = sign_config(R=40, n_grid=(30, 60))
-    assert np.array_equal(d.replicate_standardized(cfg), d.run_clt_experiment(cfg).samples)
-    assert d.run_clt_experiment(cfg).n == 60
+def test_the_clt_run_reads_its_largest_grid_point():
+    assert d.run_clt_experiment(sign_config(R=40, n_grid=(30, 60))).n == 60
+
+
+def test_against_is_the_same_sample_tested_through_the_harness_ks(monkeypatch):
+    # every KS row goes through harness.ks_distance by name, which a tracer rebinds
+    calls = []
+    real = d.harness.ks_distance
+
+    def recording(samples, cdf):
+        calls.append(samples)
+        return real(samples, cdf)
+
+    monkeypatch.setattr(d.harness, "ks_distance", recording)
+    vs_normal, vs_chi = d.run_counterexample(sign_config(R=40, n_grid=(60,)))
+    assert len(calls) == 2 and all(s is vs_normal.samples for s in calls)
+    assert vs_chi.samples is vs_normal.samples
+    assert vs_chi.ks_statistic == real(vs_normal.samples, d.chi1_shifted_cdf)
+    exact = vs_chi.against("square_law_n", lambda t: d.square_law_n_cdf(t, 60), "exact law")
+    assert len(calls) == 3 and exact.samples is vs_normal.samples
+    want = dict(json.loads(vs_normal.to_json()), target="square_law_n", note="exact law")
+    want["ks_statistic"] = repr(real(vs_normal.samples, lambda t: d.square_law_n_cdf(t, 60)))
+    want["decision"] = exact.decision
+    assert json.loads(exact.to_json()) == want
+    # without a new note the row keeps the sample's own
+    assert vs_normal.against("normal", d.normal_cdf).to_json() == vs_normal.to_json()
 
 
 def test_replicates_single_run():
     cfg = sign_config(R=1)
-    s = d.replicate_standardized(cfg)
+    s = d.run_clt_experiment(cfg).samples
     assert s.shape == (1,)
 
 
@@ -402,7 +424,7 @@ def test_budget_guard_trips(monkeypatch):
     cfg = sign_config(n_grid=(2000,), p=1.0, R=2000)
     assert cfg.R * math.comb(2000, 2) > d.harness.DEFAULT_MAX_PAIR_EVALS
     with pytest.raises(d.ResourceBudgetError):
-        d.replicate_standardized(cfg)
+        d.run_clt_experiment(cfg)
     assert rows == []
 
 
@@ -428,7 +450,7 @@ def test_standardizations_agree_at_scale(skewed):
 def test_empirical_variance_matches_exact(skewed):
     # standardized samples should have unit variance within MC error
     cfg = sign_config(R=4000, n_grid=(30,), p=0.5)
-    s = d.replicate_standardized(cfg)
+    s = d.run_clt_experiment(cfg).samples
     v = s.var(ddof=1)
     m4 = np.mean((s - s.mean()) ** 4)
     se = math.sqrt(max(m4 - v * v, 0.0) / s.size)
@@ -755,7 +777,7 @@ def test_emit_report_bytes_per_result_type():
 def test_numpy_scalar_fields_write_the_bytes_of_python_ones():
     # np.int64 counts and np.float64 statistics are written as int and float are
     for numpy_result, result in zip(_literal_results(np.int64, np.float64), _literal_results()):
-        for out_format in ("csv", "json") if hasattr(result, "csv_rows") else ("json",):
+        for out_format in ("csv", "json") if hasattr(result, "CSV_HEADER") else ("json",):
             assert d.emit_report(numpy_result, out_format, None) == d.emit_report(
                 result, out_format, None
             )
